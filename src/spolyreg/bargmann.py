@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qarray
 from .poly import hermite_H, hermite_fn
-from .quat import Quaternion, qexp, quat
+from .quat import Quaternion, quat
 from .quad import QuadratureDegreeError, Rule1D, gauss_hermite, line_values
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "SampledLine",
     "b2_kernel",
     "b1_kernel",
-    "b2_conj_values",
     "b2_conj_grid",
     "transform",
     "transform_batch",
@@ -85,12 +84,10 @@ def _scale(k: int) -> float:
 
 
 def b2_kernel(k: int, t: float, q: Quaternion) -> Quaternion:
-    """B_{2,k}(t; q) at a single point."""
-    q = quat(q)
-    qc = q.conj()
-    arg = (t * t + qc * qc) * (-0.5) + qc * (math.sqrt(2.0) * t)
-    h = hermite_H(k, math.sqrt(2.0) * float(q.w) - t)
-    return qexp(arg) * (float(h) * _scale(k))
+    """B_{2,k}(t; q) at a single point: the conjugate of a one-node,
+    one-point b2_conj_grid."""
+    cv = b2_conj_grid(k, [float(t)], qarray.from_quaternion(quat(q)))
+    return qarray.to_quaternion(qarray.qconj(cv[0, 0]))
 
 
 def b1_kernel(n: int, t: float, q: Quaternion) -> Quaternion:
@@ -101,31 +98,14 @@ def b1_kernel(n: int, t: float, q: Quaternion) -> Quaternion:
     return total
 
 
-def b2_conj_values(k: int, ts: np.ndarray, q: Quaternion) -> np.ndarray:
-    """conj(B_{2,k}(t; q)) on a node array, shape (T, 4).
+def b2_conj_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
+    """conj(B_{2,k}(t; q)) for a batch of q, shape (N, T, 4); N may be 0.
 
     Conjugation replaces qbar by q in the exponent: with q = x + U y the
     argument splits into the real part -(t^2+x^2-y^2)/2 + sqrt(2) x t and
     the U part y (sqrt(2) t - x)."""
-    ts = np.asarray(ts, dtype=float)
-    s = quat(q).to_slice()
-    x, y = float(s.x), float(s.y)
-    a = -(ts * ts + x * x - y * y) / 2.0 + math.sqrt(2.0) * x * ts
-    b = y * (math.sqrt(2.0) * ts - x)
-    mag = np.exp(a) * hermite_H(k, math.sqrt(2.0) * x - ts) * _scale(k)
-    u = qarray.from_quaternion(s.unit)
-    out = np.zeros(ts.shape + (4,))
-    out[..., 0] = mag * np.cos(b)
-    imag = mag * np.sin(b)
-    for c in range(1, 4):
-        out[..., c] = imag * u[c]
-    return out
-
-
-def b2_conj_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
-    """conj(B_{2,k}(t; q)) for a batch of q, shape (N, T, 4)."""
     ts = np.asarray(ts, dtype=float)[None, :]
-    qpts = np.asarray(qpts, dtype=float)
+    qpts = np.asarray(qpts, dtype=float).reshape(-1, 4)
     x = qpts[:, 0:1]
     yvec = qpts[:, 1:4]
     y = np.linalg.norm(yvec, axis=1, keepdims=True)
@@ -157,12 +137,8 @@ def _line_rule(rule, k: int, phi) -> Rule1D:
 
 def transform(k: int, phi, q: Quaternion, rule: Rule1D | None = None) -> Quaternion:
     """[B_{2,k} phi](q) = integral of conj(B_{2,k}(t; q)) phi(t) dt."""
-    rule = _line_rule(rule, k, phi)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    cv = b2_conj_values(k, rule.nodes, q)
-    pv = line_values(phi, rule.nodes)
-    prod = qarray.qmul(cv, pv)
-    return qarray.to_quaternion(prod.T @ comp)
+    out = transform_batch(k, phi, qarray.from_quaternion(quat(q)), rule)
+    return qarray.to_quaternion(out[0])
 
 
 def transform_batch(k: int, phi, qpts: np.ndarray,

@@ -34,7 +34,9 @@ import sys
 
 import numpy as np
 
-from .bargmann import HermiteLine, SampledLine, b1_kernel, b2_kernel, transform
+from . import qarray
+from .bargmann import (HermiteLine, SampledLine, b1_kernel, b2_kernel,
+                       transform_batch)
 from .config import Config, load_config
 from .kernels import (KernelSpec, kernel_value, series_tail_bound,
                       star_tail_bound)
@@ -43,7 +45,7 @@ from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
 from .quad import norm_sq_full
 from .quat import Quaternion, parse_quaternion, quat
 from .series import hermite_series
-from .spectral import psi, psi_batch, psi_norm_sq, spectrum_probe
+from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
 from .verify import SUITE_ORDER, run_all, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -59,47 +61,36 @@ def _quad_row(q: Quaternion) -> str:
     return ",".join(_fmt(c) for c in q.as_tuple())
 
 
-def _read_points(path: str) -> list[Quaternion]:
-    pts = []
+def _read_csv(path: str, columns: str) -> np.ndarray:
+    """Rows of a headerless CSV of finite numbers, shape (N, C), where
+    `columns` names the C fields, e.g. "w,x,y,z"; blank lines are skipped."""
+    width = len(columns.split(","))
+    rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != 4:
+            if len(row) != width:
                 raise ValueError(
-                    f"{path}:{lineno}: expected 4 columns w,x,y,z, got {len(row)}")
+                    f"{path}:{lineno}: expected {width} columns {columns}, got {len(row)}")
             try:
-                pts.append(Quaternion(*(float(c) for c in row)))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric component in {row!r}") from None
-    return pts
-
-
-def _read_samples(path: str):
-    ts, vs = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 columns t,value, got {len(row)}")
-            try:
-                ts.append(float(row[0]))
-                vs.append(float(row[1]))
+                vals = [float(c) for c in row]
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric entry in {row!r}") from None
-    return np.array(ts), np.array(vs)
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}:{lineno}: non-finite entry in {row!r}")
+            rows.append(vals)
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
-def _target_points(args) -> list[Quaternion]:
+def _target_points(args) -> np.ndarray:
+    """The (N, 4) evaluation points from --points or --q."""
     if getattr(args, "points", None):
-        return _read_points(args.points)
+        return _read_csv(args.points, "w,x,y,z")
     if getattr(args, "q", None) is None:
         raise ValueError("need --q or --points")
-    return [parse_quaternion(args.q)]
+    return qarray.from_quaternion(parse_quaternion(args.q))[None, :]
 
 
 # -- eval ----------------------------------------------------------------
@@ -112,7 +103,7 @@ def _kernel_tail(kind: str, level: int, method: str, p, q, terms: int) -> float:
 
 
 def cmd_eval(args, config: Config) -> int:
-    pts = _target_points(args)
+    pts = [qarray.to_quaternion(row) for row in _target_points(args)]
     if args.target == "hermite-q":
         for q in pts:
             print(_quad_row(quat(hermite_quat(args.m, args.n, q, config.degree_cap))))
@@ -127,16 +118,14 @@ def cmd_eval(args, config: Config) -> int:
     else:  # kernel
         kind = "second" if args.kind == 2 else "first"
         method = args.method
-        used = args.terms
-        if used is None:
-            used = config.series_terms if method == "series" else config.star_terms
-        spec = KernelSpec(kind=kind, level=args.level, method=method,
-                          **{"series_terms" if method == "series" else "star_terms":
-                             used})
+        terms = args.terms
+        if terms is None:
+            terms = config.series_terms if method == "series" else config.star_terms
+        spec = KernelSpec(kind=kind, level=args.level, method=method, terms=terms)
         p = parse_quaternion(args.p)
         for q in pts:
             v = kernel_value(spec, p, q)
-            tail = _kernel_tail(kind, args.level, method, p, q, used)
+            tail = _kernel_tail(kind, args.level, method, p, q, terms)
             print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(v)},{method},{_fmt(tail)}")
     return 0
 
@@ -202,27 +191,15 @@ def cmd_transform(args, config: Config) -> int:
             raise ValueError(f"basis index {j} outside [0, {config.degree_cap}]")
         phi = HermiteLine(j)
     else:
-        ts, vs = _read_samples(args.phi)
-        phi = SampledLine(ts, vs)
-    if args.points:
-        pts = _read_points(args.points)
-    else:
-        pts = [parse_quaternion(args.q)]
-    for q in pts:
-        v = transform(args.level, phi, q, rule)
-        print(f"{_quad_row(q)},{_quad_row(v)}")
+        samples = _read_csv(args.phi, "t,value")
+        phi = SampledLine(samples[:, 0], samples[:, 1])
+    pts = _target_points(args)
+    for q, v in zip(pts, transform_batch(args.level, phi, pts, rule)):
+        print(",".join(_fmt(c) for c in (*q, *v)))
     return 0
 
 
 # -- table ---------------------------------------------------------------
-
-
-class _PsiFn:
-    def __init__(self, n: int, j: int):
-        self.n, self.j = n, j
-
-    def eval_many(self, pts):
-        return psi_batch(self.n, self.j, pts)
 
 
 def cmd_table(args, config: Config) -> int:
@@ -231,7 +208,7 @@ def cmd_table(args, config: Config) -> int:
         sphere = sphere_rule(config.sphere_order)
         for j in range(args.jmax + 1):
             closed = psi_norm_sq(args.n, j)
-            num = norm_sq_full(_PsiFn(args.n, j), config.slice_nodes, sphere)
+            num = norm_sq_full(Eigenfunction(args.n, j), config.slice_nodes, sphere)
             print(f"{args.n},{j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":

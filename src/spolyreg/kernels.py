@@ -62,8 +62,7 @@ class KernelSpec:
     kind: str = "second"          # "second" (fixed level) or "first" (sum)
     level: int = 0
     method: str = "series"        # "series" or "star"
-    series_terms: int = SERIES_TERMS
-    star_terms: int = STAR_TERMS
+    terms: int | None = None      # truncation; None takes the method's default
 
     def __post_init__(self):
         if self.kind not in ("first", "second"):
@@ -72,6 +71,9 @@ class KernelSpec:
             raise ValueError(f"kernel method must be 'series' or 'star', got {self.method!r}")
         if self.level < 0:
             raise ValueError("kernel level must be nonnegative")
+        if self.terms is None:
+            object.__setattr__(self, "terms",
+                               SERIES_TERMS if self.method == "series" else STAR_TERMS)
 
 
 def _ladder_start(pts: np.ndarray, k: int) -> list[np.ndarray]:
@@ -92,6 +94,8 @@ def _ladder_step(cur: list[np.ndarray], pts: np.ndarray, j: int) -> list[np.ndar
 def _series_accumulate(levels, p: Quaternion, qpts: np.ndarray, terms: int) -> np.ndarray:
     """sum over j and the requested levels of
     (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p))."""
+    if terms < 0:
+        raise ValueError(f"series truncation {terms} is negative")
     k = max(levels)
     parr = qarray.from_quaternion(p)[None, :]
     aq = _ladder_start(qpts, k)
@@ -175,9 +179,9 @@ def k1_star(n: int, p: Quaternion, q: Quaternion,
 def kernel_value(spec: KernelSpec, p: Quaternion, q: Quaternion) -> Quaternion:
     if spec.method == "series":
         fn = k2_series if spec.kind == "second" else k1_series
-        return fn(spec.level, p, q, spec.series_terms)
-    fn = k2_star if spec.kind == "second" else k1_star
-    return fn(spec.level, p, q, spec.star_terms)
+    else:
+        fn = k2_star if spec.kind == "second" else k1_star
+    return fn(spec.level, p, q, spec.terms)
 
 
 # -- same-slice closed forms ---------------------------------------------

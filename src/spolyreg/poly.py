@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qarray
 from .quat import Quaternion, quat
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "pochhammer",
     "kummer_M",
     "hermite_quat",
-    "hermite_quat_batch",
 ]
 
 DEGREE_CAP = 30
@@ -208,16 +206,3 @@ def hermite_quat(m: int, n: int, q: Quaternion, degree_cap: int = DEGREE_CAP) ->
         total = total + qp[m - j] * qcp[n - j] * coeff
     return total
 
-
-def hermite_quat_batch(m: int, n: int, pts: np.ndarray,
-                       degree_cap: int = DEGREE_CAP) -> np.ndarray:
-    """hermite_quat on an (..., 4) array of points."""
-    _check_degree(m, degree_cap)
-    _check_degree(n, degree_cap)
-    qp = qarray.powers(pts, m)
-    qcp = qarray.powers(qarray.qconj(pts), n)
-    total = np.zeros(np.asarray(pts, dtype=float).shape)
-    for j in range(min(m, n) + 1):
-        coeff = ((-1) ** j * math.comb(m, j) * math.comb(n, j) * math.factorial(j))
-        total += qarray.qmul(qp[m - j], qcp[n - j]) * coeff
-    return total

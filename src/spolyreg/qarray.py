@@ -16,10 +16,8 @@ __all__ = [
     "to_quaternion",
     "qmul",
     "qmul_scalar",
-    "scalar_qmul",
     "qconj",
     "norm_sq",
-    "qabs",
     "powers",
     "slice_points",
 ]
@@ -55,11 +53,6 @@ def qmul_scalar(a, q: Quaternion) -> np.ndarray:
     return qmul(a, from_quaternion(q))
 
 
-def scalar_qmul(q: Quaternion, a) -> np.ndarray:
-    """Constant quaternion * batch (constant on the left)."""
-    return qmul(from_quaternion(q), a)
-
-
 def qconj(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a * np.array([1.0, -1.0, -1.0, -1.0])
@@ -68,10 +61,6 @@ def qconj(a) -> np.ndarray:
 def norm_sq(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return np.sum(a * a, axis=-1)
-
-
-def qabs(a) -> np.ndarray:
-    return np.sqrt(norm_sq(a))
 
 
 def powers(a, n: int) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "imaginary_unit",
     "random_unit",
     "random_quaternion",
-    "perpendicular_unit",
     "split",
     "qexp",
     "parse_quaternion",
@@ -161,9 +160,6 @@ class Quaternion:
     def imag_norm(self) -> float:
         return math.sqrt(float(self.x * self.x + self.y * self.y + self.z * self.z))
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return self.imag_norm() <= tol
-
     def to_slice(self) -> "SliceForm":
         """Write q = x0 + I*y0 with y0 >= 0; real q gets I = i by convention."""
         y0 = self.imag_norm()
@@ -248,23 +244,6 @@ def random_quaternion(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*[float(c) for c in v])
 
 
-def perpendicular_unit(unit: Quaternion, rng=None) -> Quaternion:
-    """Some imaginary unit orthogonal to `unit` (random if rng given)."""
-    if rng is not None:
-        while True:
-            cand = random_unit(rng)
-            proj = _imag_dot(cand, unit)
-            red = cand - unit * proj
-            n = red.imag_norm()
-            if n > 1e-6:
-                return Quaternion(0, red.x / n, red.y / n, red.z / n)
-    # deterministic: cross with whichever axis is least aligned
-    ax = min(((abs(unit.x), I), (abs(unit.y), J), (abs(unit.z), K)))[1]
-    c = unit * ax - ax * unit  # 2 * cross product as imaginary quaternion
-    n = c.imag_norm()
-    return Quaternion(0, c.x / n, c.y / n, c.z / n)
-
-
 def _imag_dot(p: Quaternion, q: Quaternion):
     return p.x * q.x + p.y * q.y + p.z * q.z
 
@@ -322,6 +301,8 @@ def parse_quaternion(text: str) -> Quaternion:
             what = f"unit '{unit}'" if unit else "real part"
             raise ValueError(f"bad quaternion literal {text!r}: repeated {what}")
         value = float(number) if number is not None else 1.0
+        if not math.isfinite(value):
+            raise ValueError(f"bad quaternion literal {text!r}: {number} is not finite")
         if sign == "-":
             value = -value
         seen[key] = value

@@ -61,9 +61,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    def worst_case(self):
-        return max(self.cases, key=lambda c: c.residual, default=None)
-
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,

@@ -144,9 +144,6 @@ class SliceSeries:
             total += qarray.qmul_scalar(qp[j], a)
         return total
 
-    def to_poly(self) -> "PolySliceSeries":
-        return PolySliceSeries([self.coeffs]) if self.coeffs else PolySliceSeries()
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -333,17 +330,6 @@ class PolySliceSeries:
             for j, c in enumerate(row):
                 if c != _Z:
                     total += qarray.qmul_scalar(qarray.qmul(qcp[k], qp[j]), c)
-        return total
-
-    def eval_left_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        qp = qarray.powers(pts, max(self.degree, 0))
-        qcp = qarray.powers(qarray.qconj(pts), max(self.level, 0))
-        total = np.zeros(pts.shape)
-        for k, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != _Z:
-                    total += qarray.scalar_qmul(c, qarray.qmul(qcp[k], qp[j]))
         return total
 
     # -- serialization ---------------------------------------------------
@@ -600,7 +586,7 @@ def exp_star(q: Quaternion, terms: int = 40) -> PolySliceSeries:
     """Star exponential e*^[pbar, q] = sum_k pbar^k (q^k / k!) as a series
     in p.  Same-slice evaluation gives e^(pbar q)."""
     if not 0 <= terms <= EXP_STAR_CAP:
-        raise ValueError(f"exp_star truncation {terms} exceeds cap {EXP_STAR_CAP}")
+        raise ValueError(f"exp_star truncation {terms} outside 0..{EXP_STAR_CAP}")
     q = _lift(q)
     rows = []
     p = quat(1)

@@ -46,6 +46,7 @@ __all__ = [
     "box_fd",
     "psi",
     "psi_batch",
+    "Eigenfunction",
     "psi_norm_sq",
     "EigenExpansion",
     "expand_eigen",
@@ -163,6 +164,16 @@ def psi_batch(n: int, j: int, pts: np.ndarray) -> np.ndarray:
     base = qarray.qconj(pts) if conjugated else pts
     bp = qarray.powers(base, power)[power]
     return bp * m[..., None]
+
+
+class Eigenfunction:
+    """psi_{n,j} as a quadrature integrand: evaluates through psi_batch."""
+
+    def __init__(self, n: int, j: int):
+        self.n, self.j = n, j
+
+    def eval_many(self, pts):
+        return psi_batch(self.n, self.j, pts)
 
 
 def psi_norm_sq(n: int, j: int) -> float:

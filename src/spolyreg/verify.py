@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qarray
-from .bargmann import (HermiteLine, b2_kernel, b2_norm_closed,
+from .bargmann import (HermiteLine, b2_conj_grid, b2_norm_closed,
                        basis_image_scale, isometry_grams, transform)
 from .config import Config
 from .kernels import (k1_closed_slice, k1_series, k2_closed_slice, k2_series,
@@ -31,7 +31,7 @@ from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, exp_star, hermite_series,
                      laguerre_star, s_k_series)
-from .spectral import (SpectralConfig, box_fd, box_symbolic, psi_batch,
+from .spectral import (Eigenfunction, SpectralConfig, box_fd, box_symbolic,
                        psi_norm_sq, spectrum_probe)
 
 __all__ = ["SUITES", "SUITE_ORDER", "run_suite", "run_all"]
@@ -266,8 +266,8 @@ def verify_isometry(config: Config | None = None, k_max: int = 6,
         worst, worst_q = -1.0, None
         for _ in range(20):
             q = _bounded(rng, 2.0)
-            vals = np.array([qarray.from_quaternion(b2_kernel(k, float(t), q))
-                             for t in rule.nodes])
+            # conjugation leaves the norm unchanged
+            vals = b2_conj_grid(k, rule.nodes, qarray.from_quaternion(q))[0]
             num = math.sqrt(float(np.sum(vals * vals, axis=1) @ comp))
             want = b2_norm_closed(q)
             r = abs(num - want) / want
@@ -293,16 +293,6 @@ def verify_isometry(config: Config | None = None, k_max: int = 6,
 # -- 8a. eigenfunction norms ---------------------------------------------
 
 
-class _Psi:
-    """psi_{n,j} wrapped for batch quadrature evaluation."""
-
-    def __init__(self, n: int, j: int):
-        self.n, self.j = n, j
-
-    def eval_many(self, pts):
-        return psi_batch(self.n, self.j, pts)
-
-
 def verify_norms(config: Config | None = None, n_max: int = 3,
                  j_max: int = 4) -> VerificationReport:
     """Full-space quadrature norms of psi_{n,j} against
@@ -317,7 +307,7 @@ def verify_norms(config: Config | None = None, n_max: int = 3,
     for n in range(n_max + 1):
         for j in range(j_max + 1):
             want = psi_norm_sq(n, j)
-            got = norm_sq_full(_Psi(n, j), config.slice_nodes, sphere)
+            got = norm_sq_full(Eigenfunction(n, j), config.slice_nodes, sphere)
             rep.add({"n": n, "j": j}, want, got, abs(got - want) / want)
     rep.wall_time_s = time.perf_counter() - t0
     return rep

@@ -142,6 +142,17 @@ def test_bad_quaternion_literal_exit_two():
     r = run("eval", "psi", "--mu", "nope", "--j", "0", "--q", "0")
     assert r.returncode == 2
     assert "quaternion literal" in r.stderr
+    r = run("eval", "kernel", "--level", "0", "--p", "1e400", "--q", "0")
+    assert r.returncode == 2
+    assert "not finite" in r.stderr
+
+
+@pytest.mark.parametrize("method", ["series", "star"])
+def test_negative_terms_exit_two(method):
+    r = run("eval", "kernel", "--level", "0", "--p", "0", "--q", "0",
+            "--method", method, "--terms", "-5")
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_unknown_suite_rejected():
@@ -161,6 +172,20 @@ def test_malformed_points_file_diagnostic(tmp_path):
     r = run("eval", "hermite-q", "--m", "1", "--n", "0", "--points", str(bad))
     assert r.returncode == 2
     assert "bad.csv:2" in r.stderr and "4 columns" in r.stderr
+    for row in ("nan,0,0,0", "0,inf,0,0", "0,0,-inf,0", "1e400,0,0,0"):
+        bad.write_text(f"0,0,0,0\n{row}\n")
+        for argv in (("eval", "hermite-q", "--m", "1", "--n", "0"),
+                     ("eval", "kernel", "--level", "0", "--p", "0"),
+                     ("transform", "--level", "0", "--phi", "h:0")):
+            r = run(*argv, "--points", str(bad))
+            assert r.returncode == 2, (row, argv)
+            assert "bad.csv:2" in r.stderr and "non-finite" in r.stderr
+            assert r.stdout == ""
+    samples = tmp_path / "samples.csv"
+    samples.write_text("0,1\n0.5,nan\n")
+    r = run("transform", "--level", "0", "--phi", str(samples), "--q", "0")
+    assert r.returncode == 2
+    assert "samples.csv:2" in r.stderr and "non-finite" in r.stderr
 
 
 def test_bad_basis_label_exit_two():
