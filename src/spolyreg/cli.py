@@ -35,8 +35,8 @@ import sys
 import numpy as np
 
 from . import qarray
-from .bargmann import (HermiteLine, SampledLine, b1_kernel, b2_kernel,
-                       transform_batch)
+from .bargmann import (IMAG_LIMIT, HermiteLine, SampledLine, b1_kernel,
+                       b2_kernel, transform_batch)
 from .config import Config, load_config
 from .kernels import (KernelSpec, kernel_value, series_tail_bound,
                       star_tail_bound)
@@ -59,6 +59,14 @@ def _fmt(x) -> str:
 
 def _quad_row(q: Quaternion) -> str:
     return ",".join(_fmt(c) for c in q.as_tuple())
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float option that must be finite."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return v
 
 
 def _read_csv(path: str, columns: str) -> np.ndarray:
@@ -194,6 +202,10 @@ def cmd_transform(args, config: Config) -> int:
         samples = _read_csv(args.phi, "t,value")
         phi = SampledLine(samples[:, 0], samples[:, 1])
     pts = _target_points(args)
+    imag = np.linalg.norm(pts[:, 1:], axis=1)
+    if np.any(imag > IMAG_LIMIT):
+        raise ValueError(f"target point with |Im q| = {imag.max():.6g} beyond {IMAG_LIMIT}, "
+                         "where the line quadrature loses accuracy")
     for q, v in zip(pts, transform_batch(args.level, phi, pts, rule)):
         print(",".join(_fmt(c) for c in (*q, *v)))
     return 0
@@ -212,15 +224,15 @@ def cmd_table(args, config: Config) -> int:
             print(f"{args.n},{j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":
+        Q = SliceQuadrature(config.slice_nodes, _SLICE_UNITS[config.default_slice])
+        idx = [(m, n) for m in range(args.max + 1) for n in range(args.max + 1)]
+        # all rows before the header: the degree guard may refuse a large --max
+        nums = [norm_sq_slice(hermite_series(m, n), Q) for m, n in idx]
         print("m,n,closed,quadrature,residual")
-        unit = _SLICE_UNITS[config.default_slice]
-        Q = SliceQuadrature(config.slice_nodes, unit)
-        for m in range(args.max + 1):
-            for n in range(args.max + 1):
-                closed = math.pi * math.factorial(m) * math.factorial(n)
-                num = norm_sq_slice(hermite_series(m, n), Q)
-                print(f"{m},{n},{_fmt(closed)},{_fmt(num)},"
-                      f"{_fmt(abs(num - closed) / closed)}")
+        for (m, n), num in zip(idx, nums):
+            closed = math.pi * math.factorial(m) * math.factorial(n)
+            print(f"{m},{n},{_fmt(closed)},{_fmt(num)},"
+                  f"{_fmt(abs(num - closed) / closed)}")
     else:  # laguerre-sum
         print("x,sum_L0,L1_closed,residual")
         for i in range(1, 11):
@@ -278,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     eb = se.add_parser("bargmann-kernel", parents=[common])
     eb.add_argument("--kind", type=int, choices=(1, 2), default=2)
     eb.add_argument("--level", type=int, required=True)
-    eb.add_argument("--t", type=float, required=True)
+    eb.add_argument("--t", type=_finite_float, required=True)
     eb.add_argument("--q", help="quaternion literal")
     eb.add_argument("--points", help="CSV file of w,x,y,z rows")
     eb.set_defaults(func=cmd_eval)
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="radial mass probe of an eigenvalue candidate")
     ps.add_argument("--mu", required=True, help="quaternion literal")
     ps.add_argument("--j", type=int, default=0)
-    ps.add_argument("--rmax", type=float, default=8.0)
+    ps.add_argument("--rmax", type=_finite_float, default=8.0)
     ps.add_argument("--windows", type=int, default=16)
     ps.set_defaults(func=cmd_spectrum_probe)
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import qarray
 from .poly import laguerre
+from .quad import values_on
 from .quat import Quaternion, qexp, quat
 from .series import PolySliceSeries, exp_star, laguerre_star
 
@@ -53,6 +54,8 @@ __all__ = [
 
 SERIES_TERMS = 200
 STAR_TERMS = 40
+SERIES_TAIL_WINDOW = 120      # dropped terms summed by series_tail_bound
+STAR_TAIL_WINDOW = 60         # dropped rows summed by star_tail_bound
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ def k1_closed_slice(n: int, p: Quaternion, q: Quaternion) -> Quaternion:
 
 
 def series_tail_bound(k: int, p: Quaternion, q: Quaternion,
-                      terms: int = SERIES_TERMS, window: int = 120) -> float:
+                      terms: int = SERIES_TERMS) -> float:
     """Upper bound on the dropped series tail, from the growth estimate
     |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2)."""
     r = abs(p) * abs(q)
@@ -222,7 +225,7 @@ def series_tail_bound(k: int, p: Quaternion, q: Quaternion,
     expo = (float(p.norm_sq()) + float(q.norm_sq())) / 2.0
     lr = math.log(r)
     total = 0.0
-    for j in range(terms + 1, terms + 1 + window):
+    for j in range(terms + 1, terms + 1 + SERIES_TAIL_WINDOW):
         lt = (math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
               + (j - k) * lr + expo - math.log(math.pi))
         total += math.exp(lt)
@@ -230,7 +233,7 @@ def series_tail_bound(k: int, p: Quaternion, q: Quaternion,
 
 
 def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
-                    terms: int = STAR_TERMS, window: int = 60) -> float:
+                    terms: int = STAR_TERMS) -> float:
     """Heuristic bound on the exp-star truncation: dropped rows of
     e*^[pbar,q] times the evaluated magnitude of the Laguerre factor."""
     lag = laguerre_star(k, 0, q)
@@ -242,7 +245,7 @@ def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
     if r == 0.0:
         return 0.0
     tail = 0.0
-    for a in range(terms + 1, terms + 1 + window):
+    for a in range(terms + 1, terms + 1 + STAR_TAIL_WINDOW):
         tail += math.exp(a * math.log(r) - math.lgamma(a + 1))
     return tail * lag_bound / math.pi
 
@@ -253,9 +256,6 @@ def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
 def project(k: int, f, p: Quaternion, Q, terms: int = SERIES_TERMS) -> Quaternion:
     """Orthogonal projection onto the level-k space, evaluated at p:
     P_k f(p) = <K_{2,k}(p, .), f>_{C_I} by slice quadrature."""
-    from .quad import values_on
-
     kv = k2_series_batch(k, p, Q.points, terms)
     fv = values_on(f, Q.points)
-    prod = qarray.qmul(qarray.qconj(kv), fv)
-    return qarray.to_quaternion(prod.T @ Q.weights)
+    return qarray.to_quaternion(qarray.gram(kv[None], fv[None], Q.weights)[0, 0])

@@ -18,6 +18,7 @@ __all__ = [
     "qmul_scalar",
     "qconj",
     "norm_sq",
+    "gram",
     "powers",
     "slice_points",
 ]
@@ -61,6 +62,21 @@ def qconj(a) -> np.ndarray:
 def norm_sq(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return np.sum(a * a, axis=-1)
+
+
+# conj(e_i) e_j for the basis 1, i, j, k: one signed basis element each
+_CONJ_TABLE = qmul(qconj(np.eye(4))[:, None, :], np.eye(4))
+
+
+def gram(a, b, w) -> np.ndarray:
+    """sum_n w_n conj(a[r, n]) b[s, n] for (R, N, 4) and (S, N, 4) batches,
+    shape (R, S, 4), as 16 component matrix products; R or S may be 0."""
+    a = np.asarray(a, dtype=float)
+    wb = np.asarray(b, dtype=float) * np.asarray(w, dtype=float)[:, None]
+    out = np.zeros((len(a), len(wb), 4))
+    for i, j, k in zip(*np.nonzero(_CONJ_TABLE)):
+        out[..., k] += _CONJ_TABLE[i, j, k] * (a[..., i] @ wb[..., j].T)
+    return out
 
 
 def powers(a, n: int) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 Three pairings, matching the three function spaces in play:
 
-* ``inner_real``  on the line, weight e^(-t^2)          (Hermite functions)
+* ``inner_real``  on the line, plain dt on Gauss-Hermite nodes (Hermite functions)
 * ``inner_slice`` on a slice plane C_I, weight e^(-|q|^2) (tensor Gauss-Hermite)
 * ``inner_full``  sphere average of slice pairings, total sphere weight 4*pi
 
-All pairings conjugate the first argument and are right-linear in the
-second, matching the right vector space structure.  The full pairing is
-defined as the sphere integral of slice pairings; constants get
+All pairings are built on qarray.gram, conjugate the first argument and
+are right-linear in the second (the right vector space structure).  The
+full pairing is the sphere integral of slice pairings; constants get
 <1,1> = pi on a slice and 4*pi^2 over the sphere of slices.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from scipy.special import roots_hermite, roots_legendre
 
 from . import qarray
 from .quat import I as UNIT_I
-from .quat import Quaternion
+from .quat import Quaternion, quat
 
 __all__ = [
     "QuadratureDegreeError",
@@ -31,7 +31,6 @@ __all__ = [
     "SphereRule",
     "sphere_rule",
     "values_on",
-    "line_values",
     "inner_real",
     "inner_slice",
     "inner_full",
@@ -55,6 +54,11 @@ class Rule1D:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    @property
+    def line_weights(self) -> np.ndarray:
+        """Gauss-Hermite weights times e^(t^2): the rule for the plain dt."""
+        return self.weights * np.exp(self.nodes ** 2)
 
 
 def gauss_hermite(n: int) -> Rule1D:
@@ -121,45 +125,13 @@ def sphere_rule(order: int = 6) -> SphereRule:
 
 
 def values_on(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an (N, 4) batch, via eval_many when available."""
+    """Values of f as (N, 4) quaternions on an (N, 4) batch of points or
+    on (N,) line nodes: f.eval_many when f has it, else point by point."""
     if hasattr(f, "eval_many"):
-        return f.eval_many(pts)
-    out = np.empty(pts.shape)
-    for i in range(pts.shape[0]):
-        v = f(qarray.to_quaternion(pts[i]))
-        out[i] = qarray.from_quaternion(v) if isinstance(v, Quaternion) \
-            else np.array([float(v), 0.0, 0.0, 0.0])
-    return out
-
-
-def line_values(f, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a line function on nodes ts, returning (N, 4) values.
-
-    Accepts vectorised real-valued callables, vectorised (N, 4)-valued
-    callables, and plain scalar callables returning floats/Quaternions.
-    """
-    if hasattr(f, "eval_many"):
-        return np.asarray(f.eval_many(ts), dtype=float)
-    try:
-        v = np.asarray(f(ts))
-        if v.dtype == object:
-            v = None
-    except (TypeError, ValueError, AttributeError):
-        v = None
-    if v is not None and v.shape == ts.shape:
-        out = np.zeros(ts.shape + (4,))
-        out[..., 0] = v
-        return out
-    if v is not None and v.shape == ts.shape + (4,):
-        return v.astype(float)
-    out = np.zeros(ts.shape + (4,))
-    for i, t in enumerate(ts):
-        fv = f(float(t))
-        if isinstance(fv, Quaternion):
-            out[i] = qarray.from_quaternion(fv)
-        else:
-            out[i, 0] = float(fv)
-    return out
+        return np.asarray(f.eval_many(pts), dtype=float)
+    point = float if pts.ndim == 1 else qarray.to_quaternion
+    vals = [qarray.from_quaternion(quat(f(point(p)))) for p in pts]
+    return np.array(vals).reshape(-1, 4)
 
 
 def _check_slice_degree(f, g, n: int) -> None:
@@ -180,35 +152,29 @@ def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:
     _check_slice_degree(f, g, Q.n)
     fv = values_on(f, Q.points)
     gv = values_on(g, Q.points)
-    prod = qarray.qmul(qarray.qconj(fv), gv)
-    return qarray.to_quaternion(prod.T @ Q.weights)
+    return qarray.to_quaternion(qarray.gram(fv[None], gv[None], Q.weights)[0, 0])
 
 
 def norm_sq_slice(f, Q: SliceQuadrature) -> float:
+    _check_slice_degree(f, f, Q.n)
     fv = values_on(f, Q.points)
     return float(qarray.norm_sq(fv) @ Q.weights)
 
 
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
     """Pairwise slice inner products, returned as an (m, m, 4) array."""
-    vals = [values_on(f, Q.points) for f in funcs]
-    m = len(vals)
-    out = np.empty((m, m, 4))
-    for a in range(m):
-        ca = qarray.qconj(vals[a])
-        for b in range(m):
-            out[a, b] = qarray.qmul(ca, vals[b]).T @ Q.weights
-    return out
+    vals = np.empty((len(funcs),) + Q.points.shape)
+    for a, f in enumerate(funcs):
+        _check_slice_degree(f, f, Q.n)
+        vals[a] = values_on(f, Q.points)
+    return qarray.gram(vals, vals, Q.weights)
 
 
 def inner_real(f, g, rule: Rule1D) -> Quaternion:
-    """<f, g> on the line: integral of conj(f) g dt via Gauss-Hermite
-    with weight compensation e^(t^2)."""
-    comp = rule.weights * np.exp(rule.nodes ** 2)
-    fv = line_values(f, rule.nodes)
-    gv = line_values(g, rule.nodes)
-    prod = qarray.qmul(qarray.qconj(fv), gv)
-    return qarray.to_quaternion(prod.T @ comp)
+    """<f, g> on the line: integral of conj(f) g dt on a Gauss-Hermite rule."""
+    fv = values_on(f, rule.nodes)
+    gv = values_on(g, rule.nodes)
+    return qarray.to_quaternion(qarray.gram(fv[None], gv[None], rule.line_weights)[0, 0])
 
 
 def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Quaternion:

@@ -57,12 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Finite-difference settings: step h, stencil order (2 or 4), and the
-    residual tolerance the stencil is expected to meet."""
+    """Finite-difference settings: step h and stencil order (2 or 4)."""
 
     h: float = 1e-3
     order: int = 2
-    fd_tol: float = 1e-4
 
     def __post_init__(self):
         if self.order not in (2, 4):
@@ -263,6 +261,10 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
     e^(r^2) and the masses blow up.  converged requires the last two
     annulus ratios to fall below 1.
     """
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"probe radius {r_max} must be finite and positive")
+    if windows < 3:
+        raise ValueError(f"{windows} windows give fewer than two tail ratios; need >= 3")
     mu = quat(mu)
     if policy is None:
         policy = TruncationPolicy(max_terms=800, abs_tol=1e-12)
@@ -287,5 +289,5 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
     ratios = []
     for prev, cur in zip(masses[:-1], masses[1:]):
         ratios.append(cur / prev if prev > 0 else math.inf)
-    converged = len(ratios) >= 2 and ratios[-1] < 1.0 and ratios[-2] < 1.0
+    converged = ratios[-1] < 1.0 and ratios[-2] < 1.0
     return ProbeResult(mu, j, converged, ratios, masses)

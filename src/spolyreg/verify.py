@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qarray
-from .bargmann import (HermiteLine, b2_conj_grid, b2_norm_closed,
+from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
                        basis_image_scale, isometry_grams, transform)
 from .config import Config
 from .kernels import (k1_closed_slice, k1_series, k2_closed_slice, k2_series,
@@ -261,14 +261,12 @@ def verify_isometry(config: Config | None = None, k_max: int = 6,
                               "nodes": config.slice_nodes, "seed": config.seed})
     rng = _rng(config, 7)
     rule = gauss_hermite(config.line_nodes)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
     for k in range(k_max + 1):
         worst, worst_q = -1.0, None
         for _ in range(20):
             q = _bounded(rng, 2.0)
-            # conjugation leaves the norm unchanged
-            vals = b2_conj_grid(k, rule.nodes, qarray.from_quaternion(q))[0]
-            num = math.sqrt(float(np.sum(vals * vals, axis=1) @ comp))
+            vals = b2_grid(k, rule.nodes, qarray.from_quaternion(q))[0]
+            num = math.sqrt(float(np.sum(vals * vals, axis=1) @ rule.line_weights))
             want = b2_norm_closed(q)
             r = abs(num - want) / want
             if r > worst:

@@ -96,6 +96,15 @@ def test_hermite_line_is_unnormalized():
     assert h2(t) == pytest.approx(math.exp(-t * t / 2) * (4 * t * t - 2), rel=1e-13)
 
 
+def test_hermite_line_eval_many_matches_call():
+    h5 = HermiteLine(5)
+    vals = h5.eval_many(RULE.nodes)
+    assert vals.shape == (len(RULE.nodes), 4)
+    assert np.all(vals[:, 1:] == 0.0)
+    for t, v in zip(RULE.nodes, vals[:, 0]):
+        assert v == pytest.approx(h5(float(t)), rel=1e-13)
+
+
 def test_transform_isometry_gram():
     from spolyreg.bargmann import isometry_grams
     Q = SliceQuadrature(40)

@@ -145,6 +145,18 @@ def test_bad_quaternion_literal_exit_two():
     r = run("eval", "kernel", "--level", "0", "--p", "1e400", "--q", "0")
     assert r.returncode == 2
     assert "not finite" in r.stderr
+    for t in ("nan", "inf"):
+        r = run("eval", "bargmann-kernel", "--level", "0", "--t", t, "--q", "0")
+        assert r.returncode == 2, t
+        assert "not finite" in r.stderr and r.stdout == ""
+    for flags in (("--rmax", "nan"), ("--rmax", "inf"), ("--rmax", "0"),
+                  ("--windows", "0"), ("--windows", "1"), ("--windows", "2")):
+        r = run("spectrum-probe", "--mu", "1", *flags)
+        assert r.returncode == 2, flags
+        assert r.stdout == ""
+    r = run("table", "hermite-gram", "--max", "24")
+    assert r.returncode == 2
+    assert "exact only through degree 79" in r.stderr and r.stdout == ""
 
 
 @pytest.mark.parametrize("method", ["series", "star"])
@@ -191,6 +203,13 @@ def test_malformed_points_file_diagnostic(tmp_path):
 def test_bad_basis_label_exit_two():
     r = run("transform", "--level", "0", "--phi", "h:99", "--q", "0")
     assert r.returncode == 2
+    # the line quadrature loses accuracy beyond |Im q| = 5.5
+    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "9i")
+    assert r.returncode == 2
+    assert "|Im q|" in r.stderr and r.stdout == ""
+    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "1.5+5i")
+    assert r.returncode == 0
+    assert float(r.stdout.split(",")[4]) == pytest.approx(math.pi ** -0.25, rel=1e-9)
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -19,6 +19,7 @@ from spolyreg import (
     quat,
     sphere_rule,
 )
+from spolyreg import qarray
 
 J_UNIT = quat(0, 0, 1, 0)
 
@@ -80,7 +81,30 @@ def test_degree_guard():
     f = hermite_series(4, 2)
     with pytest.raises(QuadratureDegreeError):
         inner_slice(f, f, Q)
+    with pytest.raises(QuadratureDegreeError):
+        norm_sq_slice(f, Q)
+    with pytest.raises(QuadratureDegreeError):
+        gram_slice([hermite_series(0, 0), f], Q)
     assert issubclass(QuadratureDegreeError, ValueError)
+
+
+def test_gram_slice_empty():
+    assert gram_slice([], SliceQuadrature(4)).shape == (0, 0, 4)
+
+
+@pytest.mark.parametrize("r,s", [(3, 5), (0, 2)])
+def test_gram_matches_pairwise_products(r, s):
+    rng = np.random.default_rng(r + 10 * s)
+    a = rng.standard_normal((r, 30, 4))
+    b = rng.standard_normal((s, 30, 4))
+    w = rng.uniform(size=30)
+    ref = np.zeros((r, s, 4))
+    for i in range(r):
+        for j in range(s):
+            ref[i, j] = qarray.qmul(qarray.qconj(a[i]), b[j]).T @ w
+    G = qarray.gram(a, b, w)
+    assert G.shape == (r, s, 4)
+    assert np.max(np.abs(G - ref), initial=0.0) < 1e-13
 
 
 def test_inner_real_gaussian_weight_compensation():
