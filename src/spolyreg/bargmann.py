@@ -54,9 +54,7 @@ class HermiteLine:
         return hermite_fn(self.j, t)
 
     def eval_many(self, ts) -> np.ndarray:
-        out = np.zeros(np.shape(ts) + (4,))
-        out[..., 0] = hermite_fn(self.j, np.asarray(ts, dtype=float))
-        return out
+        return qarray.from_slice(hermite_fn(self.j, np.asarray(ts, dtype=float)), np.zeros(3))
 
     def __repr__(self):
         return f"HermiteLine({self.j})"
@@ -69,9 +67,7 @@ class SampledLine:
         self.nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape == self.nodes.shape:
-            lifted = np.zeros(self.nodes.shape + (4,))
-            lifted[:, 0] = values
-            values = lifted
+            values = qarray.from_slice(values, np.zeros(3))
         if values.shape != self.nodes.shape + (4,):
             raise ValueError("samples must be real or quaternion quadruples per node")
         self.values = values
@@ -104,23 +100,14 @@ def b1_kernel(n: int, t: float, q: Quaternion) -> Quaternion:
 def b2_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
     """B_{2,k}(t; q) for a batch of q, shape (N, T, 4); N may be 0.
 
-    With q = x + U y the exponent splits into the real part
-    -(t^2+x^2-y^2)/2 + sqrt(2) x t and the U part -y (sqrt(2) t - x)."""
+    The value lies in the slice of q: one complex exponential in the
+    slice coordinate z of q, carried back along the unit of q."""
+    z, unit = qarray.to_slice(np.asarray(qpts, dtype=float).reshape(-1, 4))
     ts = np.asarray(ts, dtype=float)[None, :]
-    qpts = np.asarray(qpts, dtype=float).reshape(-1, 4)
-    x = qpts[:, 0:1]
-    yvec = qpts[:, 1:4]
-    y = np.linalg.norm(yvec, axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(y > 0, yvec / np.where(y == 0, 1.0, y), 0.0)
-    a = -(ts * ts + x * x - y * y) / 2.0 + math.sqrt(2.0) * x * ts
-    b = y * (math.sqrt(2.0) * ts - x)
-    mag = np.exp(a) * hermite_H(k, math.sqrt(2.0) * x - ts) * _scale(k)
-    out = np.zeros((qpts.shape[0], ts.shape[1], 4))
-    out[..., 0] = mag * np.cos(b)
-    imag = -mag * np.sin(b)
-    out[..., 1:4] = imag[..., None] * unit[:, None, :]
-    return out
+    zb = np.conj(z)[:, None]
+    w = (np.exp(-(ts * ts + zb * zb) / 2.0 + math.sqrt(2.0) * zb * ts)
+         * hermite_H(k, math.sqrt(2.0) * zb.real - ts) * _scale(k))
+    return qarray.from_slice(w, unit[:, None, :])
 
 
 DEFAULT_LINE_NODES = 80

@@ -69,6 +69,14 @@ def _finite_float(text: str) -> float:
     return v
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a grid size or degree that must be >= 0."""
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return v
+
+
 def _read_csv(path: str, columns: str) -> np.ndarray:
     """Rows of a headerless CSV of finite numbers, shape (N, C), where
     `columns` names the C fields, e.g. "w,x,y,z"; blank lines are skipped."""
@@ -202,7 +210,7 @@ def cmd_transform(args, config: Config) -> int:
         samples = _read_csv(args.phi, "t,value")
         phi = SampledLine(samples[:, 0], samples[:, 1])
     pts = _target_points(args)
-    imag = np.linalg.norm(pts[:, 1:], axis=1)
+    imag = qarray.to_slice(pts)[0].imag
     if np.any(imag > IMAG_LIMIT):
         raise ValueError(f"target point with |Im q| = {imag.max():.6g} beyond {IMAG_LIMIT}, "
                          "where the line quadrature loses accuracy")
@@ -305,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", parents=[common],
                         help="run an identity suite, print a JSON report")
     pv.add_argument("--suite", required=True, choices=SUITE_ORDER + ["all"])
-    pv.add_argument("--max-degree", type=int, dest="max_degree")
-    pv.add_argument("--levels", type=int)
+    pv.add_argument("--max-degree", type=_nonnegative_int, dest="max_degree")
+    pv.add_argument("--levels", type=_nonnegative_int)
     pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("transform", parents=[common],
@@ -322,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed-form vs quadrature tables")
     st = pb.add_subparsers(dest="table", required=True)
     tn = st.add_parser("norms", parents=[common])
-    tn.add_argument("--n", type=int, required=True)
-    tn.add_argument("--jmax", type=int, default=3)
+    tn.add_argument("--n", type=_nonnegative_int, required=True)
+    tn.add_argument("--jmax", type=_nonnegative_int, default=3)
     tn.set_defaults(func=cmd_table)
     tg = st.add_parser("hermite-gram", parents=[common])
-    tg.add_argument("--max", type=int, default=4)
+    tg.add_argument("--max", type=_nonnegative_int, default=4)
     tg.set_defaults(func=cmd_table)
     tl = st.add_parser("laguerre-sum", parents=[common])
-    tl.add_argument("--n", type=int, required=True)
+    tl.add_argument("--n", type=_nonnegative_int, required=True)
     tl.set_defaults(func=cmd_table)
 
     ps = sub.add_parser("spectrum-probe", parents=[common],

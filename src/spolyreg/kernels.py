@@ -31,7 +31,7 @@ import numpy as np
 from . import qarray
 from .poly import laguerre
 from .quad import values_on
-from .quat import Quaternion, qexp, quat
+from .quat import Quaternion, qexp
 from .series import PolySliceSeries, exp_star, laguerre_star
 
 __all__ = [
@@ -79,39 +79,39 @@ class KernelSpec:
                                SERIES_TERMS if self.method == "series" else STAR_TERMS)
 
 
-def _ladder_start(pts: np.ndarray, k: int) -> list[np.ndarray]:
-    """A_{0,kappa} = conj(pts)^kappa for kappa = 0..k."""
-    return list(qarray.powers(qarray.qconj(pts), k))
-
-
-def _ladder_step(cur: list[np.ndarray], pts: np.ndarray, j: int) -> list[np.ndarray]:
-    """Advance A_{j,kappa} -> A_{j+1,kappa} where A_{j,kappa} is
-    H_{j,kappa}/sqrt(j!); uses H_{j+1,kappa} = q H_{j,kappa} - kappa H_{j,kappa-1}."""
-    root = math.sqrt(j + 1.0)
-    nxt = [qarray.qmul(pts, cur[0]) / root]
-    for kappa in range(1, len(cur)):
-        nxt.append((qarray.qmul(pts, cur[kappa]) - kappa * cur[kappa - 1]) / root)
-    return nxt
-
-
 def _series_accumulate(levels, p: Quaternion, qpts: np.ndarray, terms: int) -> np.ndarray:
     """sum over j and the requested levels of
-    (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p))."""
+    (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)).
+
+    A_{j,kappa} = H_{j,kappa}/sqrt(j!) lives in the slice of its point, so
+    the ladder A_{j+1,kappa} = (z A_{j,kappa} - kappa A_{j,kappa-1})/sqrt(j+1),
+    A_{0,kappa} = zbar^kappa, runs on complex coordinates.  With
+    A(q) = a + U b and A(p) = c + V d the summand is
+    ac + bd<U,V> - ad V + bc U - bd UxV, and the four real sums are read
+    off sum A(q) A(p) and sum A(q) conj(A(p))."""
     if terms < 0:
         raise ValueError(f"series truncation {terms} is negative")
-    k = max(levels)
-    parr = qarray.from_quaternion(p)[None, :]
-    aq = _ladder_start(qpts, k)
-    ap = _ladder_start(parr, k)
-    total = np.zeros(qpts.shape)
-    scales = {kappa: 1.0 / (math.pi * math.factorial(kappa)) for kappa in levels}
+    z, unit = qarray.to_slice(np.vstack([qpts, qarray.from_quaternion(p)]))
+    lv = np.array(levels)
+    scales = np.array([1.0 / (math.pi * math.factorial(kappa)) for kappa in levels])
+    kap = np.arange(1, max(levels) + 1)[:, None]
+    ladder = np.vander(np.conj(z), max(levels) + 1, increasing=True).T
+    sums = np.zeros((2, len(qpts)), dtype=complex)
     for j in range(terms + 1):
         if j:
-            aq = _ladder_step(aq, qpts, j - 1)
-            ap = _ladder_step(ap, parr, j - 1)
-        for kappa in levels:
-            total += scales[kappa] * qarray.qmul(aq[kappa], qarray.qconj(ap[kappa][0]))
-    return total
+            nxt = z * ladder
+            nxt[1:] -= kap * ladder[:-1]
+            ladder = nxt / math.sqrt(j)
+        ap = scales * ladder[lv, -1]
+        sums += np.stack([ap, np.conj(ap)]) @ ladder[lv, :-1]
+    s1, s2 = sums
+    ac, bd = (s1 + s2).real / 2.0, (s2 - s1).real / 2.0
+    ad, bc = (s1 - s2).imag / 2.0, (s1 + s2).imag / 2.0
+    u, v = unit[:-1], unit[-1]
+    out = np.empty((len(qpts), 4))
+    out[:, 0] = ac + bd * (u @ v)
+    out[:, 1:] = bc[:, None] * u - ad[:, None] * v - bd[:, None] * np.cross(u, v)
+    return out
 
 
 def k2_series_batch(k: int, p: Quaternion, qpts: np.ndarray,
@@ -150,16 +150,16 @@ def star_kernel_series(kind: str, level: int, q: Quaternion,
 
     Coefficients lie in the slice of q; the kernel value is recovered
     with eval_left (coefficients multiplied from the left).
-    Cached per (kind, level, q, terms).
+    Cached per (kind, level, q, terms); a full cache evicts its least
+    recently used entry.
     """
     key = (kind, level, q.as_tuple(), terms)
-    hit = _STAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    gamma = 1 if kind == "first" else 0
-    out = exp_star(q, terms).star(laguerre_star(level, gamma, q)).scale(1.0 / math.pi)
-    if len(_STAR_CACHE) >= _STAR_CACHE_MAX:
-        _STAR_CACHE.clear()
+    out = _STAR_CACHE.pop(key, None)
+    if out is None:
+        gamma = 1 if kind == "first" else 0
+        out = exp_star(q, terms).star(laguerre_star(level, gamma, q)).scale(1.0 / math.pi)
+        if len(_STAR_CACHE) >= _STAR_CACHE_MAX:
+            del _STAR_CACHE[next(iter(_STAR_CACHE))]
     _STAR_CACHE[key] = out
     return out
 

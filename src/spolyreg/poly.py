@@ -13,7 +13,6 @@ keep the factorials inside double range.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np

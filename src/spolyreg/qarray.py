@@ -15,12 +15,11 @@ __all__ = [
     "from_quaternion",
     "to_quaternion",
     "qmul",
-    "qmul_scalar",
     "qconj",
     "norm_sq",
     "gram",
-    "powers",
-    "slice_points",
+    "to_slice",
+    "from_slice",
 ]
 
 
@@ -49,11 +48,6 @@ def qmul(a, b) -> np.ndarray:
     ], axis=-1)
 
 
-def qmul_scalar(a, q: Quaternion) -> np.ndarray:
-    """Batch * constant quaternion (constant on the right)."""
-    return qmul(a, from_quaternion(q))
-
-
 def qconj(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a * np.array([1.0, -1.0, -1.0, -1.0])
@@ -79,25 +73,22 @@ def gram(a, b, w) -> np.ndarray:
     return out
 
 
-def powers(a, n: int) -> np.ndarray:
-    """Stack of a^0 .. a^n along a new leading axis."""
+def to_slice(a) -> tuple[np.ndarray, np.ndarray]:
+    """Split an (..., 4) batch a = x + U y into its complex coordinate
+    z = x + i y, y = |Im a|, and its (..., 3) unit directions U (zero at
+    real points).  Values that live in the slice of their argument are
+    then plain complex numbers."""
     a = np.asarray(a, dtype=float)
-    out = np.empty((n + 1,) + a.shape)
-    out[0] = 0.0
-    out[0][..., 0] = 1.0
-    for m in range(1, n + 1):
-        out[m] = qmul(out[m - 1], a)
-    return out
+    y = np.linalg.norm(a[..., 1:], axis=-1)
+    return a[..., 0] + 1j * y, a[..., 1:] / np.where(y > 0, y, 1.0)[..., None]
 
 
-def slice_points(x, y, unit: Quaternion) -> np.ndarray:
-    """Points x + unit*y of the slice plane C_unit, batched over x, y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = from_quaternion(unit)
-    out = np.zeros(np.broadcast(x, y).shape + (4,))
-    out[..., 0] = x
-    out[..., 1] = y * u[1]
-    out[..., 2] = y * u[2]
-    out[..., 3] = y * u[3]
+def from_slice(z, unit) -> np.ndarray:
+    """Re z + unit Im z as an (..., 4) batch, broadcasting z against the
+    leading axes of the (..., 3) unit directions."""
+    z = np.asarray(z)
+    unit = np.asarray(unit, dtype=float)
+    out = np.empty(np.broadcast_shapes(z.shape, unit.shape[:-1]) + (4,))
+    out[..., 0] = z.real
+    out[..., 1:] = z.imag[..., None] * unit
     return out

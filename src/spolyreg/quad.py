@@ -14,6 +14,7 @@ full pairing is the sphere integral of slice pairings; constants get
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import roots_hermite, roots_legendre
@@ -77,6 +78,13 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
     return Rule1D(mid + half * x, half * w)
 
 
+def _slice_nodes(n: int):
+    """Complex nodes x + iy and weights of the n x n tensor Gauss-Hermite rule."""
+    rule = gauss_hermite(n)
+    z = rule.nodes[:, None] + 1j * rule.nodes[None, :]
+    return z.ravel(), np.outer(rule.weights, rule.weights).ravel()
+
+
 class SliceQuadrature:
     """Tensor Gauss-Hermite rule on the slice plane C_unit.
 
@@ -85,12 +93,10 @@ class SliceQuadrature:
     """
 
     def __init__(self, n: int = 40, unit: Quaternion = UNIT_I):
-        rule = gauss_hermite(n)
-        X, Y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+        z, self.weights = _slice_nodes(n)
         self.n = n
         self.unit = unit
-        self.points = qarray.slice_points(X.ravel(), Y.ravel(), unit)
-        self.weights = np.outer(rule.weights, rule.weights).ravel()
+        self.points = qarray.from_slice(z, qarray.from_quaternion(unit)[1:])
 
 
 @dataclass(frozen=True)
@@ -177,22 +183,22 @@ def inner_real(f, g, rule: Rule1D) -> Quaternion:
     return qarray.to_quaternion(qarray.gram(fv[None], gv[None], rule.line_weights)[0, 0])
 
 
-def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Quaternion:
-    """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I}."""
+def _sphere_of_slices(n_slice: int, sphere: SphereRule | None) -> SimpleNamespace:
+    """The slice rule rotated onto every sphere unit by one broadcast
+    from_slice and weighted by outer(sphere weights, slice weights): a rule
+    with the n, points and weights of a SliceQuadrature."""
     if sphere is None:
         sphere = sphere_rule()
-    total = np.zeros(4)
-    for unit, w in zip(sphere.units, sphere.weights):
-        Q = SliceQuadrature(n_slice, unit)
-        total += w * qarray.from_quaternion(inner_slice(f, g, Q))
-    return qarray.to_quaternion(total)
+    z, w = _slice_nodes(n_slice)
+    units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units]).reshape(-1, 1, 3)
+    return SimpleNamespace(n=n_slice, points=qarray.from_slice(z, units).reshape(-1, 4),
+                           weights=np.outer(sphere.weights, w).ravel())
+
+
+def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Quaternion:
+    """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I}."""
+    return inner_slice(f, g, _sphere_of_slices(n_slice, sphere))
 
 
 def norm_sq_full(f, n_slice: int = 40, sphere: SphereRule | None = None) -> float:
-    if sphere is None:
-        sphere = sphere_rule()
-    total = 0.0
-    for unit, w in zip(sphere.units, sphere.weights):
-        Q = SliceQuadrature(n_slice, unit)
-        total += w * norm_sq_slice(f, Q)
-    return total
+    return norm_sq_slice(f, _sphere_of_slices(n_slice, sphere))

@@ -16,7 +16,6 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "Quaternion",

@@ -59,7 +59,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        """No case, no pass: an empty grid checks nothing."""
+        return bool(self.cases) and self.max_residual <= self.tolerance
 
     def to_dict(self) -> dict:
         return {

@@ -137,12 +137,7 @@ class SliceSeries:
     __call__ = eval
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        qp = qarray.powers(pts, max(self.degree, 0))
-        total = np.zeros(pts.shape)
-        for j, a in enumerate(self.coeffs):
-            total += qarray.qmul_scalar(qp[j], a)
-        return total
+        return PolySliceSeries([self.coeffs]).eval_many(pts)
 
     # -- comparison ------------------------------------------------------
 
@@ -322,15 +317,17 @@ class PolySliceSeries:
         return total
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        qp = qarray.powers(pts, max(self.degree, 0))
-        qcp = qarray.powers(qarray.qconj(pts), max(self.level, 0))
-        total = np.zeros(pts.shape)
-        for k, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != _Z:
-                    total += qarray.qmul_scalar(qarray.qmul(qcp[k], qp[j]), c)
-        return total
+        """Values on an (N, 4) batch.  qbar^k q^j is the complex number
+        m = zbar^k z^j of the slice coordinate z, so with the unit U of q
+        the value is sum Re(m) c + U sum Im(m) c: two matrix products."""
+        if not self.coeffs:
+            return np.zeros(np.shape(pts))
+        z, unit = qarray.to_slice(pts)
+        c = np.array([[v.as_tuple() for v in row] for row in self.coeffs],
+                     dtype=float).reshape(-1, 4)
+        m = (np.vander(np.conj(z), self.level + 1, increasing=True)[:, :, None]
+             * np.vander(z, self.degree + 1, increasing=True)[:, None, :]).reshape(len(z), -1)
+        return m.real @ c + qarray.qmul(qarray.from_slice(1j, unit), m.imag @ c)
 
     # -- serialization ---------------------------------------------------
 

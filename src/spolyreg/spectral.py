@@ -156,12 +156,9 @@ def psi_batch(n: int, j: int, pts: np.ndarray) -> np.ndarray:
     """Vectorised psi_{n,j} for integer eigenvalue n >= 0 (terminating
     series, real Kummer values)."""
     a, c, power, conjugated = _psi_params(float(n), j)
-    pts = np.asarray(pts, dtype=float)
-    t = qarray.norm_sq(pts)
-    m = kummer_M(float(a.w), c, t)
-    base = qarray.qconj(pts) if conjugated else pts
-    bp = qarray.powers(base, power)[power]
-    return bp * m[..., None]
+    z, unit = qarray.to_slice(pts)
+    m = kummer_M(float(a.w), c, qarray.norm_sq(pts))
+    return qarray.from_slice((np.conj(z) if conjugated else z) ** power * m, unit)
 
 
 class Eigenfunction:

@@ -136,6 +136,29 @@ def test_verify_grid_flags():
     r = run("verify", "--suite", "spectrum", "--max-degree", "3")
     assert r.returncode == 2
     assert "does not take" in r.stderr
+    # a negative grid flag is refused before any work, not passed vacuously
+    for argv in (("verify", "--suite", "reproduce", "--levels", "-1"),
+                 ("verify", "--suite", "transform-basis", "--levels", "-1"),
+                 ("verify", "--suite", "norms", "--levels", "-1"),
+                 ("verify", "--suite", "decomposition", "--max-degree", "-1"),
+                 ("verify", "--suite", "orthogonality", "--max-degree", "-1"),
+                 ("verify", "--suite", "kernel-dual", "--levels", "-1"),
+                 ("verify", "--suite", "isometry", "--max-degree", "-1"),
+                 ("table", "norms", "--n", "1", "--jmax", "-1"),
+                 ("table", "norms", "--n", "-1"),
+                 ("table", "hermite-gram", "--max", "-1"),
+                 ("table", "laguerre-sum", "--n", "-1")):
+        r = run(*argv)
+        assert r.returncode == 2, argv
+        assert "is negative" in r.stderr and r.stdout == ""
+
+
+def test_empty_report_does_not_pass():
+    from spolyreg.report import VerificationReport
+    rep = VerificationReport("norms", 1e-10)
+    assert rep.passed is False and rep.to_dict()["n_cases"] == 0
+    rep.add({}, 1.0, 1.0, 0.0)
+    assert rep.passed is True
 
 
 def test_bad_quaternion_literal_exit_two():

@@ -2,6 +2,7 @@
 import math
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from spolyreg import (
@@ -17,9 +18,12 @@ from spolyreg import (
     kernel_value,
     laguerre,
     project,
+    qarray,
     quat,
 )
 from spolyreg.kernels import (
+    k1_series_batch,
+    k2_series_batch,
     clear_star_cache,
     series_tail_bound,
     star_kernel_series,
@@ -175,6 +179,16 @@ def test_star_cache_reuse():
     c = star_kernel_series("second", 2, q)
     assert c is not a
     assert c.allclose(a, tol=0)
+    # a full cache evicts only its least recently used entry
+    clear_star_cache()
+    keys = [quat(0.01 * i, 0.5) for i in range(128)]
+    first = [star_kernel_series("second", 0, q, 1) for q in keys[:64]]
+    for q in keys[64:]:
+        assert star_kernel_series("second", 0, keys[0], 1) is first[0]
+        star_kernel_series("second", 0, q, 1)
+    assert star_kernel_series("second", 0, keys[0], 1) is first[0]
+    assert star_kernel_series("second", 0, keys[1], 1) is not first[1]
+    clear_star_cache()
 
 
 def test_kernel_spec_validation():
@@ -208,3 +222,16 @@ def test_project_annihilates_other_level():
     p = quat(0.4, 0.6, 0, 0)
     v = project(1, f, p, Q)
     assert v.norm() < 1e-9
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_series_batch_matches_star_pointwise(level):
+    rng = np.random.default_rng(40 + level)
+    qs = rng.uniform(-1.0, 1.0, size=(10, 4))
+    qs[::4, 1:] = 0.0                     # real q next to several slices
+    for p in (quat(0.3, -0.4, 0.5, 0.2), quat(0.7)):
+        for batch, star in ((k2_series_batch, k2_star), (k1_series_batch, k1_star)):
+            got = batch(level, p, qs)
+            for q, v in zip(qs, got):
+                ref = star(level, p, qarray.to_quaternion(q))
+                assert np.max(np.abs(v - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))

@@ -145,3 +145,36 @@ def test_norm_sq_slice_positive():
     f = hermite_series(2, 1)
     v = norm_sq_slice(f, Q)
     assert v == pytest.approx(math.pi * 2, rel=1e-11)
+
+
+def _mixed_batch(n, seed):
+    """Points on many slices, every seventh one real."""
+    a = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(n, 4))
+    a[::7, 1:] = 0.0
+    return a
+
+
+def test_slice_form_round_trip():
+    a = _mixed_batch(40, 5)
+    z, unit = qarray.to_slice(a)
+    assert z.shape == (40,) and unit.shape == (40, 3)
+    assert np.all(z.real == a[:, 0]) and np.all(z.imag >= 0.0)
+    assert np.all(z.imag[::7] == 0.0) and np.all(unit[::7] == 0.0)
+    nonreal = np.ones(40, dtype=bool)
+    nonreal[::7] = False
+    assert np.allclose(np.linalg.norm(unit[nonreal], axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.max(np.abs(qarray.from_slice(z, unit) - a)) < 1e-15
+    z0, u0 = qarray.to_slice(np.zeros((0, 4)))
+    assert z0.shape == (0,) and u0.shape == (0, 3)
+    assert qarray.from_slice(z0, u0).shape == (0, 4)
+
+
+def test_from_slice_broadcasts():
+    z, unit = qarray.to_slice(_mixed_batch(6, 8))
+    out = qarray.from_slice(z, unit[:3, None, :])
+    assert out.shape == (3, 6, 4)
+    for i in range(3):
+        for n in range(6):
+            ref = np.concatenate([[z[n].real], z[n].imag * unit[i]])
+            assert np.array_equal(out[i, n], ref)
+    assert np.array_equal(qarray.from_slice(1j, unit)[:, 1:], unit)

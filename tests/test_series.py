@@ -1,6 +1,9 @@
 """Star products, Hermite series forms, and series serialization."""
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from spolyreg import (
     PolySliceSeries,
     RightPolySeries,
@@ -15,6 +18,7 @@ from spolyreg import (
     laguerre_star,
     poly_monomial,
     qexp,
+    qarray,
     quat,
     s_k_series,
     slice_monomial,
@@ -170,3 +174,23 @@ def test_degree_and_level():
     assert f.degree >= 4
     s = SliceSeries((quat(1), quat(0), quat(3)))
     assert s.degree == 2
+
+
+def _scalar_values(f, pts):
+    return np.array([f.eval(qarray.to_quaternion(p)).as_tuple() for p in pts], dtype=float)
+
+
+@pytest.mark.parametrize("level,degree", [(0, 5), (3, 4), (6, 0)])
+def test_eval_many_matches_scalar_eval(level, degree):
+    rng = np.random.default_rng(10 * level + degree)
+    pts = rng.uniform(-1.5, 1.5, size=(30, 4))
+    pts[::7, 1:] = 0.0          # real points next to many slices
+    rows = [[quat(*rng.standard_normal(4)) for _ in range(degree + 1)]
+            for _ in range(level + 1)]
+    for f in (PolySliceSeries(rows), SliceSeries(rows[0]),
+              hermite_series(degree, level).rmul(U)):
+        ref = _scalar_values(f, pts)
+        got = f.eval_many(pts)
+        assert got.shape == pts.shape
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.array_equal(PolySliceSeries().eval_many(pts), np.zeros(pts.shape))

@@ -2,6 +2,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spolyreg import (
@@ -14,6 +15,7 @@ from spolyreg import (
     norm_sq_full,
     psi,
     psi_norm_sq,
+    qarray,
     qexp,
     quat,
     spectrum_probe,
@@ -222,3 +224,14 @@ def test_spectrum_probe_report():
     assert len(d["tail_ratios"]) == 11
     # masses of a square-integrable profile decay in the far window
     assert d["annulus_masses"][-1] < d["annulus_masses"][0]
+
+
+@pytest.mark.parametrize("n,j", [(0, 0), (2, 3), (3, -2), (1, -1)])
+def test_psi_batch_matches_psi(n, j):
+    from spolyreg.spectral import psi_batch
+    pts = np.random.default_rng(n + 7).uniform(-1.5, 1.5, size=(25, 4))
+    pts[::6, 1:] = 0.0
+    ref = np.array([psi(n, j, qarray.to_quaternion(p)).as_tuple() for p in pts], dtype=float)
+    got = psi_batch(n, j, pts)
+    assert got.shape == pts.shape
+    assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
