@@ -162,10 +162,11 @@ def isometry_grams(k: int, j_max: int, qquad, rule: Rule1D | None = None):
     pairing next to the Gram matrix of the basis itself on the line.
 
     Returns (gram_images, gram_line) as (J+1, J+1, 4) arrays; the scaled
-    isometry makes them equal."""
+    isometry makes them equal.  One b2_grid over the slice points serves
+    every line: its pairing with the stacked lines is one qarray.gram."""
     rule = _line_rule(rule, k, HermiteLine(j_max))
     lines = np.stack([HermiteLine(j).eval_many(rule.nodes) for j in range(j_max + 1)])
-    images = np.stack([transform_batch(k, HermiteLine(j), qquad.points, rule)
-                       for j in range(j_max + 1)])
+    bv = b2_grid(k, rule.nodes, qquad.points)
+    images = qarray.gram(bv, lines, rule.line_weights).transpose(1, 0, 2)
     return (qarray.gram(images, images, qquad.weights),
             qarray.gram(lines, lines, rule.line_weights))

@@ -38,8 +38,8 @@ from . import qarray
 from .bargmann import (IMAG_LIMIT, HermiteLine, SampledLine, b1_kernel,
                        b2_kernel, transform_batch)
 from .config import Config, load_config
-from .kernels import (KernelSpec, kernel_value, series_tail_bound,
-                      star_tail_bound)
+from .kernels import (KernelSpec, k1_series_batch, k2_series_batch,
+                      kernel_value, series_tail_bound, star_tail_bound)
 from .poly import KummerConvergenceError, hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
 from .quad import norm_sq_full
@@ -119,7 +119,8 @@ def _kernel_tail(kind: str, level: int, method: str, p, q, terms: int) -> float:
 
 
 def cmd_eval(args, config: Config) -> int:
-    pts = [qarray.to_quaternion(row) for row in _target_points(args)]
+    batch = _target_points(args)
+    pts = [qarray.to_quaternion(row) for row in batch]
     if args.target == "hermite-q":
         for q in pts:
             print(_quad_row(quat(hermite_quat(args.m, args.n, q, config.degree_cap))))
@@ -139,8 +140,12 @@ def cmd_eval(args, config: Config) -> int:
             terms = config.series_terms if method == "series" else config.star_terms
         spec = KernelSpec(kind=kind, level=args.level, method=method, terms=terms)
         p = parse_quaternion(args.p)
-        for q in pts:
-            v = kernel_value(spec, p, q)
+        if method == "series":   # one ladder for every row
+            fn = k2_series_batch if kind == "second" else k1_series_batch
+            vals = [qarray.to_quaternion(v) for v in fn(args.level, p, batch, terms)]
+        else:                    # the star coefficients depend on q
+            vals = [kernel_value(spec, p, q) for q in pts]
+        for q, v in zip(pts, vals):
             tail = _kernel_tail(kind, args.level, method, p, q, terms)
             print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(v)},{method},{_fmt(tail)}")
     return 0

@@ -3,14 +3,20 @@
 All knobs the verification suites and the command line share live in one
 frozen dataclass.  Defaults are chosen so every identity check passes at
 its stated tolerance; a JSON file (path argument or SPOLYREG_CONFIG
-environment variable) can override any subset of fields.
+environment variable) can override any subset of fields.  Every field is
+checked for type and range on construction: a bad value raises
+ValueError naming the field.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
+
+from .quad import NODE_CAP
+from .series import EXP_STAR_CAP
 
 __all__ = ["Config", "DEFAULT_TOLERANCES", "load_config"]
 
@@ -28,6 +34,27 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# integer fields and their inclusive ranges (None: unbounded)
+_INT_RANGES = {
+    "line_nodes": (1, NODE_CAP),
+    "slice_nodes": (1, NODE_CAP),
+    "sphere_order": (0, None),
+    "series_terms": (0, None),
+    "star_terms": (0, EXP_STAR_CAP),
+    "degree_cap": (0, None),
+    "seed": (0, None),
+}
+_CHOICES = {"fd_order": (2, 4), "default_slice": ("i", "j", "k")}
+
+
+def _check_real(name: str, v, positive: bool) -> None:
+    """A finite real number, > 0 if positive else >= 0; bool is refused."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+            or v < 0 or (positive and v == 0)):
+        bound = "positive" if positive else "nonnegative"
+        raise ValueError(f"config field {name!r} must be a finite {bound} number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Config:
     line_nodes: int = 80        # Gauss-Hermite points for the real-line pairing
@@ -41,6 +68,25 @@ class Config:
     default_slice: str = "i"    # imaginary unit used when one is not given
     seed: int = 20240 + 1       # base seed for randomised verification suites
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+
+    def __post_init__(self):
+        for name, (lo, hi) in _INT_RANGES.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"config field {name!r} must be an integer, got {v!r}")
+            if v < lo or (hi is not None and v > hi):
+                raise ValueError(f"config field {name!r} = {v} outside {lo}..{hi or ''}")
+        for name, choices in _CHOICES.items():
+            v = getattr(self, name)
+            if type(v) is not type(choices[0]) or v not in choices:
+                raise ValueError(f"config field {name!r} must be one of {choices}, got {v!r}")
+        _check_real("fd_step", self.fd_step, positive=True)
+        if not isinstance(self.tolerances, dict):
+            raise ValueError("config field 'tolerances' must be an object")
+        for suite, tol in self.tolerances.items():
+            if suite not in DEFAULT_TOLERANCES:
+                raise ValueError(f"config field 'tolerances' names unknown suite {suite!r}")
+            _check_real(f"tolerances.{suite}", tol, positive=False)
 
     def tolerance(self, suite: str) -> float:
         return float(self.tolerances.get(suite, 1e-9))
@@ -65,6 +111,8 @@ def load_config(path: str | None = None) -> Config:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "tolerances" in raw:
+        if not isinstance(raw["tolerances"], dict):
+            raise ValueError("config field 'tolerances' must be an object")
         merged = dict(DEFAULT_TOLERANCES)
         merged.update(raw["tolerances"])
         raw = dict(raw, tolerances=merged)

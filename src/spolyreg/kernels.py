@@ -40,6 +40,7 @@ __all__ = [
     "k1_series",
     "k2_series_batch",
     "k1_series_batch",
+    "k2_series_levels",
     "star_kernel_series",
     "k2_star",
     "k1_star",
@@ -49,6 +50,7 @@ __all__ = [
     "series_tail_bound",
     "star_tail_bound",
     "project",
+    "project_batch",
     "clear_star_cache",
 ]
 
@@ -79,50 +81,63 @@ class KernelSpec:
                                SERIES_TERMS if self.method == "series" else STAR_TERMS)
 
 
-def _series_accumulate(levels, p: Quaternion, qpts: np.ndarray, terms: int) -> np.ndarray:
-    """sum over j and the requested levels of
-    (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)).
-
-    A_{j,kappa} = H_{j,kappa}/sqrt(j!) lives in the slice of its point, so
-    the ladder A_{j+1,kappa} = (z A_{j,kappa} - kappa A_{j,kappa-1})/sqrt(j+1),
-    A_{0,kappa} = zbar^kappa, runs on complex coordinates.  With
-    A(q) = a + U b and A(p) = c + V d the summand is
-    ac + bd<U,V> - ad V + bc U - bd UxV, and the four real sums are read
-    off sum A(q) A(p) and sum A(q) conj(A(p))."""
+def _ladder(z: np.ndarray, k_max: int, terms: int):
+    """Yield the (k_max+1, N) complex rows A_{j,kappa}(z), kappa <= k_max,
+    for j = 0..terms, where A_{j,kappa} = H_{j,kappa}/sqrt(j!) lives in the
+    slice of its point: A_{0,kappa} = zbar^kappa and
+    A_{j+1,kappa} = (z A_{j,kappa} - kappa A_{j,kappa-1})/sqrt(j+1)."""
     if terms < 0:
         raise ValueError(f"series truncation {terms} is negative")
-    z, unit = qarray.to_slice(np.vstack([qpts, qarray.from_quaternion(p)]))
-    lv = np.array(levels)
-    scales = np.array([1.0 / (math.pi * math.factorial(kappa)) for kappa in levels])
-    kap = np.arange(1, max(levels) + 1)[:, None]
-    ladder = np.vander(np.conj(z), max(levels) + 1, increasing=True).T
-    sums = np.zeros((2, len(qpts)), dtype=complex)
+    kap = np.arange(1, k_max + 1)[:, None]
+    row = np.vander(np.conj(z), k_max + 1, increasing=True).T
     for j in range(terms + 1):
         if j:
-            nxt = z * ladder
-            nxt[1:] -= kap * ladder[:-1]
-            ladder = nxt / math.sqrt(j)
-        ap = scales * ladder[lv, -1]
-        sums += np.stack([ap, np.conj(ap)]) @ ladder[lv, :-1]
-    s1, s2 = sums
+            nxt = z * row
+            nxt[1:] -= kap * row[:-1]
+            row = nxt / math.sqrt(j)
+        yield row
+
+
+def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
+                     terms: int = SERIES_TERMS) -> np.ndarray:
+    """K_{2,kappa}(p_n, q_n) for every level kappa <= k_max, shape
+    (k_max+1, N, 4), with the (P, 4) p batch broadcast against the (N, 4)
+    q batch (one p, or paired p_n, q_n); K_1 is the cumulative sum.
+
+    The summand (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)) with
+    A(q) = a + U b and A(p) = c + V d is ac + bd<U,V> - ad V + bc U - bd UxV,
+    and the four real sums are read off sum A(q) A(p) and sum A(q) conj(A(p))."""
+    ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
+    qpts = np.asarray(qpts, dtype=float).reshape(-1, 4)
+    z, unit = qarray.to_slice(np.vstack([qpts, ppts]))
+    n = len(qpts)
+    s1 = s2 = 0.0
+    for row in _ladder(z, k_max, terms):
+        aq, ap = row[:, :n], row[:, n:]
+        s1 = s1 + aq * ap
+        s2 = s2 + aq * np.conj(ap)
+    scales = np.array([1.0 / (math.pi * math.factorial(kappa))
+                       for kappa in range(k_max + 1)])[:, None]
+    s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
     ac, bd = (s1 + s2).real / 2.0, (s2 - s1).real / 2.0
     ad, bc = (s1 - s2).imag / 2.0, (s1 + s2).imag / 2.0
-    u, v = unit[:-1], unit[-1]
-    out = np.empty((len(qpts), 4))
-    out[:, 0] = ac + bd * (u @ v)
-    out[:, 1:] = bc[:, None] * u - ad[:, None] * v - bd[:, None] * np.cross(u, v)
+    u, v = np.broadcast_arrays(unit[:n], unit[n:])
+    out = np.empty(ac.shape + (4,))
+    out[..., 0] = ac + bd * np.sum(u * v, axis=-1)
+    out[..., 1:] = (bc[..., None] * u - ad[..., None] * v
+                    - bd[..., None] * np.cross(u, v))
     return out
 
 
 def k2_series_batch(k: int, p: Quaternion, qpts: np.ndarray,
                     terms: int = SERIES_TERMS) -> np.ndarray:
     """K_{2,k}(p, q_i) over an (N, 4) batch of q points."""
-    return _series_accumulate([k], p, np.asarray(qpts, dtype=float), terms)
+    return k2_series_levels(k, qarray.from_quaternion(p), qpts, terms)[k]
 
 
 def k1_series_batch(n: int, p: Quaternion, qpts: np.ndarray,
                     terms: int = SERIES_TERMS) -> np.ndarray:
-    return _series_accumulate(list(range(n + 1)), p, np.asarray(qpts, dtype=float), terms)
+    return k2_series_levels(n, qarray.from_quaternion(p), qpts, terms).sum(axis=0)
 
 
 def k2_series(k: int, p: Quaternion, q: Quaternion,
@@ -253,9 +268,27 @@ def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
 # -- projection ----------------------------------------------------------
 
 
+def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> np.ndarray:
+    """Orthogonal projection onto the level-k space on a (P, 4) batch:
+    P_k f(p) = <K_{2,k}(p, .), f>_{C_I} = (1/(pi k!)) sum_j A_{j,k}(p) c_j
+    with c_j = sum_n w_n conj(A_{j,k}(q_n)) f(q_n) over the slice rule.
+
+    The rule's points q_n = Re z_n + I Im z_n share the unit I, so
+    conj(A(q_n)) f = Re A f - Im A (I f) and c_j = Re(A_{j,k}(z) @ (wf + i wIf)),
+    one row per ladder step.  The p side is one short ladder over the batch,
+    lifted like PolySliceSeries.eval_many."""
+    ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
+    fv = values_on(f, Q.points) * Q.weights[:, None]
+    unit = qarray.from_quaternion(Q.unit)
+    wf = fv + 1j * qarray.qmul(unit, fv)
+    c = np.array([(row[k] @ wf).real for row in _ladder(Q.z, k, terms)])
+    zp, up = qarray.to_slice(ppts)
+    a = np.array([row[k] for row in _ladder(zp, k, terms)]).T
+    out = a.real @ c + qarray.qmul(qarray.from_slice(1j, up), a.imag @ c)
+    return out / (math.pi * math.factorial(k))
+
+
 def project(k: int, f, p: Quaternion, Q, terms: int = SERIES_TERMS) -> Quaternion:
     """Orthogonal projection onto the level-k space, evaluated at p:
     P_k f(p) = <K_{2,k}(p, .), f>_{C_I} by slice quadrature."""
-    kv = k2_series_batch(k, p, Q.points, terms)
-    fv = values_on(f, Q.points)
-    return qarray.to_quaternion(qarray.gram(kv[None], fv[None], Q.weights)[0, 0])
+    return qarray.to_quaternion(project_batch(k, f, qarray.from_quaternion(p), Q, terms)[0])

@@ -90,5 +90,5 @@ def from_slice(z, unit) -> np.ndarray:
     unit = np.asarray(unit, dtype=float)
     out = np.empty(np.broadcast_shapes(z.shape, unit.shape[:-1]) + (4,))
     out[..., 0] = z.real
-    out[..., 1:] = z.imag[..., None] * unit
+    np.multiply(z.imag[..., None], unit, out=out[..., 1:])
     return out

@@ -22,6 +22,7 @@ from scipy.special import roots_hermite, roots_legendre
 from . import qarray
 from .quat import I as UNIT_I
 from .quat import Quaternion, quat
+from .series import PolySliceSeries, coeff_stack, slice_values
 
 __all__ = [
     "QuadratureDegreeError",
@@ -86,17 +87,18 @@ def _slice_nodes(n: int):
 
 
 class SliceQuadrature:
-    """Tensor Gauss-Hermite rule on the slice plane C_unit.
+    """Tensor Gauss-Hermite rule on the slice plane C_unit: points
+    Re z + unit Im z for the complex nodes z.
 
     Integrates e^(-|q|^2) times any polynomial of total degree <= 2n-1
     in the slice coordinates exactly.
     """
 
     def __init__(self, n: int = 40, unit: Quaternion = UNIT_I):
-        z, self.weights = _slice_nodes(n)
+        self.z, self.weights = _slice_nodes(n)
         self.n = n
         self.unit = unit
-        self.points = qarray.from_slice(z, qarray.from_quaternion(unit)[1:])
+        self.points = qarray.from_slice(self.z, qarray.from_quaternion(unit)[1:])
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,24 @@ def norm_sq_slice(f, Q: SliceQuadrature) -> float:
 
 
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
-    """Pairwise slice inner products, returned as an (m, m, 4) array."""
-    vals = np.empty((len(funcs),) + Q.points.shape)
-    for a, f in enumerate(funcs):
+    """Pairwise slice inner products, returned as an (m, m, 4) array.
+
+    A list of PolySliceSeries is evaluated from one coefficient stack and
+    one vander table.  With real coefficients every value is a complex
+    number of the slice of Q, and the Gram matrix is one complex GEMM
+    lifted by from_slice.  Other functions go through values_on."""
+    for f in funcs:
         _check_slice_degree(f, f, Q.n)
-        vals[a] = values_on(f, Q.points)
+    unit = qarray.from_quaternion(Q.unit)
+    if all(isinstance(f, PolySliceSeries) for f in funcs):
+        c = coeff_stack(funcs)
+        if not c[..., 1:].any():      # real coefficients
+            v = slice_values(c[..., 0], Q.z)
+            return qarray.from_slice((np.conj(v).T * Q.weights) @ v, unit[1:])
+        w = slice_values(c, Q.z).transpose(1, 0, 2)
+        vals = w.real + qarray.qmul(unit, w.imag)
+    else:
+        vals = np.stack([values_on(f, Q.points) for f in funcs])
     return qarray.gram(vals, vals, Q.weights)
 
 

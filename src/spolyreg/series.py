@@ -32,6 +32,9 @@ __all__ = [
     "slice_monomial",
     "poly_monomial",
     "hermite_series",
+    "coeff_stack",
+    "slice_values",
+    "eval_stack",
     "hermite_op",
     "extract_components",
     "to_hermite_basis",
@@ -317,17 +320,8 @@ class PolySliceSeries:
         return total
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Values on an (N, 4) batch.  qbar^k q^j is the complex number
-        m = zbar^k z^j of the slice coordinate z, so with the unit U of q
-        the value is sum Re(m) c + U sum Im(m) c: two matrix products."""
-        if not self.coeffs:
-            return np.zeros(np.shape(pts))
-        z, unit = qarray.to_slice(pts)
-        c = np.array([[v.as_tuple() for v in row] for row in self.coeffs],
-                     dtype=float).reshape(-1, 4)
-        m = (np.vander(np.conj(z), self.level + 1, increasing=True)[:, :, None]
-             * np.vander(z, self.degree + 1, increasing=True)[:, None, :]).reshape(len(z), -1)
-        return m.real @ c + qarray.qmul(qarray.from_slice(1j, unit), m.imag @ c)
+        """Values on an (N, 4) batch; see eval_stack."""
+        return eval_stack([self], pts)[0]
 
     # -- serialization ---------------------------------------------------
 
@@ -364,6 +358,42 @@ class PolySliceSeries:
 
     def __repr__(self):
         return f"PolySliceSeries(level={self.level}, degree={self.degree})"
+
+
+def coeff_stack(funcs) -> np.ndarray:
+    """The coefficients c_kj of the PolySliceSeries f_0..f_{m-1} as one
+    zero-padded float tensor of shape (level+1, degree+1, m, 4)."""
+    level = max((f.level for f in funcs), default=-1)
+    degree = max((f.degree for f in funcs), default=-1)
+    c = np.zeros((level + 1, degree + 1, len(funcs), 4))
+    for a, f in enumerate(funcs):
+        for k, row in enumerate(f.coeffs):
+            c[k, :len(row), a] = [v.as_tuple() for v in row]
+    return c
+
+
+def slice_values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_{k,j} zbar^k z^j c[k, j] at the complex slice coordinates z (N,)
+    for a coefficient tensor c of shape (level+1, degree+1, ...), from one
+    vander table; shape (N, ...), complex.
+
+    qbar^k q^j at q = Re z + U Im z is the complex number zbar^k z^j carried
+    onto the slice of U.  For c = coeff_stack(funcs) the value of f_a at
+    q_n is Re W + U Im W with W = slice_values(c, z)[n, a] and U multiplying
+    the quaternion Im W from the left.  Real coefficients c[..., 0] give one
+    complex number of the slice per value."""
+    m = (np.vander(np.conj(z), c.shape[0], increasing=True)[:, :, None]
+         * np.vander(z, c.shape[1], increasing=True)[:, None, :])
+    return np.tensordot(m, c, axes=2)
+
+
+def eval_stack(funcs, pts: np.ndarray) -> np.ndarray:
+    """Values of the PolySliceSeries f_0..f_{m-1} on an (N, 4) batch,
+    shape (m, N, 4): slice_values at each point's own slice coordinate
+    z = x + i|Im q| and unit U, lifted as Re W + U Im W by one qmul."""
+    z, unit = qarray.to_slice(pts)
+    w = slice_values(coeff_stack(funcs), z).transpose(1, 0, 2)
+    return w.real + qarray.qmul(qarray.from_slice(1j, unit), w.imag)
 
 
 class RightPolySeries:

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import qarray
 from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
-                       basis_image_scale, isometry_grams, transform)
+                       basis_image_scale, isometry_grams, transform_batch)
 from .config import Config
-from .kernels import (k1_closed_slice, k1_series, k2_closed_slice, k2_series,
-                      k2_star, project)
+from .kernels import (k1_closed_slice, k2_closed_slice, k2_series_levels,
+                      k2_star, project_batch)
 from .poly import hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, gram_slice, norm_sq_full, sphere_rule
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
@@ -63,6 +63,11 @@ def _nonreal(rng, radius: float, min_imag: float) -> Quaternion:
 
 def _qdiff(a: Quaternion, b: Quaternion) -> float:
     return abs(a - b)
+
+
+def _batch(qs) -> np.ndarray:
+    """A list of quaternions as an (N, 4) batch."""
+    return np.array([qarray.from_quaternion(q) for q in qs]).reshape(-1, 4)
 
 
 # -- 1. orthogonality ----------------------------------------------------
@@ -153,32 +158,44 @@ def verify_kernel_dual(config: Config | None = None,
                               "series_terms": config.series_terms,
                               "star_terms": config.star_terms, "seed": config.seed})
     rng = _rng(config, 3)
-    for _ in range(25):
-        p = _bounded(rng, 1.5)
-        q = _bounded(rng, 1.5)
-        for k in range(level_max + 1):
-            a = k2_series(k, p, q, config.series_terms)
+    levels = range(level_max + 1)
+
+    def series_levels(ps, qs):
+        """K_{2,kappa}(p_n, q_n) and K_{1,kappa}(p_n, q_n) for every
+        kappa <= level_max, from one paired ladder."""
+        k2 = k2_series_levels(level_max, _batch(ps), _batch(qs), config.series_terms)
+        return k2, np.cumsum(k2, axis=0)
+
+    pairs = [(_bounded(rng, 1.5), _bounded(rng, 1.5)) for _ in range(25)]
+    k2, _ = series_levels(*zip(*pairs))
+    for n, (p, q) in enumerate(pairs):
+        for k in levels:
+            a = qarray.to_quaternion(k2[k, n])
             b = k2_star(k, p, q, config.star_terms)
             rep.add({"p": p, "q": q, "k": k, "check": "dual"}, a, b, _qdiff(a, b))
+    closed = []
     for _ in range(25):
         unit = random_unit(rng)
         p = quat(rng.normal()) + unit * rng.normal()
         q = quat(rng.normal()) + unit * rng.normal()
-        k = int(rng.integers(level_max + 1))
-        a = k2_series(k, p, q, config.series_terms)
+        closed.append((p, q, int(rng.integers(level_max + 1))))
+    k2, k1 = series_levels([c[0] for c in closed], [c[1] for c in closed])
+    for n, (p, q, k) in enumerate(closed):
+        a = qarray.to_quaternion(k2[k, n])
         b = k2_closed_slice(k, p, q)
         rep.add({"p": p, "q": q, "k": k, "check": "closed-2"}, b, a, _qdiff(a, b))
-        a1 = k1_series(k, p, q, config.series_terms)
+        a1 = qarray.to_quaternion(k1[k, n])
         b1 = k1_closed_slice(k, p, q)
         rep.add({"p": p, "q": q, "n": k, "check": "closed-1"}, b1, a1, _qdiff(a1, b1))
-    for _ in range(4):
-        q = _bounded(rng, 2.0)
+    diag = [_bounded(rng, 2.0) for _ in range(4)]
+    k2, k1 = series_levels(diag, diag)
+    for n, q in enumerate(diag):
         base = math.exp(float(q.norm_sq())) / math.pi
-        for k in range(level_max + 1):
-            d2 = k2_series(k, q, q, config.series_terms)
+        for k in levels:
+            d2 = qarray.to_quaternion(k2[k, n])
             rep.add({"q": q, "k": k, "check": "diagonal-2"}, base, d2,
                     _qdiff(d2, quat(base)) / base)
-            d1 = k1_series(k, q, q, config.series_terms)
+            d1 = qarray.to_quaternion(k1[k, n])
             rep.add({"q": q, "n": k, "check": "diagonal-1"}, (k + 1) * base, d1,
                     _qdiff(d1, quat((k + 1) * base)) / ((k + 1) * base))
     rep.wall_time_s = time.perf_counter() - t0
@@ -204,11 +221,11 @@ def verify_reproduce(config: Config | None = None, level_max: int = 3,
         for j in range(1, degree_max + 1):
             f = f + hermite_series(j, k).rmul(random_quaternion(rng))
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
-        for _ in range(5):
-            p = _bounded(rng, 1.5)
-            got = project(k, f, p, Q, config.series_terms)
-            want = f(p)
-            rep.add({"k": k, "p": p}, want, got, _qdiff(got, want))
+        ps = [_bounded(rng, 1.5) for _ in range(5)]
+        got = project_batch(k, f, _batch(ps), Q, config.series_terms)
+        for p, g in zip(ps, got):
+            got_p, want = qarray.to_quaternion(g), f(p)
+            rep.add({"k": k, "p": p}, want, got_p, _qdiff(got_p, want))
     rep.wall_time_s = time.perf_counter() - t0
     return rep
 
@@ -231,14 +248,11 @@ def verify_transform_basis(config: Config | None = None, j_max: int = 6,
         for k in range(k_max + 1):
             scale = basis_image_scale(j, k)
             phi = HermiteLine(j)
-            worst, worst_q = -1.0, None
-            for _ in range(20):
-                q = _bounded(rng, 1.5)
-                got = transform(k, phi, q, rule)
-                want = hermite_quat(j, k, q) * scale
-                r = _qdiff(got, want)
-                if r > worst:
-                    worst, worst_q = r, q
+            qs = [_bounded(rng, 1.5) for _ in range(20)]
+            got = transform_batch(k, phi, _batch(qs), rule)
+            worst, worst_q = max(
+                ((_qdiff(qarray.to_quaternion(g), hermite_quat(j, k, q) * scale), q)
+                 for g, q in zip(got, qs)), key=lambda rq: rq[0])
             rep.add({"j": j, "k": k, "worst_q": worst_q},
                     "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", worst)
     rep.wall_time_s = time.perf_counter() - t0
@@ -262,15 +276,11 @@ def verify_isometry(config: Config | None = None, k_max: int = 6,
     rng = _rng(config, 7)
     rule = gauss_hermite(config.line_nodes)
     for k in range(k_max + 1):
-        worst, worst_q = -1.0, None
-        for _ in range(20):
-            q = _bounded(rng, 2.0)
-            vals = b2_grid(k, rule.nodes, qarray.from_quaternion(q))[0]
-            num = math.sqrt(float(np.sum(vals * vals, axis=1) @ rule.line_weights))
-            want = b2_norm_closed(q)
-            r = abs(num - want) / want
-            if r > worst:
-                worst, worst_q = r, q
+        qs = [_bounded(rng, 2.0) for _ in range(20)]
+        vals = b2_grid(k, rule.nodes, _batch(qs))
+        nums = np.sqrt(np.sum(vals * vals, axis=2) @ rule.line_weights)
+        worst, worst_q = max(((abs(num - b2_norm_closed(q)) / b2_norm_closed(q), q)
+                              for num, q in zip(nums, qs)), key=lambda rq: rq[0])
         rep.add({"k": k, "worst_q": worst_q, "part": "norm"},
                 "exp(|q|^2/2)/sqrt(pi)", "line norm of B_{2,k}(.; q)", worst)
     m = j_max + 1
@@ -353,13 +363,12 @@ def verify_decomposition(config: Config | None = None, level_max: int = 3,
             tuple(random_quaternion(rng) for _ in range(degree + 1))
             for _ in range(m + 1)))
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
-        for _ in range(5):
-            p = _bounded(rng, 1.5)
-            total = quat(0)
-            for k in range(m + 1):
-                total = total + project(k, f, p, Q, config.series_terms)
-            want = f(p)
-            rep.add({"m": m, "p": p}, want, total, _qdiff(total, want))
+        ps = [_bounded(rng, 1.5) for _ in range(5)]
+        total = sum(project_batch(k, f, _batch(ps), Q, config.series_terms)
+                    for k in range(m + 1))
+        for p, t in zip(ps, total):
+            got, want = qarray.to_quaternion(t), f(p)
+            rep.add({"m": m, "p": p}, want, got, _qdiff(got, want))
     rep.wall_time_s = time.perf_counter() - t0
     return rep
 

@@ -114,3 +114,25 @@ def test_transform_isometry_gram():
     denom = scale[:, None] * scale[None, :]
     dev = np.max(np.abs(gi - gl) / denom[:, :, None])
     assert dev < 1e-9
+
+
+def test_isometry_grams_match_per_line_transforms():
+    from types import SimpleNamespace
+
+    from spolyreg import qarray
+    from spolyreg.bargmann import isometry_grams, transform_batch
+    rng = np.random.default_rng(14)
+    # a slice rule, and a pairing on scattered points whose Gram is not real
+    scattered = SimpleNamespace(points=rng.uniform(-1.5, 1.5, size=(30, 4)),
+                                weights=rng.uniform(0.1, 1.0, size=30))
+    for Q in (SliceQuadrature(16, quat(0.0, 0.6, 0.0, -0.8)), scattered):
+        for k in (0, 3):
+            gi, gl = isometry_grams(k, 3, Q, RULE)
+            images = np.stack([transform_batch(k, HermiteLine(j), Q.points, RULE)
+                               for j in range(4)])
+            lines = np.stack([HermiteLine(j).eval_many(RULE.nodes) for j in range(4)])
+            ref_i = qarray.gram(images, images, Q.weights)
+            if Q is scattered:   # a conjugated image would show
+                assert np.max(np.abs(ref_i[..., 1:])) > 1e-3 * np.max(np.abs(ref_i))
+            assert np.max(np.abs(gi - ref_i)) < 1e-12 * np.max(np.abs(ref_i))
+            assert np.array_equal(gl, qarray.gram(lines, lines, RULE.line_weights))

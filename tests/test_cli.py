@@ -177,9 +177,11 @@ def test_bad_quaternion_literal_exit_two():
         r = run("spectrum-probe", "--mu", "1", *flags)
         assert r.returncode == 2, flags
         assert r.stdout == ""
-    r = run("table", "hermite-gram", "--max", "24")
-    assert r.returncode == 2
-    assert "exact only through degree 79" in r.stderr and r.stdout == ""
+    for argv in (("table", "hermite-gram", "--max", "24"),
+                 ("verify", "--suite", "orthogonality", "--max-degree", "24")):
+        r = run(*argv)
+        assert r.returncode == 2, argv
+        assert "exact only through degree 79" in r.stderr and r.stdout == ""
 
 
 @pytest.mark.parametrize("method", ["series", "star"])
@@ -240,6 +242,36 @@ def test_config_rejects_unknown_keys(tmp_path):
     cfg.write_text(json.dumps({"definitely_not_a_key": 1}))
     r = run("verify", "--suite", "spectrum", "--config", str(cfg))
     assert r.returncode == 2
+    # a value of the wrong type or range is refused by field name
+    for field, value, argv in (
+            ("seed", 1.5, ("verify", "--suite", "spectrum")),
+            ("default_slice", "x", ("table", "hermite-gram", "--max", "1")),
+            ("line_nodes", True, ("transform", "--level", "0", "--phi", "h:0",
+                                  "--q", "0.5+1i"))):
+        cfg.write_text(json.dumps({field: value}))
+        r = run(*argv, "--config", str(cfg))
+        assert r.returncode == 2, field
+        assert repr(field) in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+
+
+def test_eval_kernel_series_rows_match_single_points(tmp_path, capsys):
+    from spolyreg.cli import main
+    qs = ["0.5+0.3i-0.2j", "-0.7+0.1k", "1.1", "0.2-0.4i+0.6j+0.3k"]
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.5,0.3,-0.2,0\n-0.7,0,0,0.1\n1.1,0,0,0\n0.2,-0.4,0.6,0.3\n")
+    for kind in ("1", "2"):
+        argv = ["eval", "kernel", "--kind", kind, "--level", "2", "--p=0.4-0.6i+0.2k"]
+        assert main(argv + ["--points", str(pts)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(qs)
+        for q, row in zip(qs, rows):
+            assert main(argv + [f"--q={q}"]) == 0
+            single = capsys.readouterr().out.strip().split(",")
+            got = row.split(",")
+            assert got[:8] == single[:8] and got[12:] == single[12:]
+            for a, b in zip(got[8:12], single[8:12]):
+                assert abs(float(a) - float(b)) <= 1e-14 * max(1.0, abs(float(b)))
 
 
 def test_config_via_environment(tmp_path, monkeypatch):

@@ -235,3 +235,52 @@ def test_series_batch_matches_star_pointwise(level):
             for q, v in zip(qs, got):
                 ref = star(level, p, qarray.to_quaternion(q))
                 assert np.max(np.abs(v - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
+
+
+def test_series_levels_paired_matches_pointwise():
+    from spolyreg.kernels import k2_series_levels
+    rng = np.random.default_rng(12)
+    ps = rng.uniform(-1.0, 1.0, size=(8, 4))
+    qs = rng.uniform(-1.0, 1.0, size=(8, 4))
+    ps[2, 1:] = qs[3, 1:] = 0.0                 # a real p and a real q
+    qs[4, 1:] = -2.0 * ps[4, 1:]                # a pair on a common slice
+    qs[5] = ps[5]                               # the diagonal p = q
+    k2 = k2_series_levels(3, ps, qs)
+    k1 = np.cumsum(k2, axis=0)
+    assert k2.shape == (4, 8, 4)
+    for n, (pv, qv) in enumerate(zip(ps, qs)):
+        p, q = qarray.to_quaternion(pv), qarray.to_quaternion(qv)
+        for kappa in range(4):
+            for got, refs in ((k2[kappa, n], (k2_series(kappa, p, q), k2_star(kappa, p, q))),
+                              (k1[kappa, n], (k1_series(kappa, p, q), k1_star(kappa, p, q)))):
+                for ref in refs:
+                    assert np.max(np.abs(got - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
+    base = math.exp(float(np.sum(ps[5] ** 2))) / math.pi
+    assert np.allclose(k2[:, 5], [[base, 0, 0, 0]] * 4, rtol=1e-13, atol=1e-13 * base)
+
+
+def test_project_batch_matches_project_and_kernel_pairing():
+    from spolyreg.kernels import project_batch
+    from spolyreg.quad import values_on
+    rng = np.random.default_rng(13)
+    Q = SliceQuadrature(24, quat(0.0, 0.48, 0.6, -0.64))
+    f = hermite_series(0, 2).rmul(quat(*rng.standard_normal(4)))
+    for j, k in ((3, 2), (1, 1), (2, 0)):
+        f = f + hermite_series(j, k).rmul(quat(*rng.standard_normal(4)))
+    ps = rng.uniform(-1.0, 1.0, size=(6, 4))
+    ps[0, 1:] = 0.0
+    for k in (0, 1, 2):
+        got = project_batch(k, f, ps, Q)
+        assert got.shape == (6, 4)
+        fv = values_on(f, Q.points)
+        for v, pv in zip(got, ps):
+            p = qarray.to_quaternion(pv)
+            assert np.max(np.abs(v - project(k, f, p, Q).as_tuple())) < 1e-13
+            ref = qarray.gram(k2_series_batch(k, p, Q.points)[None], fv[None], Q.weights)[0, 0]
+            assert np.max(np.abs(v - ref)) < 1e-11
+    # P_2 keeps the level-2 part of f and drops the rest
+    level2 = hermite_series(0, 2).rmul(f.coeff(2, 0)) + hermite_series(3, 2).rmul(
+        f.coeff(2, 3))
+    ref = level2.eval_many(ps)
+    assert np.max(np.abs(project_batch(2, f, ps, Q) - ref)) < 1e-9
+    assert project_batch(1, f, ps[:0], Q).shape == (0, 4)

@@ -178,3 +178,17 @@ def test_from_slice_broadcasts():
             ref = np.concatenate([[z[n].real], z[n].imag * unit[i]])
             assert np.array_equal(out[i, n], ref)
     assert np.array_equal(qarray.from_slice(1j, unit)[:, 1:], unit)
+
+
+def test_gram_slice_matches_pairwise_inner_slice():
+    # real coefficients take the complex GEMM, quaternion ones qarray.gram
+    unit = quat(0.0, 0.36, -0.48, 0.8)
+    Q = SliceQuadrature(12, unit)
+    real = [hermite_series(j, k) for j in range(3) for k in range(3)]
+    mixed = real[:4] + [(real[1] + real[5]).rmul(quat(0.2, 0.5, -1.0, 0.3))]
+    for funcs in (real, mixed):
+        G = gram_slice(funcs, Q)
+        for a, f in enumerate(funcs):
+            for b, g in enumerate(funcs):
+                ref = inner_slice(f, g, Q).as_tuple()
+                assert np.max(np.abs(G[a, b] - ref)) < 1e-11 * max(1.0, abs(G[a, a, 0]))

@@ -194,3 +194,26 @@ def test_eval_many_matches_scalar_eval(level, degree):
         assert got.shape == pts.shape
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert np.array_equal(PolySliceSeries().eval_many(pts), np.zeros(pts.shape))
+
+
+def test_eval_stack_matches_hermite_references():
+    from spolyreg.series import eval_stack
+    rng = np.random.default_rng(8)
+    dirs = np.vstack([np.eye(3)[[0, 2]], rng.standard_normal((2, 3))])
+    z = rng.uniform(-1.2, 1.2, size=(4, 5)) + 1j * rng.uniform(-1.2, 1.2, size=(4, 5))
+    slices = qarray.from_slice(z, dirs[:, None, :] / np.linalg.norm(dirs, axis=1)[:, None, None])
+    pts = np.vstack([slices.reshape(-1, 4), [[-0.9, 0, 0, 0], [0, 0, 0, 0], [1.1, 0, 0, 0]]])
+    idx = [(j, k) for j in range(9) for k in range(9)]
+    coeff = quat(0.3, -0.7, 0.4, 0.9)
+    funcs = [hermite_series(j, k) for j, k in idx]
+    got = eval_stack(funcs + [f.rmul(coeff) for f in funcs[1::10]], pts)
+    assert got.shape == (len(idx) + len(funcs[1::10]), len(pts), 4)
+    for a, (j, k) in enumerate(idx):
+        for p, v in zip(pts, got[a]):
+            q = qarray.to_quaternion(p)
+            for ref in (hermite_quat(j, k, q), funcs[a].eval(q)):
+                assert np.max(np.abs(v - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
+    # general quaternion coefficients stacked with real ones
+    for f, vals in zip(funcs[1::10], got[len(idx):]):
+        ref = _scalar_values(f.rmul(coeff), pts)
+        assert np.max(np.abs(vals - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
