@@ -38,8 +38,8 @@ from . import qarray
 from .bargmann import (IMAG_LIMIT, HermiteLine, SampledLine, b1_kernel,
                        b2_kernel, transform_batch)
 from .config import Config, load_config
-from .kernels import (KernelSpec, k1_series_batch, k2_series_batch,
-                      kernel_value, series_tail_bound, star_tail_bound)
+from .kernels import (KernelSpec, kernel_value, series_tail_bound,
+                      star_tail_bound)
 from .poly import KummerConvergenceError, hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
 from .quad import norm_sq_full
@@ -140,14 +140,10 @@ def cmd_eval(args, config: Config) -> int:
             terms = config.series_terms if method == "series" else config.star_terms
         spec = KernelSpec(kind=kind, level=args.level, method=method, terms=terms)
         p = parse_quaternion(args.p)
-        if method == "series":   # one ladder for every row
-            fn = k2_series_batch if kind == "second" else k1_series_batch
-            vals = [qarray.to_quaternion(v) for v in fn(args.level, p, batch, terms)]
-        else:                    # the star coefficients depend on q
-            vals = [kernel_value(spec, p, q) for q in pts]
-        for q, v in zip(pts, vals):
+        for q, v in zip(pts, kernel_value(spec, p, batch)):
             tail = _kernel_tail(kind, args.level, method, p, q, terms)
-            print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(v)},{method},{_fmt(tail)}")
+            print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(qarray.to_quaternion(v))},"
+                  f"{method},{_fmt(tail)}")
     return 0
 
 

@@ -5,7 +5,8 @@ frozen dataclass.  Defaults are chosen so every identity check passes at
 its stated tolerance; a JSON file (path argument or SPOLYREG_CONFIG
 environment variable) can override any subset of fields.  Every field is
 checked for type and range on construction: a bad value raises
-ValueError naming the field.
+ValueError naming the field.  Tolerance overrides are merged over
+DEFAULT_TOLERANCES.
 """
 from __future__ import annotations
 
@@ -87,6 +88,8 @@ class Config:
             if suite not in DEFAULT_TOLERANCES:
                 raise ValueError(f"config field 'tolerances' names unknown suite {suite!r}")
             _check_real(f"tolerances.{suite}", tol, positive=False)
+        # suites the overrides leave out keep their default tolerance
+        object.__setattr__(self, "tolerances", {**DEFAULT_TOLERANCES, **self.tolerances})
 
     def tolerance(self, suite: str) -> float:
         return float(self.tolerances.get(suite, 1e-9))
@@ -110,10 +113,4 @@ def load_config(path: str | None = None) -> Config:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "tolerances" in raw:
-        if not isinstance(raw["tolerances"], dict):
-            raise ValueError("config field 'tolerances' must be an object")
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(raw["tolerances"])
-        raw = dict(raw, tolerances=merged)
     return Config(**raw)

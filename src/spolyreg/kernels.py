@@ -194,12 +194,19 @@ def k1_star(n: int, p: Quaternion, q: Quaternion,
     return star_kernel_series("first", n, q, terms).eval_left(p)
 
 
-def kernel_value(spec: KernelSpec, p: Quaternion, q: Quaternion) -> Quaternion:
+def kernel_value(spec: KernelSpec, p: Quaternion, q):
+    """K(p, q) for one Quaternion q, or K(p, q_n) as an (N, 4) array for an
+    (N, 4) batch of q: one ladder on the series path, one star series per
+    q on the star path (its coefficients depend on q)."""
+    if isinstance(q, Quaternion):
+        return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "series":
-        fn = k2_series if spec.kind == "second" else k1_series
-    else:
-        fn = k2_star if spec.kind == "second" else k1_star
-    return fn(spec.level, p, q, spec.terms)
+        fn = k2_series_batch if spec.kind == "second" else k1_series_batch
+        return fn(spec.level, p, q, spec.terms)
+    fn = k2_star if spec.kind == "second" else k1_star
+    vals = [qarray.from_quaternion(fn(spec.level, p, qarray.to_quaternion(row), spec.terms))
+            for row in q]
+    return np.array(vals).reshape(-1, 4)
 
 
 # -- same-slice closed forms ---------------------------------------------
@@ -276,7 +283,7 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
     The rule's points q_n = Re z_n + I Im z_n share the unit I, so
     conj(A(q_n)) f = Re A f - Im A (I f) and c_j = Re(A_{j,k}(z) @ (wf + i wIf)),
     one row per ladder step.  The p side is one short ladder over the batch,
-    lifted like PolySliceSeries.eval_many."""
+    lifted onto each point's unit by qarray.lift."""
     ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
     fv = values_on(f, Q.points) * Q.weights[:, None]
     unit = qarray.from_quaternion(Q.unit)
@@ -284,8 +291,7 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
     c = np.array([(row[k] @ wf).real for row in _ladder(Q.z, k, terms)])
     zp, up = qarray.to_slice(ppts)
     a = np.array([row[k] for row in _ladder(zp, k, terms)]).T
-    out = a.real @ c + qarray.qmul(qarray.from_slice(1j, up), a.imag @ c)
-    return out / (math.pi * math.factorial(k))
+    return qarray.lift(a @ c, up) / (math.pi * math.factorial(k))
 
 
 def project(k: int, f, p: Quaternion, Q, terms: int = SERIES_TERMS) -> Quaternion:

@@ -20,6 +20,7 @@ __all__ = [
     "gram",
     "to_slice",
     "from_slice",
+    "lift",
 ]
 
 
@@ -92,3 +93,11 @@ def from_slice(z, unit) -> np.ndarray:
     out[..., 0] = z.real
     np.multiply(z.imag[..., None], unit, out=out[..., 1:])
     return out
+
+
+def lift(w, unit) -> np.ndarray:
+    """Re w + U Im w for a complex (..., 4) array w, the unit U (..., 3)
+    multiplying the quaternion Im w from the left: the value of a slice
+    function whose slice coordinate z has been carried into w."""
+    w = np.asarray(w)
+    return w.real + qmul(from_slice(1j, unit), w.imag)

@@ -172,20 +172,14 @@ def norm_sq_slice(f, Q: SliceQuadrature) -> float:
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
     """Pairwise slice inner products, returned as an (m, m, 4) array.
 
-    A list of PolySliceSeries is evaluated from one coefficient stack and
-    one vander table.  With real coefficients every value is a complex
-    number of the slice of Q, and the Gram matrix is one complex GEMM
-    lifted by from_slice.  Other functions go through values_on."""
+    A list of PolySliceSeries is evaluated on the slice of the rule from
+    one coefficient stack and one vander table as real quaternions; other
+    functions go through values_on."""
     for f in funcs:
         _check_slice_degree(f, f, Q.n)
-    unit = qarray.from_quaternion(Q.unit)
     if all(isinstance(f, PolySliceSeries) for f in funcs):
-        c = coeff_stack(funcs)
-        if not c[..., 1:].any():      # real coefficients
-            v = slice_values(c[..., 0], Q.z)
-            return qarray.from_slice((np.conj(v).T * Q.weights) @ v, unit[1:])
-        w = slice_values(c, Q.z).transpose(1, 0, 2)
-        vals = w.real + qarray.qmul(unit, w.imag)
+        unit = qarray.from_quaternion(Q.unit)[1:]
+        vals = slice_values(coeff_stack(funcs), Q.z, unit).transpose(1, 0, 2)
     else:
         vals = np.stack([values_on(f, Q.points) for f in funcs])
     return qarray.gram(vals, vals, Q.weights)

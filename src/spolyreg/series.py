@@ -34,7 +34,6 @@ __all__ = [
     "hermite_series",
     "coeff_stack",
     "slice_values",
-    "eval_stack",
     "hermite_op",
     "extract_components",
     "to_hermite_basis",
@@ -320,8 +319,10 @@ class PolySliceSeries:
         return total
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Values on an (N, 4) batch; see eval_stack."""
-        return eval_stack([self], pts)[0]
+        """Values on an (N, 4) batch: slice_values at each point's own slice
+        coordinate z = x + i|Im q|, lifted onto its unit U by qarray.lift."""
+        z, unit = qarray.to_slice(pts)
+        return qarray.lift(slice_values(coeff_stack([self]), z)[:, 0], unit)
 
     # -- serialization ---------------------------------------------------
 
@@ -372,28 +373,29 @@ def coeff_stack(funcs) -> np.ndarray:
     return c
 
 
-def slice_values(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def slice_values(c: np.ndarray, z: np.ndarray, unit: np.ndarray | None = None) -> np.ndarray:
     """sum_{k,j} zbar^k z^j c[k, j] at the complex slice coordinates z (N,)
     for a coefficient tensor c of shape (level+1, degree+1, ...), from one
     vander table; shape (N, ...), complex.
 
     qbar^k q^j at q = Re z + U Im z is the complex number zbar^k z^j carried
     onto the slice of U.  For c = coeff_stack(funcs) the value of f_a at
-    q_n is Re W + U Im W with W = slice_values(c, z)[n, a] and U multiplying
-    the quaternion Im W from the left.  Real coefficients c[..., 0] give one
-    complex number of the slice per value."""
+    q_n is qarray.lift(W, U) with W = slice_values(c, z)[n, a].
+
+    Given the (3,) unit U of one common slice, the values at q = Re z + U Im z
+    come back as real (N, ..., 4) quaternions instead: with w = zbar^k z^j,
+    f(q) = sum Re(w) c_kj + Im(w) U c_kj, one real contraction of the
+    (Re w, Im w) pairs of the table against the pairs (c_kj, U c_kj), with
+    no complex (N, ..., 4) intermediate.  These values are laid out with N
+    last in memory, so each component of each function is one contiguous
+    row for the matrix products of qarray.gram."""
     m = (np.vander(np.conj(z), c.shape[0], increasing=True)[:, :, None]
          * np.vander(z, c.shape[1], increasing=True)[:, None, :])
-    return np.tensordot(m, c, axes=2)
-
-
-def eval_stack(funcs, pts: np.ndarray) -> np.ndarray:
-    """Values of the PolySliceSeries f_0..f_{m-1} on an (N, 4) batch,
-    shape (m, N, 4): slice_values at each point's own slice coordinate
-    z = x + i|Im q| and unit U, lifted as Re W + U Im W by one qmul."""
-    z, unit = qarray.to_slice(pts)
-    w = slice_values(coeff_stack(funcs), z).transpose(1, 0, 2)
-    return w.real + qarray.qmul(qarray.from_slice(1j, unit), w.imag)
+    if unit is None:
+        return np.tensordot(m, c, axes=2)
+    pairs = np.stack([c, qarray.qmul(qarray.from_slice(1j, unit), c)], axis=2)
+    pairs = pairs.reshape(c.shape[0], 2 * c.shape[1], *c.shape[2:])
+    return np.moveaxis(np.tensordot(pairs, m.view(float), axes=([0, 1], [1, 2])), -1, 0)
 
 
 class RightPolySeries:

@@ -75,24 +75,30 @@ def _batch(qs) -> np.ndarray:
 
 def verify_orthogonality(config: Config | None = None,
                          index_max: int = 8) -> VerificationReport:
-    """Normalised slice Gram matrix of {H_{j,k} : j,k <= index_max} vs
-    the identity on 10 random slices; residual is the worst entry."""
+    """Normalised slice Gram matrix of {H_{j,k} a_{j,k} : j,k <= index_max}
+    vs the identity on 10 random slices, with fresh random unit quaternions
+    a_{j,k} on the right for every slice: <H a, H' a'> = conj(a) <H, H'> a',
+    so each slice pairs its own quaternion values.  Residual is the worst
+    entry."""
     config = _cfg(config)
     t0 = time.perf_counter()
     n_slices = 10
     rep = VerificationReport("orthogonality", config.tolerance("orthogonality"),
                              {"index_max": index_max, "slices": n_slices,
+                              "right_factors": "random unit quaternion per H_{j,k} and slice",
                               "nodes": config.slice_nodes, "seed": config.seed})
     idx = [(j, k) for j in range(index_max + 1) for k in range(index_max + 1)]
     basis = [hermite_series(j, k) for j, k in idx]
     scale = np.array([math.sqrt(math.pi * math.factorial(j) * math.factorial(k))
                       for j, k in idx])
     rng = _rng(config, 1)
+    units = [random_unit(rng) for _ in range(n_slices)]
     eye = np.eye(len(idx))
-    for _ in range(n_slices):
-        unit = random_unit(rng)
+    for unit in units:
         Q = SliceQuadrature(config.slice_nodes, unit)
-        G = gram_slice(basis, Q) / (scale[:, None, None] * scale[None, :, None])
+        right = [random_quaternion(rng) for _ in idx]
+        funcs = [h.rmul(a * (1.0 / abs(a))) for h, a in zip(basis, right)]
+        G = gram_slice(funcs, Q) / (scale[:, None, None] * scale[None, :, None])
         dev = np.sqrt(np.maximum(
             np.sum(G * G, axis=2) - 2.0 * eye * G[:, :, 0] + eye, 0.0))
         worst = int(np.argmax(dev))

@@ -255,6 +255,15 @@ def test_config_rejects_unknown_keys(tmp_path):
         assert r.stdout == ""
 
 
+def test_config_tolerance_overrides_keep_defaults():
+    from spolyreg.config import DEFAULT_TOLERANCES, Config
+    cfg = Config(tolerances={"norms": 1e-3})
+    assert cfg.tolerance("norms") == 1e-3
+    for suite, tol in DEFAULT_TOLERANCES.items():
+        if suite != "norms":
+            assert cfg.tolerance(suite) == tol
+
+
 def test_eval_kernel_series_rows_match_single_points(tmp_path, capsys):
     from spolyreg.cli import main
     qs = ["0.5+0.3i-0.2j", "-0.7+0.1k", "1.1", "0.2-0.4i+0.6j+0.3k"]

@@ -207,6 +207,23 @@ def test_kernel_value_dispatch():
     assert kernel_value(KernelSpec("first", 2, "star"), p, q) == k1_star(2, p, q)
 
 
+def test_kernel_value_batch_matches_points():
+    p = quat(0.4, -0.6, 0.0, 0.2)
+    qs = [quat(0.5, 0.3, -0.2, 0.0), quat(-0.7, 0.0, 0.0, 0.1), quat(1.1),
+          quat(0.2, -0.4, 0.6, 0.3), p]
+    batch = np.array([q.as_tuple() for q in qs])
+    refs = {("first", "series"): k1_series, ("second", "series"): k2_series,
+            ("first", "star"): k1_star, ("second", "star"): k2_star}
+    for (kind, method), fn in refs.items():
+        spec = KernelSpec(kind, 2, method)
+        got = kernel_value(spec, p, batch)
+        assert got.shape == (len(qs), 4)
+        for q, v in zip(qs, got):
+            ref = fn(2, p, q)
+            assert np.max(np.abs(v - ref.as_tuple())) <= 1e-14 * max(1.0, abs(ref))
+    assert kernel_value(KernelSpec(), p, np.zeros((0, 4))).shape == (0, 4)
+
+
 def test_project_reproduces_level_member():
     Q = SliceQuadrature(40)
     f = hermite_series(2, 1)

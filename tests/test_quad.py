@@ -181,12 +181,13 @@ def test_from_slice_broadcasts():
 
 
 def test_gram_slice_matches_pairwise_inner_slice():
-    # real coefficients take the complex GEMM, quaternion ones qarray.gram
+    # stacked series evaluation, and the values_on path for other callables
     unit = quat(0.0, 0.36, -0.48, 0.8)
     Q = SliceQuadrature(12, unit)
     real = [hermite_series(j, k) for j in range(3) for k in range(3)]
     mixed = real[:4] + [(real[1] + real[5]).rmul(quat(0.2, 0.5, -1.0, 0.3))]
-    for funcs in (real, mixed):
+    plain = mixed[:3] + [lambda q: q * quat(0.1, -0.3, 0.0, 0.7) * q.conj()]
+    for funcs in (real, mixed, plain):
         G = gram_slice(funcs, Q)
         for a, f in enumerate(funcs):
             for b, g in enumerate(funcs):

@@ -196,8 +196,10 @@ def test_eval_many_matches_scalar_eval(level, degree):
     assert np.array_equal(PolySliceSeries().eval_many(pts), np.zeros(pts.shape))
 
 
-def test_eval_stack_matches_hermite_references():
-    from spolyreg.series import eval_stack
+def test_stacked_values_match_hermite_references():
+    # one coefficient stack and one vander table, lifted by qarray.lift or
+    # contracted on one common slice
+    from spolyreg.series import coeff_stack, slice_values
     rng = np.random.default_rng(8)
     dirs = np.vstack([np.eye(3)[[0, 2]], rng.standard_normal((2, 3))])
     z = rng.uniform(-1.2, 1.2, size=(4, 5)) + 1j * rng.uniform(-1.2, 1.2, size=(4, 5))
@@ -206,14 +208,22 @@ def test_eval_stack_matches_hermite_references():
     idx = [(j, k) for j in range(9) for k in range(9)]
     coeff = quat(0.3, -0.7, 0.4, 0.9)
     funcs = [hermite_series(j, k) for j, k in idx]
-    got = eval_stack(funcs + [f.rmul(coeff) for f in funcs[1::10]], pts)
-    assert got.shape == (len(idx) + len(funcs[1::10]), len(pts), 4)
+    zs, units = qarray.to_slice(pts)
+    stack = funcs + [f.rmul(coeff) for f in funcs[1::10]]
+    got = qarray.lift(slice_values(coeff_stack(stack), zs), units[:, None]).transpose(1, 0, 2)
+    assert got.shape == (len(stack), len(pts), 4)
+    # on one common slice the same values come straight from the pairs (c, U c)
+    for i, d in enumerate(dirs):
+        on_slice = slice_values(coeff_stack(stack), z[i], d / np.linalg.norm(d))
+        assert np.max(np.abs(on_slice.transpose(1, 0, 2) - got[:, 5 * i:5 * i + 5])) < 1e-12 * max(
+            1.0, np.max(np.abs(got)))
     for a, (j, k) in enumerate(idx):
         for p, v in zip(pts, got[a]):
             q = qarray.to_quaternion(p)
             for ref in (hermite_quat(j, k, q), funcs[a].eval(q)):
                 assert np.max(np.abs(v - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
-    # general quaternion coefficients stacked with real ones
+    # general quaternion coefficients stacked with real ones, and eval_many
     for f, vals in zip(funcs[1::10], got[len(idx):]):
         ref = _scalar_values(f.rmul(coeff), pts)
         assert np.max(np.abs(vals - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(f.rmul(coeff).eval_many(pts) - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
