@@ -8,24 +8,26 @@ Run:  python3 demos/bargmann_transform.py
 """
 import math
 
+import numpy as np
+
 from spolyreg import (
     HermiteLine,
     b2_norm_closed,
     basis_image_scale,
     hermite_quat,
     quat,
-    transform,
+    transform_batch,
 )
 
-v = transform(0, HermiteLine(0), quat(0))
-print(f"Ground state at the origin: {v.w:.15f}  (pi^-1/4 = {math.pi ** -0.25:.15f})\n")
+v = transform_batch(0, HermiteLine(0), np.zeros((1, 4)))[0]
+print(f"Ground state at the origin: {v[0]:.15f}  (pi^-1/4 = {math.pi ** -0.25:.15f})\n")
 
 q = quat(0.4, -0.7, 0.3, 0.5)
 print("Basis mapping  B_2,k h_j = scale(j,k) H_{j,k}:")
 for j, k in ((1, 0), (2, 2), (3, 1)):
-    got = transform(k, HermiteLine(j), q)
+    got = transform_batch(k, HermiteLine(j), np.array([q.as_tuple()], dtype=float))[0]
     want = hermite_quat(j, k, q) * basis_image_scale(j, k)
-    print(f"  (j,k)=({j},{k})  transform {got.as_tuple()}")
+    print(f"  (j,k)=({j},{k})  transform {tuple(float(c) for c in got)}")
     print(f"           target    {want.as_tuple()}")
 
 print("\nCoherent state norms do not depend on the level:")

@@ -9,7 +9,7 @@ Run:  python3 demos/kernel_paths.py
 """
 import math
 
-from spolyreg import k2_closed_slice, k2_series, k2_star, quat
+from spolyreg import KernelSpec, closed_slice, kernel_value, quat
 
 p = quat(0.4, 0.3, -0.7, 0.2)
 q = quat(-0.1, 0.8, 0.3, -0.5)
@@ -17,8 +17,8 @@ q = quat(-0.1, 0.8, 0.3, -0.5)
 print("Off-slice pair, both routes, levels 0..4:")
 print("  k   series path            star path              |difference|")
 for k in range(5):
-    a = k2_series(k, p, q)
-    b = k2_star(k, p, q)
+    a = kernel_value(KernelSpec("second", k, "series"), p, q)
+    b = kernel_value(KernelSpec("second", k, "star"), p, q)
     print(f"  {k}   {a.w:+.15f}   {b.w:+.15f}   {(a - b).norm():.2e}")
 
 print("\nOn a common slice the closed form joins in:")
@@ -26,12 +26,12 @@ u = quat(0, 0.6, 0.8, 0)
 ps = quat(0.9) + u * 0.4
 qs = quat(-0.3) + u * 1.1
 for k in range(3):
-    a = k2_series(k, ps, qs)
-    c = k2_closed_slice(k, ps, qs)
+    a = kernel_value(KernelSpec("second", k), ps, qs)
+    c = closed_slice("second", k, ps, qs)
     print(f"  k={k}: series {a.w:+.15f}  closed {c.w:+.15f}  diff {(a - c).norm():.2e}")
 
 print("\nDiagonal values are level independent:")
 ref = math.exp(float(q.norm_sq())) / math.pi
 for k in range(4):
-    v = k2_series(k, q, q)
+    v = kernel_value(KernelSpec("second", k), q, q)
     print(f"  K_2,{k}(q,q) = {v.w:.15f}   e^|q|^2 / pi = {ref:.15f}")

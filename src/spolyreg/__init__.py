@@ -11,16 +11,16 @@ Layout: `quat` quaternion arithmetic and text format; `poly` classical
 and quaternionic special functions; `series` slice and polyanalytic
 series with star products; `quad` Gauss rules on the line, a slice, and
 the sphere of imaginary units; `kernels` the two kernel construction
-paths; `bargmann` the transforms; `spectral` the slice operator and its
-eigenfunctions; `verify` the identity suites; `cli` the command line.
+paths behind `kernel_value(KernelSpec, p, q)`; `bargmann` the
+transforms; `spectral` the slice operator and its eigenfunctions;
+`verify` the identity suites; `cli` the command line.
 """
 
-from .bargmann import (HermiteLine, SampledLine, b1_kernel, b2_kernel,
-                       b2_norm_closed, basis_image_scale, transform)
+from .bargmann import (HermiteLine, SampledLine, b2_grid, b2_norm_closed,
+                       basis_image_scale, transform_batch)
 from .config import Config, load_config
-from .kernels import (KernelSpec, k1_closed_slice, k1_series, k1_star,
-                      k2_closed_slice, k2_series, k2_star, kernel_value,
-                      project)
+from .kernels import (KernelSpec, closed_slice, kernel_tail, kernel_value,
+                      project_batch)
 from .poly import (KummerConvergenceError, TruncationPolicy, hermite_H,
                    hermite_fn, hermite_quat, kummer_M, laguerre, pochhammer)
 from .quad import (QuadratureDegreeError, Rule1D, SliceQuadrature, SphereRule,
@@ -53,9 +53,8 @@ __all__ = [
     "Rule1D", "SliceQuadrature", "SphereRule", "QuadratureDegreeError",
     "gauss_hermite", "gauss_legendre", "sphere_rule", "inner_slice",
     "inner_real", "inner_full", "norm_sq_slice", "norm_sq_full", "gram_slice",
-    "KernelSpec", "kernel_value", "k2_series", "k1_series", "k2_star",
-    "k1_star", "k2_closed_slice", "k1_closed_slice", "project",
-    "HermiteLine", "SampledLine", "b2_kernel", "b1_kernel", "transform",
+    "KernelSpec", "kernel_value", "kernel_tail", "closed_slice", "project_batch",
+    "HermiteLine", "SampledLine", "b2_grid", "transform_batch",
     "basis_image_scale", "b2_norm_closed",
     "SpectralConfig", "box_symbolic", "box_fd", "psi", "psi_norm_sq",
     "EigenExpansion", "expand_eigen", "ProbeResult", "spectrum_probe",

@@ -35,12 +35,11 @@ import sys
 import numpy as np
 
 from . import qarray
-from .bargmann import (IMAG_LIMIT, HermiteLine, SampledLine, b1_kernel,
-                       b2_kernel, transform_batch)
+from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid,
+                       transform_batch)
 from .config import Config, load_config
-from .kernels import (KernelSpec, kernel_value, series_tail_bound,
-                      star_tail_bound)
-from .poly import KummerConvergenceError, hermite_quat, laguerre
+from .kernels import KernelSpec, kernel_tail, kernel_value
+from .poly import DEGREE_CAP, KummerConvergenceError, hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
 from .quad import norm_sq_full
 from .quat import Quaternion, parse_quaternion, quat
@@ -49,8 +48,6 @@ from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
 from .verify import SUITE_ORDER, run_all, run_suite
 
 __all__ = ["main", "build_parser"]
-
-_SLICE_UNITS = {"i": quat(0, 1, 0, 0), "j": quat(0, 0, 1, 0), "k": quat(0, 0, 0, 1)}
 
 
 def _fmt(x) -> str:
@@ -112,38 +109,34 @@ def _target_points(args) -> np.ndarray:
 # -- eval ----------------------------------------------------------------
 
 
-def _kernel_tail(kind: str, level: int, method: str, p, q, terms: int) -> float:
-    bound = series_tail_bound if method == "series" else star_tail_bound
-    levels = range(level + 1) if kind == "first" else (level,)
-    return sum(bound(kappa, p, q, terms) for kappa in levels)
-
-
 def cmd_eval(args, config: Config) -> int:
     batch = _target_points(args)
     pts = [qarray.to_quaternion(row) for row in batch]
     if args.target == "hermite-q":
         for q in pts:
-            print(_quad_row(quat(hermite_quat(args.m, args.n, q, config.degree_cap))))
+            print(_quad_row(quat(hermite_quat(args.m, args.n, q))))
     elif args.target == "psi":
         mu = parse_quaternion(args.mu)
         for q in pts:
             print(_quad_row(quat(psi(mu, args.j, q))))
     elif args.target == "bargmann-kernel":
-        fn = b2_kernel if args.kind == 2 else b1_kernel
-        for q in pts:
-            print(_quad_row(quat(fn(args.level, args.t, q))))
+        # B_{1,n} is the sum of the level kernels through n, added in level order
+        levels = range(args.level + 1) if args.kind == 1 else (args.level,)
+        total = 0.0
+        for k in levels:
+            total = total + b2_grid(k, [args.t], batch)[:, 0]
+        for v in total:
+            print(_quad_row(qarray.to_quaternion(v)))
     else:  # kernel
-        kind = "second" if args.kind == 2 else "first"
-        method = args.method
         terms = args.terms
         if terms is None:
-            terms = config.series_terms if method == "series" else config.star_terms
-        spec = KernelSpec(kind=kind, level=args.level, method=method, terms=terms)
+            terms = config.series_terms if args.method == "series" else config.star_terms
+        spec = KernelSpec(kind="second" if args.kind == 2 else "first", level=args.level,
+                          method=args.method, terms=terms)
         p = parse_quaternion(args.p)
         for q, v in zip(pts, kernel_value(spec, p, batch)):
-            tail = _kernel_tail(kind, args.level, method, p, q, terms)
             print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(qarray.to_quaternion(v))},"
-                  f"{method},{_fmt(tail)}")
+                  f"{spec.method},{_fmt(kernel_tail(spec, p, q))}")
     return 0
 
 
@@ -204,17 +197,18 @@ def cmd_transform(args, config: Config) -> int:
         except ValueError:
             raise ValueError(
                 f"bad basis spec {args.phi!r}; expected h:<j> with integer j") from None
-        if j < 0 or j > config.degree_cap:
-            raise ValueError(f"basis index {j} outside [0, {config.degree_cap}]")
+        if j < 0 or j > DEGREE_CAP:
+            raise ValueError(f"basis index {j} outside [0, {DEGREE_CAP}]")
         phi = HermiteLine(j)
     else:
         samples = _read_csv(args.phi, "t,value")
         phi = SampledLine(samples[:, 0], samples[:, 1])
     pts = _target_points(args)
-    imag = qarray.to_slice(pts)[0].imag
-    if np.any(imag > IMAG_LIMIT):
-        raise ValueError(f"target point with |Im q| = {imag.max():.6g} beyond {IMAG_LIMIT}, "
-                         "where the line quadrature loses accuracy")
+    z = qarray.to_slice(pts)[0]
+    for part, size, limit in (("Re", np.abs(z.real), REAL_LIMIT), ("Im", z.imag, IMAG_LIMIT)):
+        if np.any(size > limit):
+            raise ValueError(f"target point with |{part} q| = {size.max():.6g} beyond {limit}, "
+                             "where the line quadrature loses accuracy")
     for q, v in zip(pts, transform_batch(args.level, phi, pts, rule)):
         print(",".join(_fmt(c) for c in (*q, *v)))
     return 0
@@ -233,7 +227,7 @@ def cmd_table(args, config: Config) -> int:
             print(f"{args.n},{j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":
-        Q = SliceQuadrature(config.slice_nodes, _SLICE_UNITS[config.default_slice])
+        Q = SliceQuadrature(config.slice_nodes)
         idx = [(m, n) for m in range(args.max + 1) for n in range(args.max + 1)]
         # all rows before the header: the degree guard may refuse a large --max
         nums = [norm_sq_slice(hermite_series(m, n), Q) for m, n in idx]
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eb = se.add_parser("bargmann-kernel", parents=[common])
     eb.add_argument("--kind", type=int, choices=(1, 2), default=2)
-    eb.add_argument("--level", type=int, required=True)
+    eb.add_argument("--level", type=_nonnegative_int, required=True)
     eb.add_argument("--t", type=_finite_float, required=True)
     eb.add_argument("--q", help="quaternion literal")
     eb.add_argument("--points", help="CSV file of w,x,y,z rows")

@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .bargmann import LINE_NODES_MIN
 from .quad import NODE_CAP
 from .series import EXP_STAR_CAP
 
@@ -37,15 +38,13 @@ DEFAULT_TOLERANCES = {
 
 # integer fields and their inclusive ranges (None: unbounded)
 _INT_RANGES = {
-    "line_nodes": (1, NODE_CAP),
+    "line_nodes": (LINE_NODES_MIN, NODE_CAP),
     "slice_nodes": (1, NODE_CAP),
     "sphere_order": (0, None),
     "series_terms": (0, None),
     "star_terms": (0, EXP_STAR_CAP),
-    "degree_cap": (0, None),
     "seed": (0, None),
 }
-_CHOICES = {"fd_order": (2, 4), "default_slice": ("i", "j", "k")}
 
 
 def _check_real(name: str, v, positive: bool) -> None:
@@ -63,10 +62,8 @@ class Config:
     sphere_order: int = 6       # exactness order of the unit-sphere rule
     series_terms: int = 200     # truncation of the kernel ladder series
     star_terms: int = 40        # truncation of the star-product kernel path
-    degree_cap: int = 30        # refuse classical polynomial degrees beyond this
     fd_step: float = 1e-3       # finite-difference step for the slice operator
     fd_order: int = 4           # central-stencil order (2 or 4)
-    default_slice: str = "i"    # imaginary unit used when one is not given
     seed: int = 20240 + 1       # base seed for randomised verification suites
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -77,10 +74,8 @@ class Config:
                 raise ValueError(f"config field {name!r} must be an integer, got {v!r}")
             if v < lo or (hi is not None and v > hi):
                 raise ValueError(f"config field {name!r} = {v} outside {lo}..{hi or ''}")
-        for name, choices in _CHOICES.items():
-            v = getattr(self, name)
-            if type(v) is not type(choices[0]) or v not in choices:
-                raise ValueError(f"config field {name!r} must be one of {choices}, got {v!r}")
+        if type(self.fd_order) is not int or self.fd_order not in (2, 4):
+            raise ValueError(f"config field 'fd_order' must be one of (2, 4), got {self.fd_order!r}")
         _check_real("fd_step", self.fd_step, positive=True)
         if not isinstance(self.tolerances, dict):
             raise ValueError("config field 'tolerances' must be an object")

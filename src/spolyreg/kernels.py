@@ -20,6 +20,9 @@ Two independent computational paths:
 The level-n kernel of the first kind K_{1,n} is the sum of the first
 n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
 polynomial (the Laguerre summation identity).
+
+A KernelSpec names the kind, level, method and truncation; kernel_value
+evaluates it and kernel_tail estimates its truncation error.
 """
 from __future__ import annotations
 
@@ -36,20 +39,13 @@ from .series import PolySliceSeries, exp_star, laguerre_star
 
 __all__ = [
     "KernelSpec",
-    "k2_series",
-    "k1_series",
-    "k2_series_batch",
-    "k1_series_batch",
     "k2_series_levels",
     "star_kernel_series",
-    "k2_star",
-    "k1_star",
     "kernel_value",
-    "k2_closed_slice",
-    "k1_closed_slice",
+    "kernel_tail",
+    "closed_slice",
     "series_tail_bound",
     "star_tail_bound",
-    "project",
     "project_batch",
     "clear_star_cache",
 ]
@@ -58,6 +54,7 @@ SERIES_TERMS = 200
 STAR_TERMS = 40
 SERIES_TAIL_WINDOW = 120      # dropped terms summed by series_tail_bound
 STAR_TAIL_WINDOW = 60         # dropped rows summed by star_tail_bound
+_GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
 
 
 @dataclass(frozen=True)
@@ -129,30 +126,6 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     return out
 
 
-def k2_series_batch(k: int, p: Quaternion, qpts: np.ndarray,
-                    terms: int = SERIES_TERMS) -> np.ndarray:
-    """K_{2,k}(p, q_i) over an (N, 4) batch of q points."""
-    return k2_series_levels(k, qarray.from_quaternion(p), qpts, terms)[k]
-
-
-def k1_series_batch(n: int, p: Quaternion, qpts: np.ndarray,
-                    terms: int = SERIES_TERMS) -> np.ndarray:
-    return k2_series_levels(n, qarray.from_quaternion(p), qpts, terms).sum(axis=0)
-
-
-def k2_series(k: int, p: Quaternion, q: Quaternion,
-              terms: int = SERIES_TERMS) -> Quaternion:
-    """Second-kind kernel at a point pair, series path."""
-    out = k2_series_batch(k, p, qarray.from_quaternion(q)[None, :], terms)
-    return qarray.to_quaternion(out[0])
-
-
-def k1_series(n: int, p: Quaternion, q: Quaternion,
-              terms: int = SERIES_TERMS) -> Quaternion:
-    out = k1_series_batch(n, p, qarray.from_quaternion(q)[None, :], terms)
-    return qarray.to_quaternion(out[0])
-
-
 # -- star path -----------------------------------------------------------
 
 _STAR_CACHE: dict = {}
@@ -171,8 +144,7 @@ def star_kernel_series(kind: str, level: int, q: Quaternion,
     key = (kind, level, q.as_tuple(), terms)
     out = _STAR_CACHE.pop(key, None)
     if out is None:
-        gamma = 1 if kind == "first" else 0
-        out = exp_star(q, terms).star(laguerre_star(level, gamma, q)).scale(1.0 / math.pi)
+        out = exp_star(q, terms).star(laguerre_star(level, _GAMMA[kind], q)).scale(1.0 / math.pi)
         if len(_STAR_CACHE) >= _STAR_CACHE_MAX:
             del _STAR_CACHE[next(iter(_STAR_CACHE))]
     _STAR_CACHE[key] = out
@@ -183,29 +155,18 @@ def clear_star_cache() -> None:
     _STAR_CACHE.clear()
 
 
-def k2_star(k: int, p: Quaternion, q: Quaternion,
-            terms: int = STAR_TERMS) -> Quaternion:
-    """Second-kind kernel, star path."""
-    return star_kernel_series("second", k, q, terms).eval_left(p)
-
-
-def k1_star(n: int, p: Quaternion, q: Quaternion,
-            terms: int = STAR_TERMS) -> Quaternion:
-    return star_kernel_series("first", n, q, terms).eval_left(p)
-
-
 def kernel_value(spec: KernelSpec, p: Quaternion, q):
     """K(p, q) for one Quaternion q, or K(p, q_n) as an (N, 4) array for an
-    (N, 4) batch of q: one ladder on the series path, one star series per
-    q on the star path (its coefficients depend on q)."""
+    (N, 4) batch of q: one ladder on the series path (K_2 is its row at the
+    level, K_1 the sum of its rows), one star series per q on the star path
+    (its coefficients depend on q)."""
     if isinstance(q, Quaternion):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "series":
-        fn = k2_series_batch if spec.kind == "second" else k1_series_batch
-        return fn(spec.level, p, q, spec.terms)
-    fn = k2_star if spec.kind == "second" else k1_star
-    vals = [qarray.from_quaternion(fn(spec.level, p, qarray.to_quaternion(row), spec.terms))
-            for row in q]
+        k2 = k2_series_levels(spec.level, qarray.from_quaternion(p), q, spec.terms)
+        return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
+    vals = [qarray.from_quaternion(star_kernel_series(
+        spec.kind, spec.level, qarray.to_quaternion(row), spec.terms).eval_left(p)) for row in q]
     return np.array(vals).reshape(-1, 4)
 
 
@@ -220,18 +181,12 @@ def _common_slice_check(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> Non
         raise ValueError("closed form needs p and q in a common slice")
 
 
-def k2_closed_slice(k: int, p: Quaternion, q: Quaternion) -> Quaternion:
-    """(1/pi) e^(pbar q) L_k(|p-q|^2) for p, q in a common slice."""
+def closed_slice(kind: str, level: int, p: Quaternion, q: Quaternion) -> Quaternion:
+    """(1/pi) e^(pbar q) L_level^(gamma)(|p-q|^2) for p, q in a common slice,
+    with gamma = 0 for the second kind and 1 for the first."""
     _common_slice_check(p, q)
     d2 = float((p - q).norm_sq())
-    return qexp(p.conj() * q) * (laguerre(k, 0, d2) / math.pi)
-
-
-def k1_closed_slice(n: int, p: Quaternion, q: Quaternion) -> Quaternion:
-    """(1/pi) e^(pbar q) L_n^(1)(|p-q|^2) for p, q in a common slice."""
-    _common_slice_check(p, q)
-    d2 = float((p - q).norm_sq())
-    return qexp(p.conj() * q) * (laguerre(n, 1, d2) / math.pi)
+    return qexp(p.conj() * q) * (laguerre(level, _GAMMA[kind], d2) / math.pi)
 
 
 # -- truncation diagnostics ----------------------------------------------
@@ -272,6 +227,14 @@ def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
     return tail * lag_bound / math.pi
 
 
+def kernel_tail(spec: KernelSpec, p: Quaternion, q: Quaternion) -> float:
+    """Truncation estimate of kernel_value(spec, p, q): the method's tail
+    bound summed over the levels that the kernel's kind adds up."""
+    bound = series_tail_bound if spec.method == "series" else star_tail_bound
+    levels = range(spec.level + 1) if spec.kind == "first" else (spec.level,)
+    return sum(bound(kappa, p, q, spec.terms) for kappa in levels)
+
+
 # -- projection ----------------------------------------------------------
 
 
@@ -292,9 +255,3 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
     zp, up = qarray.to_slice(ppts)
     a = np.array([row[k] for row in _ladder(zp, k, terms)]).T
     return qarray.lift(a @ c, up) / (math.pi * math.factorial(k))
-
-
-def project(k: int, f, p: Quaternion, Q, terms: int = SERIES_TERMS) -> Quaternion:
-    """Orthogonal projection onto the level-k space, evaluated at p:
-    P_k f(p) = <K_{2,k}(p, .), f>_{C_I} by slice quadrature."""
-    return qarray.to_quaternion(project_batch(k, f, qarray.from_quaternion(p), Q, terms)[0])

@@ -34,20 +34,20 @@ __all__ = [
 DEGREE_CAP = 30
 
 
-def _check_degree(n: int, cap: int) -> None:
+def _check_degree(n: int) -> None:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if n > cap:
-        raise ValueError(f"degree {n} exceeds cap {cap}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
 
 
-def hermite_H(j: int, t, degree_cap: int = DEGREE_CAP):
+def hermite_H(j: int, t):
     """Physicists' Hermite polynomial H_j(t).
 
     Recurrence H_{j+1} = 2 t H_j - 2 j H_{j-1}.  Accepts scalars
     (exact for Fraction t) or ndarrays.
     """
-    _check_degree(j, degree_cap)
+    _check_degree(j)
     one = np.ones_like(t, dtype=float) if isinstance(t, np.ndarray) else t * 0 + 1
     prev, cur = None, one
     for m in range(j):
@@ -55,21 +55,21 @@ def hermite_H(j: int, t, degree_cap: int = DEGREE_CAP):
     return cur
 
 
-def hermite_fn(j: int, t, degree_cap: int = DEGREE_CAP):
+def hermite_fn(j: int, t):
     """Hermite function h_j(t) = e^(-t^2/2) H_j(t); L2 norm sqrt(2^j j! sqrt(pi))."""
-    H = hermite_H(j, t, degree_cap)
+    H = hermite_H(j, t)
     if isinstance(t, np.ndarray):
         return np.exp(-t * t / 2.0) * H
     return math.exp(-float(t) * float(t) / 2.0) * float(H)
 
 
-def laguerre(n: int, gamma, x, degree_cap: int = DEGREE_CAP):
+def laguerre(n: int, gamma, x):
     """Generalized Laguerre polynomial L_n^(gamma)(x), gamma > -1.
 
     Recurrence (n+1) L_{n+1} = (2n+1+gamma-x) L_n - (n+gamma) L_{n-1};
     exact for Fraction inputs.
     """
-    _check_degree(n, degree_cap)
+    _check_degree(n)
     if float(gamma) <= -1:
         raise ValueError("laguerre weight parameter must be > -1")
     one = np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else x * 0 + 1
@@ -181,15 +181,15 @@ def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
             return total
 
 
-def hermite_quat(m: int, n: int, q: Quaternion, degree_cap: int = DEGREE_CAP) -> Quaternion:
+def hermite_quat(m: int, n: int, q: Quaternion) -> Quaternion:
     """Quaternionic Hermite polynomial H_{m,n}(q, qbar).
 
     Closed sum with integer coefficients; exact for Fraction-component q.
     Satisfies conj(H_{m,n}) = H_{n,m} and the recurrence
     H_{m+1,n} = q H_{m,n} - n H_{m,n-1}.
     """
-    _check_degree(m, degree_cap)
-    _check_degree(n, degree_cap)
+    _check_degree(m)
+    _check_degree(n)
     if not isinstance(q, Quaternion):
         q = quat(q)
     qc = q.conj()

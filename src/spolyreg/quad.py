@@ -14,10 +14,12 @@ full pairing is the sphere integral of slice pairings; constants get
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 
 from . import qarray
 from .quat import I as UNIT_I
@@ -63,18 +65,25 @@ class Rule1D:
         return self.weights * np.exp(self.nodes ** 2)
 
 
-def gauss_hermite(n: int) -> Rule1D:
-    """Gauss-Hermite rule: exact for e^(-t^2) * (poly of degree <= 2n-1)."""
+@lru_cache(maxsize=None)
+def _base_rule(gauss, n: int):
+    """Nodes and weights of numpy's n-point rule, built once per (rule, n)
+    and read-only, because every caller shares them."""
     if not 1 <= n <= NODE_CAP:
         raise ValueError(f"node count {n} outside 1..{NODE_CAP}")
-    x, w = roots_hermite(n)
-    return Rule1D(x, w)
+    x, w = gauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_hermite(n: int) -> Rule1D:
+    """Gauss-Hermite rule: exact for e^(-t^2) * (poly of degree <= 2n-1)."""
+    return Rule1D(*_base_rule(hermgauss, n))
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
-    if not 1 <= n <= NODE_CAP:
-        raise ValueError(f"node count {n} outside 1..{NODE_CAP}")
-    x, w = roots_legendre(n)
+    x, w = _base_rule(leggauss, n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return Rule1D(mid + half * x, half * w)
 

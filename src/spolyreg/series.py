@@ -486,11 +486,11 @@ def poly_monomial(k: int, j: int, c=1) -> PolySliceSeries:
 # -- quaternionic Hermite basis ------------------------------------------
 
 
-def hermite_series(m: int, n: int, degree_cap: int = DEGREE_CAP) -> PolySliceSeries:
+def hermite_series(m: int, n: int) -> PolySliceSeries:
     """H_{m,n} as an exact PolySliceSeries: integer coefficient
     (-1)^s C(m,s) C(n,s) s! at qbar^(n-s) q^(m-s)."""
-    if not (0 <= m <= degree_cap and 0 <= n <= degree_cap):
-        raise ValueError(f"hermite indices ({m},{n}) exceed cap {degree_cap}")
+    if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
+        raise ValueError(f"hermite indices ({m},{n}) exceed cap {DEGREE_CAP}")
     rows = [[0] * (m + 1) for _ in range(n + 1)]
     for s in range(min(m, n) + 1):
         rows[n - s][m - s] = ((-1) ** s * math.comb(m, s) * math.comb(n, s)
@@ -557,7 +557,7 @@ def from_hermite_basis(alpha) -> PolySliceSeries:
 # -- star-product building blocks ----------------------------------------
 
 
-def s_k_series(k: int, q: Quaternion, degree_cap: int = DEGREE_CAP) -> PolySliceSeries:
+def s_k_series(k: int, q: Quaternion) -> PolySliceSeries:
     """Star power S_k of the squared star distance to q, as a left-form
     series in the free variable p:
 
@@ -565,8 +565,8 @@ def s_k_series(k: int, q: Quaternion, degree_cap: int = DEGREE_CAP) -> PolySlice
 
     with h(p) = p - q.  Same-slice evaluation collapses to |p-q|^(2k).
     """
-    if not 0 <= k <= degree_cap:
-        raise ValueError(f"star distance power {k} exceeds cap {degree_cap}")
+    if not 0 <= k <= DEGREE_CAP:
+        raise ValueError(f"star distance power {k} exceeds cap {DEGREE_CAP}")
     q = _lift(q)
     h = SliceSeries([-q, 1])
     hk = h.star_pow(k)
@@ -593,21 +593,20 @@ def _laguerre_star_coeff(n: int, gamma, k: int):
     return (-1) ** k * num / den
 
 
-def laguerre_star(n: int, gamma, q: Quaternion,
-                  degree_cap: int = DEGREE_CAP) -> PolySliceSeries:
+def laguerre_star(n: int, gamma, q: Quaternion) -> PolySliceSeries:
     """Star Laguerre polynomial L*_n^(gamma) of the star distance to q:
 
         sum_k Gamma(gamma+n+1) / (Gamma(n-k+1) Gamma(gamma+k+1)) (-1)^k/k! S_k.
 
     Same-slice evaluation gives the scalar L_n^(gamma)(|p-q|^2).
     """
-    if not 0 <= n <= degree_cap:
-        raise ValueError(f"star Laguerre degree {n} exceeds cap {degree_cap}")
+    if not 0 <= n <= DEGREE_CAP:
+        raise ValueError(f"star Laguerre degree {n} exceeds cap {DEGREE_CAP}")
     if float(gamma) <= -1:
         raise ValueError("star Laguerre weight parameter must be > -1")
     out = PolySliceSeries()
     for k in range(n + 1):
-        out = out + s_k_series(k, q, degree_cap).scale(_laguerre_star_coeff(n, gamma, k))
+        out = out + s_k_series(k, q).scale(_laguerre_star_coeff(n, gamma, k))
     return out
 
 

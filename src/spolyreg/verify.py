@@ -23,8 +23,8 @@ from . import qarray
 from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
                        basis_image_scale, isometry_grams, transform_batch)
 from .config import Config
-from .kernels import (k1_closed_slice, k2_closed_slice, k2_series_levels,
-                      k2_star, project_batch)
+from .kernels import (KernelSpec, closed_slice, k2_series_levels, kernel_value,
+                      project_batch)
 from .poly import hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, gram_slice, norm_sq_full, sphere_rule
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
@@ -35,10 +35,6 @@ from .spectral import (Eigenfunction, SpectralConfig, box_fd, box_symbolic,
                        psi_norm_sq, spectrum_probe)
 
 __all__ = ["SUITES", "SUITE_ORDER", "run_suite", "run_all"]
-
-
-def _cfg(config: Config | None) -> Config:
-    return config if config is not None else Config()
 
 
 def _rng(config: Config, salt: int):
@@ -73,15 +69,13 @@ def _batch(qs) -> np.ndarray:
 # -- 1. orthogonality ----------------------------------------------------
 
 
-def verify_orthogonality(config: Config | None = None,
+def verify_orthogonality(config: Config,
                          index_max: int = 8) -> VerificationReport:
     """Normalised slice Gram matrix of {H_{j,k} a_{j,k} : j,k <= index_max}
     vs the identity on 10 random slices, with fresh random unit quaternions
     a_{j,k} on the right for every slice: <H a, H' a'> = conj(a) <H, H'> a',
     so each slice pairs its own quaternion values.  Residual is the worst
     entry."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     n_slices = 10
     rep = VerificationReport("orthogonality", config.tolerance("orthogonality"),
                              {"index_max": index_max, "slices": n_slices,
@@ -105,20 +99,17 @@ def verify_orthogonality(config: Config | None = None,
         a, b = divmod(worst, len(idx))
         rep.add({"slice": unit, "pair": [idx[a], idx[b]]},
                 "identity matrix", [float(c) for c in G[a, b]], float(dev[a, b]))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 2. eigenrelation ----------------------------------------------------
 
 
-def verify_eigen(config: Config | None = None, j_max: int = 10,
+def verify_eigen(config: Config, j_max: int = 10,
                  k_max: int = 5, fd_degree: int = 6) -> VerificationReport:
     """box H_{j,k} = k H_{j,k}: exact coefficients on the full grid, then
     finite differences at 50 random non-real points on polynomials of
     total degree <= fd_degree (what the stencil resolves below 1e-4)."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("eigen", config.tolerance("eigen"),
                              {"j_max": j_max, "k_max": k_max, "fd_points": 50,
                               "fd_degree": fd_degree, "fd_step": config.fd_step,
@@ -146,19 +137,16 @@ def verify_eigen(config: Config | None = None, j_max: int = 10,
         got = box_fd(H, q, scfg)
         want = H(q) * k
         rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, _qdiff(got, want))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 3 + 5. kernel dual path and diagonal --------------------------------
 
 
-def verify_kernel_dual(config: Config | None = None,
+def verify_kernel_dual(config: Config,
                        level_max: int = 4) -> VerificationReport:
     """Series vs star kernel on random pairs, the same-slice Laguerre
     closed form, and the exponential diagonal (relative residual)."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("kernel-dual", config.tolerance("kernel-dual"),
                              {"level_max": level_max, "pairs": 25, "radius": 1.5,
                               "series_terms": config.series_terms,
@@ -177,7 +165,7 @@ def verify_kernel_dual(config: Config | None = None,
     for n, (p, q) in enumerate(pairs):
         for k in levels:
             a = qarray.to_quaternion(k2[k, n])
-            b = k2_star(k, p, q, config.star_terms)
+            b = kernel_value(KernelSpec("second", k, "star", config.star_terms), p, q)
             rep.add({"p": p, "q": q, "k": k, "check": "dual"}, a, b, _qdiff(a, b))
     closed = []
     for _ in range(25):
@@ -188,10 +176,10 @@ def verify_kernel_dual(config: Config | None = None,
     k2, k1 = series_levels([c[0] for c in closed], [c[1] for c in closed])
     for n, (p, q, k) in enumerate(closed):
         a = qarray.to_quaternion(k2[k, n])
-        b = k2_closed_slice(k, p, q)
+        b = closed_slice("second", k, p, q)
         rep.add({"p": p, "q": q, "k": k, "check": "closed-2"}, b, a, _qdiff(a, b))
         a1 = qarray.to_quaternion(k1[k, n])
-        b1 = k1_closed_slice(k, p, q)
+        b1 = closed_slice("first", k, p, q)
         rep.add({"p": p, "q": q, "n": k, "check": "closed-1"}, b1, a1, _qdiff(a1, b1))
     diag = [_bounded(rng, 2.0) for _ in range(4)]
     k2, k1 = series_levels(diag, diag)
@@ -204,19 +192,16 @@ def verify_kernel_dual(config: Config | None = None,
             d1 = qarray.to_quaternion(k1[k, n])
             rep.add({"q": q, "n": k, "check": "diagonal-1"}, (k + 1) * base, d1,
                     _qdiff(d1, quat((k + 1) * base)) / ((k + 1) * base))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 4. reproducing property ---------------------------------------------
 
 
-def verify_reproduce(config: Config | None = None, level_max: int = 3,
+def verify_reproduce(config: Config, level_max: int = 3,
                      degree_max: int = 6) -> VerificationReport:
     """<K_{2,k}(p,.), f> recovers f(p) for random members of the
     degree-bounded Hermite span at each level k."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("reproduce", config.tolerance("reproduce"),
                              {"level_max": level_max, "degree_max": degree_max,
                               "points": 5 * (level_max + 1),
@@ -232,19 +217,16 @@ def verify_reproduce(config: Config | None = None, level_max: int = 3,
         for p, g in zip(ps, got):
             got_p, want = qarray.to_quaternion(g), f(p)
             rep.add({"k": k, "p": p}, want, got_p, _qdiff(got_p, want))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 6. Bargmann basis mapping -------------------------------------------
 
 
-def verify_transform_basis(config: Config | None = None, j_max: int = 6,
+def verify_transform_basis(config: Config, j_max: int = 6,
                            k_max: int = 6) -> VerificationReport:
     """B_{2,k} sends the Hermite function h_j to
     (1/pi)^(1/4) sqrt(2^j/k!) H_{j,k}; worst of 20 random q per (j,k)."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("transform-basis", config.tolerance("transform-basis"),
                              {"j_max": j_max, "k_max": k_max, "points": 20,
                               "line_nodes": config.line_nodes, "seed": config.seed})
@@ -261,20 +243,17 @@ def verify_transform_basis(config: Config | None = None, j_max: int = 6,
                  for g, q in zip(got, qs)), key=lambda rq: rq[0])
             rep.add({"j": j, "k": k, "worst_q": worst_q},
                     "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", worst)
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 7. isometry ---------------------------------------------------------
 
 
-def verify_isometry(config: Config | None = None, k_max: int = 6,
+def verify_isometry(config: Config, k_max: int = 6,
                     j_max: int = 6) -> VerificationReport:
     """Coherent-state line norms against e^(|q|^2/2)/sqrt(pi) (relative,
     part 'norm') and transformed-basis Gram against the line Gram
     (normalised, part 'gram')."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("isometry", config.tolerance("isometry"),
                              {"k_max": k_max, "j_max": j_max, "points": 20,
                               "line_nodes": config.line_nodes,
@@ -300,19 +279,16 @@ def verify_isometry(config: Config | None = None, k_max: int = 6,
         rep.add({"k": k, "pair": [a, b], "part": "gram"},
                 [float(c) for c in g_line[a, b]],
                 [float(c) for c in g_img[a, b]], float(dev[a, b]))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 8a. eigenfunction norms ---------------------------------------------
 
 
-def verify_norms(config: Config | None = None, n_max: int = 3,
+def verify_norms(config: Config, n_max: int = 3,
                  j_max: int = 4) -> VerificationReport:
     """Full-space quadrature norms of psi_{n,j} against
     4 pi^2 n!(j!)^2/(n+j)!  (relative residual)."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("norms", config.tolerance("norms"),
                              {"n_max": n_max, "j_max": j_max,
                               "nodes": config.slice_nodes,
@@ -323,18 +299,15 @@ def verify_norms(config: Config | None = None, n_max: int = 3,
             want = psi_norm_sq(n, j)
             got = norm_sq_full(Eigenfunction(n, j), config.slice_nodes, sphere)
             rep.add({"n": n, "j": j}, want, got, abs(got - want) / want)
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 8b. spectrum probe --------------------------------------------------
 
 
-def verify_spectrum(config: Config | None = None) -> VerificationReport:
+def verify_spectrum(config: Config) -> VerificationReport:
     """Radial mass probe: integer eigenvalue candidates must converge,
     non-integer ones must diverge; residual 0 when the flag matches."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("spectrum", config.tolerance("spectrum"),
                              {"integers": [0, 1, 2, 3],
                               "non_integers": [0.5, 1.5, 2.5, 3.141592653589793, 3.7]})
@@ -346,19 +319,16 @@ def verify_spectrum(config: Config | None = None) -> VerificationReport:
         pr = spectrum_probe(mu, 0)
         rep.add({"mu": mu, "j": 0}, False, pr.converged,
                 0.0 if not pr.converged else 1.0)
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
 # -- 9. level decomposition ----------------------------------------------
 
 
-def verify_decomposition(config: Config | None = None, level_max: int = 3,
+def verify_decomposition(config: Config, level_max: int = 3,
                          degree: int = 6) -> VerificationReport:
     """Sum of the kernel projections P_k, k <= m, applied through slice
     quadrature reassembles a random bidegree-(degree, m) polynomial."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("decomposition", config.tolerance("decomposition"),
                              {"degree": degree, "level_max": level_max,
                               "points": 5 * (level_max + 1),
@@ -375,7 +345,6 @@ def verify_decomposition(config: Config | None = None, level_max: int = 3,
         for p, t in zip(ps, total):
             got, want = qarray.to_quaternion(t), f(p)
             rep.add({"m": m, "p": p}, want, got, _qdiff(got, want))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -386,14 +355,12 @@ def _fr(w, x=0, y=0, z=0) -> Quaternion:
     return Quaternion(Fraction(w), Fraction(x), Fraction(y), Fraction(z))
 
 
-def verify_star_identities(config: Config | None = None) -> VerificationReport:
+def verify_star_identities(config: Config) -> VerificationReport:
     """Star-product calculus: conjugation swaps left and right products,
     common-slice coefficients commute, the S_2 display expands as stated,
     and the star Laguerre and exponential collapse to their classical
     values on a common slice.  Exact cases score 0/1; floating cases
     score their max deviation."""
-    config = _cfg(config)
-    t0 = time.perf_counter()
     rep = VerificationReport("star-identities", config.tolerance("star-identities"),
                              {"seed": config.seed})
     rng = _rng(config, 10)
@@ -470,7 +437,6 @@ def verify_star_identities(config: Config | None = None) -> VerificationReport:
         eg = exp_star(q, config.star_terms).eval_left(p)
         ew = qexp(p.conj() * q)
         rep.add({"check": "exp-slice-float"}, ew, eg, _qdiff(eg, ew))
-    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -494,12 +460,18 @@ SUITE_ORDER = list(SUITES)
 
 def run_suite(name: str, config: Config | None = None,
               **grid) -> VerificationReport:
+    """Run one suite on config (default Config()) and record its wall time."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER}") from None
-    return fn(config, **grid)
+    if config is None:
+        config = Config()
+    t0 = time.perf_counter()
+    rep = fn(config, **grid)
+    rep.wall_time_s = time.perf_counter() - t0
+    return rep
 
 
 def run_all(config: Config | None = None) -> list[VerificationReport]:
-    return [fn(config) for fn in SUITES.values()]
+    return [run_suite(name, config) for name in SUITES]

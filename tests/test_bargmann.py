@@ -8,22 +8,27 @@ from spolyreg import (
     HermiteLine,
     SampledLine,
     SliceQuadrature,
-    b1_kernel,
-    b2_kernel,
+    b2_grid,
     b2_norm_closed,
     basis_image_scale,
     gauss_hermite,
     hermite_quat,
     inner_real,
+    qarray,
     quat,
-    transform,
+    transform_batch,
 )
 
 RULE = gauss_hermite(80)
 
 
+def transform_at(k, phi, q, rule=None):
+    """The transform at one Quaternion q, from a one-point batch."""
+    return qarray.to_quaternion(transform_batch(k, phi, qarray.from_quaternion(q), rule)[0])
+
+
 def test_ground_state_at_origin():
-    v = transform(0, HermiteLine(0), quat(0))
+    v = transform_at(0, HermiteLine(0), quat(0))
     assert v.w == pytest.approx(math.pi ** -0.25, rel=1e-12)
     assert v.imag_norm() < 1e-14
 
@@ -31,8 +36,10 @@ def test_ground_state_at_origin():
 @pytest.mark.parametrize("j,k", [(0, 0), (1, 0), (0, 2), (3, 2), (4, 4), (6, 6)])
 def test_basis_mapping(j, k):
     scale = basis_image_scale(j, k)
-    for q in (quat(0.4, -0.7, 0.3, 0.5), quat(-1.1, 0.2, 0.8, -0.4), quat(0.9, 1.3, 0, 0)):
-        got = transform(k, HermiteLine(j), q, RULE)
+    qs = (quat(0.4, -0.7, 0.3, 0.5), quat(-1.1, 0.2, 0.8, -0.4), quat(0.9, 1.3, 0, 0))
+    batch = np.array([qarray.from_quaternion(q) for q in qs])
+    for q, v in zip(qs, transform_batch(k, HermiteLine(j), batch, RULE)):
+        got = qarray.to_quaternion(v)
         want = hermite_quat(j, k, q) * scale
         assert (got - want).norm() < 1e-8 * max(1.0, want.norm())
 
@@ -43,19 +50,9 @@ def test_transform_right_linear():
     phi = HermiteLine(2)
     vals = np.array([[*(phi(t) * alpha).as_tuple()] for t in RULE.nodes])
     scaled = SampledLine(RULE.nodes, vals)
-    lhs = transform(1, scaled, q, RULE)
-    rhs = transform(1, phi, q, RULE) * alpha
+    lhs = transform_at(1, scaled, q, RULE)
+    rhs = transform_at(1, phi, q, RULE) * alpha
     assert (lhs - rhs).norm() < 1e-10
-
-
-def test_first_kind_kernel_sums_levels():
-    q = quat(0.2, -0.5, 0.7, 0.3)
-    for t in (-0.8, 0.0, 1.3):
-        for n in range(4):
-            total = quat(0)
-            for k in range(n + 1):
-                total = total + b2_kernel(k, t, q)
-            assert (b1_kernel(n, t, q) - total).norm() < 1e-12
 
 
 def test_coherent_state_norm():
@@ -64,8 +61,8 @@ def test_coherent_state_norm():
         assert ref == pytest.approx(math.exp(float(q.norm_sq()) / 2) / math.pi ** 0.5,
                                     rel=1e-14)
         for k in (0, 2, 5):
-            v = inner_real(lambda t: b2_kernel(k, t, q),
-                           lambda t: b2_kernel(k, t, q), RULE)
+            b = SampledLine(RULE.nodes, b2_grid(k, RULE.nodes, qarray.from_quaternion(q))[0])
+            v = inner_real(b, b, RULE)
             assert math.sqrt(v.w) == pytest.approx(ref, rel=1e-8)
 
 
@@ -84,8 +81,8 @@ def test_sampled_matches_callable():
     vals = np.array([phi(t) for t in RULE.nodes])
     sampled = SampledLine(RULE.nodes, vals)
     q = quat(0.6, 0.3, -0.5, 0.2)
-    a = transform(2, phi, q, RULE)
-    b = transform(2, sampled, q, RULE)
+    a = transform_at(2, phi, q, RULE)
+    b = transform_at(2, sampled, q, RULE)
     assert (a - b).norm() < 1e-12
 
 
@@ -119,8 +116,7 @@ def test_transform_isometry_gram():
 def test_isometry_grams_match_per_line_transforms():
     from types import SimpleNamespace
 
-    from spolyreg import qarray
-    from spolyreg.bargmann import isometry_grams, transform_batch
+    from spolyreg.bargmann import isometry_grams
     rng = np.random.default_rng(14)
     # a slice rule, and a pairing on scattered points whose Gram is not real
     scattered = SimpleNamespace(points=rng.uniform(-1.5, 1.5, size=(30, 4)),

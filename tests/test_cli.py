@@ -235,6 +235,13 @@ def test_bad_basis_label_exit_two():
     r = run("transform", "--level", "0", "--phi", "h:0", "--q", "1.5+5i")
     assert r.returncode == 0
     assert float(r.stdout.split(",")[4]) == pytest.approx(math.pi ** -0.25, rel=1e-9)
+    # the coherent state leaves the line rule's nodes beyond |Re q| = 8
+    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "15")
+    assert r.returncode == 2
+    assert "|Re q|" in r.stderr and r.stdout == ""
+    r = run("transform", "--level", "0", "--phi", "h:0", "--q=-8+5.5j")
+    assert r.returncode == 0
+    assert float(r.stdout.split(",")[4]) == pytest.approx(math.pi ** -0.25, rel=1e-7)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -246,8 +253,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     for field, value, argv in (
             ("seed", 1.5, ("verify", "--suite", "spectrum")),
             ("default_slice", "x", ("table", "hermite-gram", "--max", "1")),
+            ("degree_cap", 60, ("eval", "hermite-q", "--m", "60", "--n", "60", "--q", "3+2i")),
             ("line_nodes", True, ("transform", "--level", "0", "--phi", "h:0",
-                                  "--q", "0.5+1i"))):
+                                  "--q", "0.5+1i")),
+            # too few line nodes for the transform's accepted domain
+            ("line_nodes", 8, ("transform", "--level", "0", "--phi", "h:0",
+                               "--q", "0.5+5i"))):
         cfg.write_text(json.dumps({field: value}))
         r = run(*argv, "--config", str(cfg))
         assert r.returncode == 2, field
@@ -281,6 +292,31 @@ def test_eval_kernel_series_rows_match_single_points(tmp_path, capsys):
             assert got[:8] == single[:8] and got[12:] == single[12:]
             for a, b in zip(got[8:12], single[8:12]):
                 assert abs(float(a) - float(b)) <= 1e-14 * max(1.0, abs(float(b)))
+
+
+def test_eval_bargmann_kernel_first_kind_sums_levels(tmp_path, capsys):
+    from spolyreg.cli import main
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.2,-0.5,0.7,0.3\n-1.1,0,0,0.4\n0.6,0.3,-0.2,0\n")
+
+    def rows(kind, level, t):
+        assert main(["eval", "bargmann-kernel", "--kind", str(kind), "--level", str(level),
+                     "--t", str(t), "--points", str(pts)]) == 0
+        return [[float(c) for c in line.split(",")]
+                for line in capsys.readouterr().out.splitlines()]
+
+    for t in (-0.8, 0.0, 1.3):
+        for n in range(4):
+            first = rows(1, n, t)
+            assert len(first) == 3
+            total = [[0.0] * 4 for _ in first]
+            for k in range(n + 1):
+                total = [[a + b for a, b in zip(s, v)] for s, v in zip(total, rows(2, k, t))]
+            for got, want in zip(first, total):
+                assert math.dist(got, want) < 1e-12
+    with pytest.raises(SystemExit) as exc:     # argparse refuses a negative level
+        main(["eval", "bargmann-kernel", "--kind", "1", "--level", "-1", "--t", "0", "--q", "0"])
+    assert exc.value.code == 2
 
 
 def test_config_via_environment(tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
-"""No module of the package imports a name it neither uses nor exports."""
+"""No module of the package imports a name it neither uses nor exports,
+and the command line starts without scipy."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -28,3 +32,12 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    r = subprocess.run([sys.executable, "-c",
+                        "import sys, spolyreg.cli; print('scipy' in sys.modules)"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

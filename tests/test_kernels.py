@@ -8,23 +8,18 @@ import pytest
 from spolyreg import (
     KernelSpec,
     SliceQuadrature,
+    closed_slice,
     hermite_series,
-    k1_closed_slice,
-    k1_series,
-    k1_star,
-    k2_closed_slice,
-    k2_series,
-    k2_star,
+    kernel_tail,
     kernel_value,
     laguerre,
-    project,
+    project_batch,
     qarray,
     quat,
 )
 from spolyreg.kernels import (
-    k1_series_batch,
-    k2_series_batch,
     clear_star_cache,
+    k2_series_levels,
     series_tail_bound,
     star_kernel_series,
     star_tail_bound,
@@ -54,13 +49,21 @@ def to_slice_i(z: complex):
     return quat(z.real, z.imag, 0, 0)
 
 
+def series(kind: str, k: int, terms: int | None = None) -> KernelSpec:
+    return KernelSpec(kind, k, "series", terms)
+
+
+def star(kind: str, k: int) -> KernelSpec:
+    return KernelSpec(kind, k, "star")
+
+
 PAIRS = [(0.3 + 0.4j, -0.2 + 1.1j), (1.2 - 0.5j, 0.9 + 0.3j), (-1.0 + 0.2j, -0.4 - 0.9j)]
 
 
 @pytest.mark.parametrize("k", range(4))
 def test_series_matches_complex_oracle(k):
     for z, w in PAIRS:
-        ours = k2_series(k, to_slice_i(z), to_slice_i(w))
+        ours = kernel_value(series("second", k), to_slice_i(z), to_slice_i(w))
         ref = k2_oracle(k, z, w)
         assert abs(complex(ours.w, ours.x) - ref) < 1e-8
         assert abs(ours.y) + abs(ours.z) < 1e-12
@@ -69,7 +72,7 @@ def test_series_matches_complex_oracle(k):
 @pytest.mark.parametrize("k", range(4))
 def test_star_matches_complex_oracle(k):
     for z, w in PAIRS:
-        ours = k2_star(k, to_slice_i(z), to_slice_i(w))
+        ours = kernel_value(star("second", k), to_slice_i(z), to_slice_i(w))
         ref = k2_oracle(k, z, w)
         assert abs(complex(ours.w, ours.x) - ref) < 1e-8
 
@@ -78,7 +81,7 @@ def test_kernel_at_origin_is_laguerre():
     # K_{2,k}(0, q) = L_k(|q|^2) / pi for any q, on or off slice
     q = quat(0.7, 0.4, -0.5, 0.3)
     for k in range(5):
-        v = k2_series(k, quat(0), q)
+        v = kernel_value(series("second", k), quat(0), q)
         ref = laguerre(k, 0, float(q.norm_sq())) / math.pi
         assert v.w == pytest.approx(ref, rel=1e-10, abs=1e-12)
         assert v.imag_norm() < 1e-10
@@ -91,8 +94,8 @@ def test_dual_path_off_slice():
     ]
     for k in range(5):
         for p, q in pairs:
-            a = k2_series(k, p, q)
-            b = k2_star(k, p, q)
+            a = kernel_value(series("second", k), p, q)
+            b = kernel_value(star("second", k), p, q)
             assert (a - b).norm() < 1e-8
 
 
@@ -102,10 +105,10 @@ def test_first_kind_sums_levels():
     for n in range(4):
         total = quat(0)
         for k in range(n + 1):
-            total = total + k2_series(k, p, q)
-        v = k1_series(n, p, q)
+            total = total + kernel_value(series("second", k), p, q)
+        v = kernel_value(series("first", n), p, q)
         assert (v - total).norm() < 1e-10
-        vs = k1_star(n, p, q)
+        vs = kernel_value(star("first", n), p, q)
         assert (vs - total).norm() < 1e-8
 
 
@@ -114,29 +117,29 @@ def test_closed_slice_forms():
     p = quat(0.9) + u * 0.4
     q = quat(-0.3) + u * 1.1
     for k in range(4):
-        a = k2_series(k, p, q)
-        b = k2_closed_slice(k, p, q)
+        a = kernel_value(series("second", k), p, q)
+        b = closed_slice("second", k, p, q)
         assert (a - b).norm() < 1e-10
     for n in range(3):
-        a = k1_series(n, p, q)
-        b = k1_closed_slice(n, p, q)
+        a = kernel_value(series("first", n), p, q)
+        b = closed_slice("first", n, p, q)
         assert (a - b).norm() < 1e-10
 
 
 def test_closed_slice_rejects_mixed_slices():
     with pytest.raises(ValueError):
-        k2_closed_slice(1, quat(0, 1, 0, 0), quat(0, 0, 1, 0))
+        closed_slice("second", 1, quat(0, 1, 0, 0), quat(0, 0, 1, 0))
 
 
 def test_diagonal_values():
     for q in (quat(0.5, 0.5, -0.5, 0.5), quat(1.0, 0.2, 0.9, -0.3)):
         ref2 = math.exp(float(q.norm_sq())) / math.pi
         for k in range(4):
-            v = k2_series(k, q, q)
+            v = kernel_value(series("second", k), q, q)
             assert v.w == pytest.approx(ref2, rel=1e-9)
             assert v.imag_norm() < 1e-9 * ref2
         for n in range(4):
-            v = k1_series(n, q, q)
+            v = kernel_value(series("first", n), q, q)
             assert v.w == pytest.approx((n + 1) * ref2, rel=1e-9)
 
 
@@ -144,8 +147,8 @@ def test_hermitian_symmetry():
     p = quat(0.4, 0.1, -0.6, 0.3)
     q = quat(-0.7, 0.5, 0.2, 0.4)
     for k in range(3):
-        a = k2_series(k, p, q)
-        b = k2_series(k, q, p).conj()
+        a = kernel_value(series("second", k), p, q)
+        b = kernel_value(series("second", k), q, p).conj()
         assert (a - b).norm() < 1e-10
 
 
@@ -153,8 +156,8 @@ def test_series_tail_bound_covers_truncation():
     p = quat(0.9, 0.6, -0.8, 0.3)
     q = quat(-0.5, 0.7, 0.4, -0.6)
     for k in range(3):
-        full = k2_series(k, p, q, 200)
-        short = k2_series(k, p, q, 60)
+        full = kernel_value(series("second", k, 200), p, q)
+        short = kernel_value(series("second", k, 60), p, q)
         bound = series_tail_bound(k, p, q, 60)
         assert (full - short).norm() <= bound + 1e-15
         # and the bound shrinks as terms grow
@@ -203,8 +206,20 @@ def test_kernel_spec_validation():
 def test_kernel_value_dispatch():
     p = quat(0.3, 0.2, 0.1, 0.0)
     q = quat(0.1, -0.4, 0.2, 0.3)
-    assert kernel_value(KernelSpec("second", 1, "series"), p, q) == k2_series(1, p, q)
-    assert kernel_value(KernelSpec("first", 2, "star"), p, q) == k1_star(2, p, q)
+    k2 = k2_series_levels(2, qarray.from_quaternion(p), qarray.from_quaternion(q)[None, :])
+    assert kernel_value(KernelSpec("second", 1, "series"), p, q) == qarray.to_quaternion(
+        k2_series_levels(1, qarray.from_quaternion(p), qarray.from_quaternion(q)[None, :])[1, 0])
+    assert kernel_value(KernelSpec("first", 2, "series"), p, q) == qarray.to_quaternion(
+        k2.sum(axis=0)[0])
+    assert kernel_value(KernelSpec("first", 2, "star"), p, q) == star_kernel_series(
+        "first", 2, q).eval_left(p)
+    assert kernel_value(KernelSpec("second", 2, "star", 30), p, q) == star_kernel_series(
+        "second", 2, q, 30).eval_left(p)
+    # the tail estimate sums the method's bound over the levels of the kind
+    assert kernel_tail(KernelSpec("first", 2, "series", 60), p, q) == sum(
+        series_tail_bound(k, p, q, 60) for k in range(3))
+    assert kernel_tail(KernelSpec("second", 2, "series"), p, q) == series_tail_bound(2, p, q)
+    assert kernel_tail(KernelSpec("second", 1, "star", 20), p, q) == star_tail_bound(1, p, q, 20)
 
 
 def test_kernel_value_batch_matches_points():
@@ -212,32 +227,32 @@ def test_kernel_value_batch_matches_points():
     qs = [quat(0.5, 0.3, -0.2, 0.0), quat(-0.7, 0.0, 0.0, 0.1), quat(1.1),
           quat(0.2, -0.4, 0.6, 0.3), p]
     batch = np.array([q.as_tuple() for q in qs])
-    refs = {("first", "series"): k1_series, ("second", "series"): k2_series,
-            ("first", "star"): k1_star, ("second", "star"): k2_star}
-    for (kind, method), fn in refs.items():
-        spec = KernelSpec(kind, 2, method)
-        got = kernel_value(spec, p, batch)
-        assert got.shape == (len(qs), 4)
-        for q, v in zip(qs, got):
-            ref = fn(2, p, q)
-            assert np.max(np.abs(v - ref.as_tuple())) <= 1e-14 * max(1.0, abs(ref))
+    for kind in ("first", "second"):
+        for method in ("series", "star"):
+            spec = KernelSpec(kind, 2, method)
+            got = kernel_value(spec, p, batch)
+            assert got.shape == (len(qs), 4)
+            for q, v in zip(qs, got):
+                ref = kernel_value(spec, p, q)
+                assert np.max(np.abs(v - ref.as_tuple())) <= 1e-14 * max(1.0, abs(ref))
     assert kernel_value(KernelSpec(), p, np.zeros((0, 4))).shape == (0, 4)
 
 
 def test_project_reproduces_level_member():
     Q = SliceQuadrature(40)
     f = hermite_series(2, 1)
-    for p in (quat(0.3, 0.8, 0, 0), quat(-0.6, 0.2, 0, 0)):
-        v = project(1, f, p, Q)
+    ps = (quat(0.3, 0.8, 0, 0), quat(-0.6, 0.2, 0, 0))
+    got = project_batch(1, f, np.array([qarray.from_quaternion(p) for p in ps]), Q)
+    for p, v in zip(ps, got):
         ref = f.eval_left(p)
-        assert (v - ref).norm() < 1e-9
+        assert (qarray.to_quaternion(v) - ref).norm() < 1e-9
 
 
 def test_project_annihilates_other_level():
     Q = SliceQuadrature(40)
     f = hermite_series(2, 2)
     p = quat(0.4, 0.6, 0, 0)
-    v = project(1, f, p, Q)
+    v = qarray.to_quaternion(project_batch(1, f, qarray.from_quaternion(p), Q)[0])
     assert v.norm() < 1e-9
 
 
@@ -247,15 +262,14 @@ def test_series_batch_matches_star_pointwise(level):
     qs = rng.uniform(-1.0, 1.0, size=(10, 4))
     qs[::4, 1:] = 0.0                     # real q next to several slices
     for p in (quat(0.3, -0.4, 0.5, 0.2), quat(0.7)):
-        for batch, star in ((k2_series_batch, k2_star), (k1_series_batch, k1_star)):
-            got = batch(level, p, qs)
+        for kind in ("second", "first"):
+            got = kernel_value(series(kind, level), p, qs)
             for q, v in zip(qs, got):
-                ref = star(level, p, qarray.to_quaternion(q))
+                ref = kernel_value(star(kind, level), p, qarray.to_quaternion(q))
                 assert np.max(np.abs(v - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_series_levels_paired_matches_pointwise():
-    from spolyreg.kernels import k2_series_levels
     rng = np.random.default_rng(12)
     ps = rng.uniform(-1.0, 1.0, size=(8, 4))
     qs = rng.uniform(-1.0, 1.0, size=(8, 4))
@@ -268,16 +282,15 @@ def test_series_levels_paired_matches_pointwise():
     for n, (pv, qv) in enumerate(zip(ps, qs)):
         p, q = qarray.to_quaternion(pv), qarray.to_quaternion(qv)
         for kappa in range(4):
-            for got, refs in ((k2[kappa, n], (k2_series(kappa, p, q), k2_star(kappa, p, q))),
-                              (k1[kappa, n], (k1_series(kappa, p, q), k1_star(kappa, p, q)))):
-                for ref in refs:
+            for got, kind in ((k2[kappa, n], "second"), (k1[kappa, n], "first")):
+                for spec in (series(kind, kappa), star(kind, kappa)):
+                    ref = kernel_value(spec, p, q)
                     assert np.max(np.abs(got - ref.as_tuple())) < 1e-12 * max(1.0, abs(ref))
     base = math.exp(float(np.sum(ps[5] ** 2))) / math.pi
     assert np.allclose(k2[:, 5], [[base, 0, 0, 0]] * 4, rtol=1e-13, atol=1e-13 * base)
 
 
 def test_project_batch_matches_project_and_kernel_pairing():
-    from spolyreg.kernels import project_batch
     from spolyreg.quad import values_on
     rng = np.random.default_rng(13)
     Q = SliceQuadrature(24, quat(0.0, 0.48, 0.6, -0.64))
@@ -292,8 +305,10 @@ def test_project_batch_matches_project_and_kernel_pairing():
         fv = values_on(f, Q.points)
         for v, pv in zip(got, ps):
             p = qarray.to_quaternion(pv)
-            assert np.max(np.abs(v - project(k, f, p, Q).as_tuple())) < 1e-13
-            ref = qarray.gram(k2_series_batch(k, p, Q.points)[None], fv[None], Q.weights)[0, 0]
+            # each row is the projection at its own point, batched or alone
+            assert np.max(np.abs(v - project_batch(k, f, pv, Q)[0])) < 1e-13
+            kp = kernel_value(series("second", k), p, Q.points)
+            ref = qarray.gram(kp[None], fv[None], Q.weights)[0, 0]
             assert np.max(np.abs(v - ref)) < 1e-11
     # P_2 keeps the level-2 part of f and drops the rest
     level2 = hermite_series(0, 2).rmul(f.coeff(2, 0)) + hermite_series(3, 2).rmul(
