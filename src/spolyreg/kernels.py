@@ -12,8 +12,9 @@ Two independent computational paths:
   200-term truncations stay inside double range.
 
 * star path: assemble (1/pi) e*^[pbar,q] * L*_k of the squared star
-  distance as a PolySliceSeries in p (coefficients in the slice of q),
-  then evaluate it with the coefficients on the left.  On the slice of q
+  distance as a polyanalytic series in p whose coefficients lie in the
+  slice of q, held as complex grids batched over q (star_coeffs), then
+  evaluate it with the coefficients on the left.  On the slice of q
   both paths collapse to the classical polyanalytic kernel
   (1/pi) e^(pbar q) L_k(|p-q|^2).
 
@@ -26,21 +27,22 @@ evaluates it and kernel_tail estimates its truncation error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qarray
-from .poly import laguerre
+from .poly import DEGREE_CAP, laguerre
 from .quad import values_on
 from .quat import Quaternion, qexp
-from .series import PolySliceSeries, exp_star, laguerre_star
+from .series import EXP_STAR_CAP
 
 __all__ = [
     "KernelSpec",
     "k2_series_levels",
-    "star_kernel_series",
+    "star_coeffs",
     "kernel_value",
     "kernel_tail",
     "closed_slice",
@@ -101,9 +103,9 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     (k_max+1, N, 4), with the (P, 4) p batch broadcast against the (N, 4)
     q batch (one p, or paired p_n, q_n); K_1 is the cumulative sum.
 
-    The summand (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)) with
-    A(q) = a + U b and A(p) = c + V d is ac + bd<U,V> - ad V + bc U - bd UxV,
-    and the four real sums are read off sum A(q) A(p) and sum A(q) conj(A(p))."""
+    The summand is (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)), with
+    both factors in the slice of their point: qarray.lift_conj_product
+    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p))."""
     ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
     qpts = np.asarray(qpts, dtype=float).reshape(-1, 4)
     z, unit = qarray.to_slice(np.vstack([qpts, ppts]))
@@ -116,58 +118,86 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     scales = np.array([1.0 / (math.pi * math.factorial(kappa))
                        for kappa in range(k_max + 1)])[:, None]
     s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
-    ac, bd = (s1 + s2).real / 2.0, (s2 - s1).real / 2.0
-    ad, bc = (s1 - s2).imag / 2.0, (s1 + s2).imag / 2.0
-    u, v = np.broadcast_arrays(unit[:n], unit[n:])
-    out = np.empty(ac.shape + (4,))
-    out[..., 0] = ac + bd * np.sum(u * v, axis=-1)
-    out[..., 1:] = (bc[..., None] * u - ad[..., None] * v
-                    - bd[..., None] * np.cross(u, v))
-    return out
+    return qarray.lift_conj_product(s1, s2, unit[:n], unit[n:])
 
 
 # -- star path -----------------------------------------------------------
 
-_STAR_CACHE: dict = {}
-_STAR_CACHE_MAX = 64
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_weights(kind: str, level: int) -> np.ndarray:
+    """The q-independent weights of the star Laguerre polynomial L*_level
+    (gamma of the kind) of the star distance, as a read-only
+    ((level+1)^2, (level+1)^2) table: row (alpha, beta), column (r, i) is
+    the weight of w^alpha wbar^beta at pbar^r p^i, w the slice coordinate
+    of q.  L* = sum_k c_k S_k with c_k = (-1)^k C(level+gamma, level-k)/k!,
+    and S_k carries (-1)^j C(k,j) C(k,i) (-w)^(k-i) wbar^j at pbar^(k-j) p^i."""
+    if not 0 <= level <= DEGREE_CAP:
+        raise ValueError(f"star Laguerre degree {level} exceeds cap {DEGREE_CAP}")
+    gamma, n = _GAMMA[kind], level + 1
+    t = np.zeros((n, n, n, n))
+    for k in range(n):
+        for i in range(k + 1):
+            for j in range(k + 1):
+                t[k - i, j, k - j, i] = ((-1) ** (i + j) * math.comb(level + gamma, level - k)
+                                         * math.comb(k, i) * math.comb(k, j)
+                                         / math.factorial(k))
+    t = t.reshape(n * n, n * n)
+    t.setflags(write=False)
+    return t
 
 
-def star_kernel_series(kind: str, level: int, q: Quaternion,
-                       terms: int = STAR_TERMS) -> PolySliceSeries:
-    """The assembled star-path kernel as a PolySliceSeries in p.
+def _laguerre_grid(kind: str, level: int, z: np.ndarray) -> np.ndarray:
+    """L*_level of the star distance to each q as an (N, level+1, level+1)
+    complex grid over (pbar power, p power), from the slice coordinates z."""
+    n = level + 1
+    t = _laguerre_weights(kind, level)
+    mono = (np.vander(z, n, increasing=True)[:, :, None]
+            * np.vander(np.conj(z), n, increasing=True)[:, None, :])
+    return (mono.reshape(len(z), n * n) @ t).reshape(len(z), n, n)
 
-    Coefficients lie in the slice of q; the kernel value is recovered
-    with eval_left (coefficients multiplied from the left).
-    Cached per (kind, level, q, terms); a full cache evicts its least
-    recently used entry.
-    """
-    key = (kind, level, q.as_tuple(), terms)
-    out = _STAR_CACHE.pop(key, None)
-    if out is None:
-        out = exp_star(q, terms).star(laguerre_star(level, _GAMMA[kind], q)).scale(1.0 / math.pi)
-        if len(_STAR_CACHE) >= _STAR_CACHE_MAX:
-            del _STAR_CACHE[next(iter(_STAR_CACHE))]
-    _STAR_CACHE[key] = out
-    return out
+
+def star_coeffs(kind: str, level: int, z: np.ndarray, terms: int = STAR_TERMS) -> np.ndarray:
+    """The star-path kernel (1/pi) e*^[pbar,q] * L*_level as complex
+    coefficient grids, shape (N, terms+level+1, level+1) over (pbar power,
+    p power), for the (N,) slice coordinates z of a q batch.
+
+    Every coefficient lies in the slice of its q, so the star product is a
+    row convolution of the exp row w^a/a! with the Laguerre grid."""
+    if not 0 <= terms <= EXP_STAR_CAP:
+        raise ValueError(f"star truncation {terms} outside 0..{EXP_STAR_CAP}")
+    lag = _laguerre_grid(kind, level, z)
+    steps = np.concatenate([np.ones((len(z), 1)), z[:, None] / np.arange(1, terms + 1)], axis=1)
+    exp_row = np.cumprod(steps, axis=1)
+    out = np.zeros((len(z), terms + level + 1, level + 1), dtype=complex)
+    for r in range(level + 1):
+        out[:, r:r + terms + 1] += exp_row[:, :, None] * lag[:, r, None, :]
+    return out * (1.0 / math.pi)
 
 
 def clear_star_cache() -> None:
-    _STAR_CACHE.clear()
+    """Drop the cached star Laguerre weight tables."""
+    _laguerre_weights.cache_clear()
 
 
 def kernel_value(spec: KernelSpec, p: Quaternion, q):
     """K(p, q) for one Quaternion q, or K(p, q_n) as an (N, 4) array for an
     (N, 4) batch of q: one ladder on the series path (K_2 is its row at the
-    level, K_1 the sum of its rows), one star series per q on the star path
-    (its coefficients depend on q)."""
+    level, K_1 the sum of its rows), one coefficient grid per q on the star
+    path (its coefficients lie in the slice of q), contracted against one
+    pbar^r p^i table."""
     if isinstance(q, Quaternion):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "series":
         k2 = k2_series_levels(spec.level, qarray.from_quaternion(p), q, spec.terms)
         return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
-    vals = [qarray.from_quaternion(star_kernel_series(
-        spec.kind, spec.level, qarray.to_quaternion(row), spec.terms).eval_left(p)) for row in q]
-    return np.array(vals).reshape(-1, 4)
+    z, unit = qarray.to_slice(q)
+    c = star_coeffs(spec.kind, spec.level, z, spec.terms)
+    zp, up = qarray.to_slice(qarray.from_quaternion(p))
+    m = (np.vander([np.conj(zp)], c.shape[1], increasing=True).T
+         * np.vander([zp], c.shape[2], increasing=True)).ravel()
+    c = c.reshape(len(z), m.size)
+    return qarray.lift_conj_product(c @ np.conj(m), c @ m, unit, up)
 
 
 # -- same-slice closed forms ---------------------------------------------
@@ -212,12 +242,12 @@ def series_tail_bound(k: int, p: Quaternion, q: Quaternion,
 def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
                     terms: int = STAR_TERMS) -> float:
     """Heuristic bound on the exp-star truncation: dropped rows of
-    e*^[pbar,q] times the evaluated magnitude of the Laguerre factor."""
-    lag = laguerre_star(k, 0, q)
+    e*^[pbar,q] times the evaluated magnitude of the Laguerre factor
+    (|c| of a slice coefficient is its quaternion norm)."""
+    z, _ = qarray.to_slice(qarray.from_quaternion(q))
+    lag = np.abs(_laguerre_grid("second", k, z[None]))[0]
     ap, aq = abs(p), abs(q)
-    lag_bound = sum(
-        abs(c) * ap ** (ki + j)
-        for ki, row in enumerate(lag.coeffs) for j, c in enumerate(row))
+    lag_bound = float(np.sum(lag * ap ** np.add.outer(np.arange(k + 1), np.arange(k + 1))))
     r = ap * aq
     if r == 0.0:
         return 0.0

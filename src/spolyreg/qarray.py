@@ -21,6 +21,7 @@ __all__ = [
     "to_slice",
     "from_slice",
     "lift",
+    "lift_conj_product",
 ]
 
 
@@ -101,3 +102,22 @@ def lift(w, unit) -> np.ndarray:
     function whose slice coordinate z has been carried into w."""
     w = np.asarray(w)
     return w.real + qmul(from_slice(1j, unit), w.imag)
+
+
+def lift_conj_product(s1, s2, u, v) -> np.ndarray:
+    """sum_n X_n conj(Y_n) for slice-resident X_n = a_n + U b_n and
+    Y_n = c_n + V d_n, from the complex sums s1 = sum x_n y_n and
+    s2 = sum x_n conj(y_n) of their slice coordinates x = a + i b,
+    y = c + i d (the sum runs over whatever axis the caller contracted).
+
+    Each product is ac + bd<U,V> - ad V + bc U - bd UxV, and its four
+    real sums are read off s1 and s2.  u and v, shape (..., 3), broadcast
+    against the leading axes of s1 and s2; the result has shape (..., 4)."""
+    ac, bd = (s1 + s2).real / 2.0, (s2 - s1).real / 2.0
+    ad, bc = (s1 - s2).imag / 2.0, (s1 + s2).imag / 2.0
+    u, v = np.broadcast_arrays(u, v)
+    out = np.empty(np.broadcast_shapes(ac.shape, u.shape[:-1]) + (4,))
+    out[..., 0] = ac + bd * np.sum(u * v, axis=-1)
+    out[..., 1:] = (bc[..., None] * u - ad[..., None] * v
+                    - bd[..., None] * np.cross(u, v))
+    return out

@@ -192,6 +192,15 @@ def test_negative_terms_exit_two(method):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("terms", ["--terms=-1", "--terms=201"])
+def test_star_terms_out_of_range_exit_two(terms):
+    r = run("eval", "kernel", "--level", "1", "--p", "0.5+0.5i", "--q", "0.25-0.1j",
+            "--method", "star", terms)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "outside 0..200" in r.stderr
+
+
 def test_unknown_suite_rejected():
     r = run("verify", "--suite", "bogus")
     assert r.returncode == 2

@@ -9,19 +9,22 @@ from spolyreg import (
     KernelSpec,
     SliceQuadrature,
     closed_slice,
+    exp_star,
     hermite_series,
     kernel_tail,
     kernel_value,
     laguerre,
+    laguerre_star,
     project_batch,
     qarray,
     quat,
 )
+from spolyreg import kernels
 from spolyreg.kernels import (
     clear_star_cache,
     k2_series_levels,
     series_tail_bound,
-    star_kernel_series,
+    star_coeffs,
     star_tail_bound,
 )
 
@@ -173,25 +176,85 @@ def test_star_tail_bound_positive_and_decreasing():
 
 
 def test_star_cache_reuse():
+    # one Laguerre weight table per (kind, level), shared by every q
     clear_star_cache()
-    q = quat(0.25, 0.5, 0.75, 0.0)
-    a = star_kernel_series("second", 2, q)
-    b = star_kernel_series("second", 2, q)
-    assert a is b
+    z = np.array([0.25 + 0.9j, -1.1 + 0.0j])
+    a = {(kind, level): star_coeffs(kind, level, z, 10)
+         for kind in ("first", "second") for level in range(3)}
+    for (kind, level), grid in a.items():
+        assert np.array_equal(star_coeffs(kind, level, z, 10), grid)
+    info = kernels._laguerre_weights.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
     clear_star_cache()
-    c = star_kernel_series("second", 2, q)
-    assert c is not a
-    assert c.allclose(a, tol=0)
-    # a full cache evicts only its least recently used entry
+    assert kernels._laguerre_weights.cache_info().currsize == 0
+    for (kind, level), grid in a.items():
+        assert np.array_equal(star_coeffs(kind, level, z, 10), grid)
+    assert kernels._laguerre_weights.cache_info().misses == 6
     clear_star_cache()
-    keys = [quat(0.01 * i, 0.5) for i in range(128)]
-    first = [star_kernel_series("second", 0, q, 1) for q in keys[:64]]
-    for q in keys[64:]:
-        assert star_kernel_series("second", 0, keys[0], 1) is first[0]
-        star_kernel_series("second", 0, q, 1)
-    assert star_kernel_series("second", 0, keys[0], 1) is first[0]
-    assert star_kernel_series("second", 0, keys[1], 1) is not first[1]
-    clear_star_cache()
+
+
+def star_reference(kind: str, level: int, p, q, terms: int):
+    """The scalar star assembly: Quaternion coefficients, evaluated with
+    the coefficients on the left."""
+    gamma = 0 if kind == "second" else 1
+    return exp_star(q, terms).star(laguerre_star(level, gamma, q)).scale(
+        1.0 / math.pi).eval_left(p)
+
+
+def test_star_coeffs_match_scalar_star_assembly():
+    rng = np.random.default_rng(9)
+
+    def ball():
+        v = rng.standard_normal(4)
+        return v * (1.5 * rng.uniform() / np.linalg.norm(v))
+
+    for _ in range(3):
+        p = ball()
+        qs = np.array([ball(), ball(), [ball()[0], 0, 0, 0], np.zeros(4),
+                       p, qarray.qconj(p), -p])
+        pq = qarray.to_quaternion(p)
+        for kind in ("second", "first"):
+            for level in range(5):
+                for terms in (0, 10, 40):
+                    got = kernel_value(KernelSpec(kind, level, "star", terms), pq, qs)
+                    for q, v in zip(qs, got):
+                        ref = star_reference(kind, level, pq, qarray.to_quaternion(q), terms)
+                        assert np.max(np.abs(v - ref.as_tuple())) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_star_coeffs_refuse_out_of_range_terms():
+    z = np.array([0.5 + 0.5j])
+    for terms in (-1, 201):
+        with pytest.raises(ValueError):
+            star_coeffs("second", 1, z, terms)
+    assert star_coeffs("first", 2, z, 200).shape == (1, 203, 3)
+
+
+def test_lift_conj_product_matches_qmul():
+    rng = np.random.default_rng(21)
+    n = 12
+
+    def units():
+        u = rng.standard_normal((n, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        u[::5] = 0.0                       # real points carry no unit
+        return u
+
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    y = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    u, v = units(), units()
+    v[1::4] = -u[1::4]                     # pairs on a common slice
+    v[2::4] = u[2::4]
+    ref = qarray.qmul(qarray.from_slice(x, u), qarray.qconj(qarray.from_slice(y, v)))
+    got = qarray.lift_conj_product(x * y, x * np.conj(y), u, v)
+    assert got.shape == (3, n, 4)
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+    # sums over a contracted axis, and one V broadcast against every U
+    got = qarray.lift_conj_product(np.sum(x * y[:, :1], axis=0),
+                                   np.sum(x * np.conj(y[:, :1]), axis=0), u, v[0])
+    ref = np.sum(qarray.qmul(qarray.from_slice(x, u),
+                             qarray.qconj(qarray.from_slice(y[:, :1], v[0]))), axis=0)
+    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_kernel_spec_validation():
@@ -211,10 +274,15 @@ def test_kernel_value_dispatch():
         k2_series_levels(1, qarray.from_quaternion(p), qarray.from_quaternion(q)[None, :])[1, 0])
     assert kernel_value(KernelSpec("first", 2, "series"), p, q) == qarray.to_quaternion(
         k2.sum(axis=0)[0])
-    assert kernel_value(KernelSpec("first", 2, "star"), p, q) == star_kernel_series(
-        "first", 2, q).eval_left(p)
-    assert kernel_value(KernelSpec("second", 2, "star", 30), p, q) == star_kernel_series(
-        "second", 2, q, 30).eval_left(p)
+    z, u = qarray.to_slice(qarray.from_quaternion(q)[None, :])
+    zp, v = qarray.to_slice(qarray.from_quaternion(p))
+    for spec in (KernelSpec("first", 2, "star"), KernelSpec("second", 2, "star", 30)):
+        c = star_coeffs(spec.kind, 2, z, spec.terms)
+        m = (np.vander([np.conj(zp)], spec.terms + 3, increasing=True).T
+             * np.vander([zp], 3, increasing=True)).ravel()
+        c = c.reshape(1, m.size)
+        assert kernel_value(spec, p, q) == qarray.to_quaternion(
+            qarray.lift_conj_product(c @ np.conj(m), c @ m, u, v)[0])
     # the tail estimate sums the method's bound over the levels of the kind
     assert kernel_tail(KernelSpec("first", 2, "series", 60), p, q) == sum(
         series_tail_bound(k, p, q, 60) for k in range(3))
