@@ -134,9 +134,9 @@ def cmd_eval(args, config: Config) -> int:
         spec = KernelSpec(kind="second" if args.kind == 2 else "first", level=args.level,
                           method=args.method, terms=terms)
         p = parse_quaternion(args.p)
-        for q, v in zip(pts, kernel_value(spec, p, batch)):
+        for q, v, tail in zip(pts, kernel_value(spec, p, batch), kernel_tail(spec, p, batch)):
             print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(qarray.to_quaternion(v))},"
-                  f"{spec.method},{_fmt(kernel_tail(spec, p, q))}")
+                  f"{spec.method},{_fmt(tail)}")
     return 0
 
 

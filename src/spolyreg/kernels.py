@@ -222,44 +222,52 @@ def closed_slice(kind: str, level: int, p: Quaternion, q: Quaternion) -> Quatern
 # -- truncation diagnostics ----------------------------------------------
 
 
-def series_tail_bound(k: int, p: Quaternion, q: Quaternion,
-                      terms: int = SERIES_TERMS) -> float:
+def series_tail_bound(k: int, p: Quaternion, q, terms: int = SERIES_TERMS):
     """Upper bound on the dropped series tail, from the growth estimate
-    |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2)."""
-    r = abs(p) * abs(q)
-    if r == 0.0:
-        return 0.0
-    expo = (float(p.norm_sq()) + float(q.norm_sq())) / 2.0
-    lr = math.log(r)
-    total = 0.0
-    for j in range(terms + 1, terms + 1 + SERIES_TAIL_WINDOW):
-        lt = (math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
-              + (j - k) * lr + expo - math.log(math.pi))
-        total += math.exp(lt)
-    return total
+    |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2); a float for one
+    Quaternion q, an (N,) array for an (N, 4) batch.  The window is summed
+    term by term, so a row's bound does not depend on the batch."""
+    if isinstance(q, Quaternion):
+        return float(series_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
+    q2 = np.sum(np.square(q), axis=1)
+    r = abs(p) * np.sqrt(q2)
+    expo = (float(p.norm_sq()) + q2) / 2.0
+    lr = np.log(np.where(r > 0.0, r, 1.0))
+    window = range(terms + 1, terms + 1 + SERIES_TAIL_WINDOW)
+    lt = (np.array([math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
+                    for j in window])[:, None]
+          + np.subtract(window, k)[:, None] * lr + expo - math.log(math.pi))
+    total = np.zeros(len(q2))
+    for term in np.exp(lt):
+        total += term
+    return np.where(r > 0.0, total, 0.0)
 
 
-def star_tail_bound(k: int, p: Quaternion, q: Quaternion,
-                    terms: int = STAR_TERMS) -> float:
+def star_tail_bound(k: int, p: Quaternion, q, terms: int = STAR_TERMS):
     """Heuristic bound on the exp-star truncation: dropped rows of
     e*^[pbar,q] times the evaluated magnitude of the Laguerre factor
-    (|c| of a slice coefficient is its quaternion norm)."""
-    z, _ = qarray.to_slice(qarray.from_quaternion(q))
-    lag = np.abs(_laguerre_grid("second", k, z[None]))[0]
-    ap, aq = abs(p), abs(q)
-    lag_bound = float(np.sum(lag * ap ** np.add.outer(np.arange(k + 1), np.arange(k + 1))))
-    r = ap * aq
-    if r == 0.0:
-        return 0.0
-    tail = 0.0
-    for a in range(terms + 1, terms + 1 + STAR_TAIL_WINDOW):
-        tail += math.exp(a * math.log(r) - math.lgamma(a + 1))
-    return tail * lag_bound / math.pi
+    (|c| of a slice coefficient is its quaternion norm); a float for one
+    Quaternion q, an (N,) array for an (N, 4) batch from one Laguerre grid."""
+    if isinstance(q, Quaternion):
+        return float(star_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
+    z, _ = qarray.to_slice(q)
+    lag = np.abs(_laguerre_grid("second", k, z))
+    ap = abs(p)
+    lag_bound = np.sum(lag * ap ** np.add.outer(np.arange(k + 1), np.arange(k + 1)), axis=(1, 2))
+    r = ap * np.sqrt(np.sum(np.square(q), axis=1))
+    lr = np.log(np.where(r > 0.0, r, 1.0))
+    window = range(terms + 1, terms + 1 + STAR_TAIL_WINDOW)
+    tail = np.zeros(len(z))
+    for term in np.exp(np.array(window)[:, None] * lr
+                       - np.array([math.lgamma(a + 1) for a in window])[:, None]):
+        tail += term
+    return np.where(r > 0.0, tail * lag_bound / math.pi, 0.0)
 
 
-def kernel_tail(spec: KernelSpec, p: Quaternion, q: Quaternion) -> float:
-    """Truncation estimate of kernel_value(spec, p, q): the method's tail
-    bound summed over the levels that the kernel's kind adds up."""
+def kernel_tail(spec: KernelSpec, p: Quaternion, q):
+    """Truncation estimate of kernel_value(spec, p, q), for one Quaternion q
+    (a float) or an (N, 4) batch (an (N,) array): the method's tail bound
+    summed over the levels that the kernel's kind adds up."""
     bound = series_tail_bound if spec.method == "series" else star_tail_bound
     levels = range(spec.level + 1) if spec.kind == "first" else (spec.level,)
     return sum(bound(kappa, p, q, spec.terms) for kappa in levels)

@@ -1,15 +1,17 @@
 """Slice power series, polyanalytic series and their star products.
 
-Three container types, all with quaternion coefficients:
+One grid of quaternion coefficients c_kj (row k the qbar power, column j
+the q power) read in three forms:
 
-* ``SliceSeries``      f(q) = sum_j q^j a_j            (coefficients right)
+* ``SliceSeries``      f(q) = sum_j q^j a_j            (one row, coefficients right)
 * ``PolySliceSeries``  f(q) = sum_{k,j} qbar^k q^j c_kj  (left form)
 * ``RightPolySeries``  f(q) = sum_{k,j} c_kj q^j qbar^k  (right form)
 
-The left form is the canonical one; the right form exists because
-conjugation maps one into the other and the two star products are
-exchanged under it.  Star products act on ordered coefficient products,
-so they are noncommutative unless all coefficients share a slice.
+All three share one storage rule, one star convolution (c_kj d_xy at
+(k+x, j+y), multiplied in that order, so noncommutative unless all
+coefficients share a slice) and one evaluation loop.  The left form is
+the canonical one; conjugation maps it onto the right form and exchanges
+the two star products.
 
 Coefficients may be exact (int / Fraction components); every operation
 here preserves exactness, which is what the identity-level tests run on.
@@ -17,6 +19,7 @@ here preserves exactness, which is what the identity-level tests run on.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -53,21 +56,116 @@ def _lift(c) -> Quaternion:
     return c if isinstance(c, Quaternion) else quat(c)
 
 
-def _trim(seq, is_zero):
-    n = len(seq)
-    while n and is_zero(seq[n - 1]):
-        n -= 1
-    return seq[:n]
+def _grid(rows) -> tuple:
+    """The storage rule: rows of lifted coefficients, trailing zero rows
+    dropped and every row padded or cut to the last nonzero column."""
+    rows = [[_lift(c) for c in row] for row in rows]
+    while rows and all(c == _Z for c in rows[-1]):
+        rows.pop()
+    width = max((j + 1 for row in rows for j, c in enumerate(row) if c != _Z), default=0)
+    return tuple(tuple(row[:width]) + (_Z,) * (width - len(row)) for row in rows)
+
+
+def _entry(grid, k: int, j: int) -> Quaternion:
+    if 0 <= k < len(grid) and 0 <= j < len(grid[k]):
+        return grid[k][j]
+    return _Z
+
+
+def _convolve(a, b) -> list:
+    """The grid with a[k][j] b[x][y] summed at (k+x, j+y), the a factor
+    on the left; zero coefficients are skipped."""
+    cols = max(map(len, a), default=0) + max(map(len, b), default=0) - 1
+    out = [[_Z] * cols for _ in range(len(a) + len(b) - 1)]
+    for k, ra in enumerate(a):
+        for j, c in enumerate(ra):
+            if c == _Z:
+                continue
+            for x, rb in enumerate(b):
+                for y, d in enumerate(rb):
+                    if d != _Z:
+                        out[k + x][j + y] = out[k + x][j + y] + c * d
+    return out
+
+
+def _powers(q: Quaternion, n: int) -> list:
+    """q^0, q^1, ..., q^n, each the previous one times q."""
+    out = [quat(1)]
+    for _ in range(n):
+        out.append(out[-1] * q)
+    return out
+
+
+def _eval(grid, q, left: bool) -> Quaternion:
+    """sum (qbar^k q^j) c_kj, or sum c_kj (qbar^k q^j) when left."""
+    q = _lift(q)
+    qp = _powers(q, max(map(len, grid), default=1) - 1)
+    qcp = _powers(q.conj(), max(len(grid) - 1, 0))
+    total = _Z
+    for k, row in enumerate(grid):
+        for j, c in enumerate(row):
+            if c != _Z:
+                m = qcp[k] * qp[j]
+                total = total + (c * m if left else m * c)
+    return total
+
+
+def _zip(a, b, op) -> list:
+    """op of the entries of two grids, both zero-padded to the larger shape."""
+    cols = max(map(len, (*a, *b)), default=0)
+    return [[op(_entry(a, k, j), _entry(b, k, j)) for j in range(cols)]
+            for k in range(max(len(a), len(b)))]
+
+
+def _allclose(a, b, tol: float) -> bool:
+    """Entrywise |a - b| <= tol * (largest |entry| of either grid, at least 1)."""
+    pairs = [pair for row in _zip(a, b, lambda x, y: (x, y)) for pair in row]
+    scale = max([1.0] + [abs(c) for pair in pairs for c in pair])
+    return all(abs(x - y) <= tol * scale for x, y in pairs)
+
+
+class _Grid:
+    """The grid, shape, entries and comparison of the left and right forms;
+    equality needs the same type, so a left form never equals a right one."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, rows=()):
+        self.coeffs = _grid(rows)
+
+    @property
+    def level(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def degree(self) -> int:
+        return max(map(len, self.coeffs), default=0) - 1
+
+    def coeff(self, k: int, j: int) -> Quaternion:
+        return _entry(self.coeffs, k, j)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def allclose(self, other, tol: float = 1e-12) -> bool:
+        return _allclose(self.coeffs, other.coeffs, tol)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(level={self.level}, degree={self.degree})"
 
 
 class SliceSeries:
-    """Polynomial slice series sum_j q^j a_j with right coefficients."""
+    """Polynomial slice series sum_j q^j a_j with right coefficients: the
+    one-row grid, kept as the flat tuple of its row."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_lift(c) for c in coeffs]
-        self.coeffs = tuple(_trim(cs, lambda c: c == _Z))
+        grid = _grid([coeffs])
+        self.coeffs = grid[0] if grid else ()
 
     @property
     def degree(self) -> int:
@@ -79,12 +177,10 @@ class SliceSeries:
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "SliceSeries") -> "SliceSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SliceSeries([self.coeff(j) + other.coeff(j) for j in range(n)])
+        return SliceSeries(*_zip([self.coeffs], [other.coeffs], operator.add))
 
     def __sub__(self, other: "SliceSeries") -> "SliceSeries":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SliceSeries([self.coeff(j) - other.coeff(j) for j in range(n)])
+        return SliceSeries(*_zip([self.coeffs], [other.coeffs], operator.sub))
 
     def __neg__(self) -> "SliceSeries":
         return SliceSeries([-c for c in self.coeffs])
@@ -104,20 +200,13 @@ class SliceSeries:
         """Slice derivative (d/dq)^order applied termwise."""
         out = self
         for _ in range(order):
-            out = SliceSeries([out.coeff(j + 1) * (j + 1)
-                               for j in range(max(len(out.coeffs) - 1, 0))])
+            out = SliceSeries([c * j for j, c in enumerate(out.coeffs)][1:])
         return out
 
     def star(self, other: "SliceSeries") -> "SliceSeries":
         """Left slice star product: Cauchy convolution with ordered
         coefficient products a_k b_{n-k}."""
-        if not self.coeffs or not other.coeffs:
-            return SliceSeries()
-        out = [_Z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for ka, a in enumerate(self.coeffs):
-            for kb, b in enumerate(other.coeffs):
-                out[ka + kb] = out[ka + kb] + a * b
-        return SliceSeries(out)
+        return SliceSeries(*_convolve([self.coeffs], [other.coeffs]))
 
     def star_pow(self, k: int) -> "SliceSeries":
         out = SliceSeries([1])
@@ -128,13 +217,7 @@ class SliceSeries:
     # -- evaluation ------------------------------------------------------
 
     def eval(self, q: Quaternion) -> Quaternion:
-        q = _lift(q)
-        total, p = _Z, quat(1)
-        for j, a in enumerate(self.coeffs):
-            if j:
-                p = p * q
-            total = total + p * a
-        return total
+        return _eval([self.coeffs], q, left=False)
 
     __call__ = eval
 
@@ -143,20 +226,10 @@ class SliceSeries:
 
     # -- comparison ------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SliceSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    __eq__, __hash__ = _Grid.__eq__, _Grid.__hash__
 
     def allclose(self, other: "SliceSeries", tol: float = 1e-12) -> bool:
-        n = max(len(self.coeffs), len(other.coeffs))
-        scale = 1.0
-        for j in range(n):
-            for c in (self.coeff(j), other.coeff(j)):
-                scale = max(scale, abs(c))
-        return all(abs(self.coeff(j) - other.coeff(j)) <= tol * scale
-                   for j in range(n))
+        return _allclose([self.coeffs], [other.coeffs], tol)
 
     def __repr__(self):
         return f"SliceSeries(degree={self.degree})"
@@ -166,39 +239,14 @@ def slice_monomial(j: int, c=1) -> SliceSeries:
     return SliceSeries([_Z] * j + [_lift(c)])
 
 
-class PolySliceSeries:
+class PolySliceSeries(_Grid):
     """Left-form polyanalytic series sum qbar^k q^j c_kj.
 
     Row index k is the qbar power ("level"), column index j the q power.
     The coefficient sits on the right of the variable powers.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, rows=()):
-        rows = [[_lift(c) for c in row] for row in rows]
-        width = max((len(r) for r in rows), default=0)
-        rect = [r + [_Z] * (width - len(r)) for r in rows]
-        rect = _trim(rect, lambda r: all(c == _Z for c in r))
-        if rect:
-            width = max(
-                max((j + 1 for j, c in enumerate(r) if c != _Z), default=0)
-                for r in rect)
-            rect = [r[:width] for r in rect]
-        self.coeffs = tuple(tuple(r) for r in rect)
-
-    @property
-    def level(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree(self) -> int:
-        return max((len(r) for r in self.coeffs), default=0) - 1
-
-    def coeff(self, k: int, j: int) -> Quaternion:
-        if 0 <= k < len(self.coeffs) and 0 <= j < len(self.coeffs[k]):
-            return self.coeffs[k][j]
-        return _Z
+    __slots__ = ()
 
     def component(self, k: int) -> SliceSeries:
         """Slice-regular component of level k (row k)."""
@@ -208,18 +256,11 @@ class PolySliceSeries:
 
     # -- linear structure ------------------------------------------------
 
-    def _zip(self, other, op):
-        rows = max(len(self.coeffs), len(other.coeffs))
-        cols = max(self.degree, other.degree) + 1
-        return PolySliceSeries(
-            [[op(self.coeff(k, j), other.coeff(k, j)) for j in range(cols)]
-             for k in range(rows)])
-
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return PolySliceSeries(_zip(self.coeffs, other.coeffs, operator.add))
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return PolySliceSeries(_zip(self.coeffs, other.coeffs, operator.sub))
 
     def __neg__(self):
         return PolySliceSeries([[-c for c in row] for row in self.coeffs])
@@ -234,8 +275,6 @@ class PolySliceSeries:
 
     def mul_qbar(self, power: int = 1) -> "PolySliceSeries":
         """Multiply by qbar^power on the left (row shift)."""
-        if not self.coeffs:
-            return self
         pad = [[_Z]] * power
         return PolySliceSeries(pad + [list(r) for r in self.coeffs])
 
@@ -256,67 +295,26 @@ class PolySliceSeries:
     def star(self, other: "PolySliceSeries") -> "PolySliceSeries":
         """Left polyanalytic star product:
         (qbar^k q^j c) * (qbar^x q^y d) = qbar^(k+x) q^(j+y) (c d)."""
-        if not self.coeffs or not other.coeffs:
-            return PolySliceSeries()
-        rows = self.level + other.level + 1
-        cols = self.degree + other.degree + 1
-        out = [[_Z] * cols for _ in range(rows)]
-        for ka, ra in enumerate(self.coeffs):
-            for ja, a in enumerate(ra):
-                if a == _Z:
-                    continue
-                for kb, rb in enumerate(other.coeffs):
-                    for jb, b in enumerate(rb):
-                        if b == _Z:
-                            continue
-                        out[ka + kb][ja + jb] = out[ka + kb][ja + jb] + a * b
-        return PolySliceSeries(out)
+        return PolySliceSeries(_convolve(self.coeffs, other.coeffs))
 
     def conj(self) -> "RightPolySeries":
         """conj(qbar^k q^j c) = conj(c) q^k qbar^j: transpose + conjugate."""
-        rows = self.degree + 1
-        cols = self.level + 1
-        return RightPolySeries(
-            [[self.coeff(j, k).conj() for j in range(cols)] for k in range(rows)])
+        return RightPolySeries([[c.conj() for c in col] for col in zip(*self.coeffs)])
 
     # -- evaluation ------------------------------------------------------
 
-    def _power_tables(self, q: Quaternion):
-        qc = q.conj()
-        qp = [quat(1)]
-        for _ in range(max(self.degree, 0)):
-            qp.append(qp[-1] * q)
-        qcp = [quat(1)]
-        for _ in range(max(self.level, 0)):
-            qcp.append(qcp[-1] * qc)
-        return qp, qcp
-
     def eval(self, q: Quaternion) -> Quaternion:
-        q = _lift(q)
-        qp, qcp = self._power_tables(q)
-        total = _Z
-        for k, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != _Z:
-                    total = total + qcp[k] * qp[j] * c
-        return total
+        return _eval(self.coeffs, q, left=False)
 
     __call__ = eval
 
     def eval_left(self, q: Quaternion) -> Quaternion:
         """Evaluate with the coefficient on the LEFT: sum c_kj qbar^k q^j.
 
-        Used by the kernel star path, whose coefficients live in the
-        parameter's slice and belong on the left of the variable powers.
-        """
-        q = _lift(q)
-        qp, qcp = self._power_tables(q)
-        total = _Z
-        for k, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != _Z:
-                    total = total + c * (qcp[k] * qp[j])
-        return total
+        The exact scalar reference of the star-identities suite and of the
+        tests for star Laguerre and star exponential series, whose
+        coefficients lie in the parameter's slice."""
+        return _eval(self.coeffs, q, left=True)
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Values on an (N, 4) batch: slice_values at each point's own slice
@@ -337,28 +335,6 @@ class PolySliceSeries:
     @classmethod
     def from_json(cls, data: dict) -> "PolySliceSeries":
         return cls([[Quaternion(*c) for c in row] for row in data["coeffs"]])
-
-    # -- comparison ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolySliceSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def allclose(self, other: "PolySliceSeries", tol: float = 1e-12) -> bool:
-        rows = max(len(self.coeffs), len(other.coeffs))
-        cols = max(self.degree, other.degree) + 1
-        scale = 1.0
-        for k in range(rows):
-            for j in range(cols):
-                scale = max(scale, abs(self.coeff(k, j)), abs(other.coeff(k, j)))
-        return all(
-            abs(self.coeff(k, j) - other.coeff(k, j)) <= tol * scale
-            for k in range(rows) for j in range(cols))
-
-    def __repr__(self):
-        return f"PolySliceSeries(level={self.level}, degree={self.degree})"
 
 
 def coeff_stack(funcs) -> np.ndarray:
@@ -398,84 +374,26 @@ def slice_values(c: np.ndarray, z: np.ndarray, unit: np.ndarray | None = None) -
     return np.moveaxis(np.tensordot(pairs, m.view(float), axes=([0, 1], [1, 2])), -1, 0)
 
 
-class RightPolySeries:
+class RightPolySeries(_Grid):
     """Right-form series sum c_kj q^j qbar^k (coefficient on the left)."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, rows=()):
-        self.coeffs = PolySliceSeries(rows).coeffs  # same storage rules
-
-    @property
-    def level(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree(self) -> int:
-        return max((len(r) for r in self.coeffs), default=0) - 1
-
-    def coeff(self, k: int, j: int) -> Quaternion:
-        if 0 <= k < len(self.coeffs) and 0 <= j < len(self.coeffs[k]):
-            return self.coeffs[k][j]
-        return _Z
+    __slots__ = ()
 
     def star(self, other: "RightPolySeries") -> "RightPolySeries":
         """Right polyanalytic star product:
         (c q^j qbar^k) * (d q^y qbar^x) = (c d) q^(j+y) qbar^(k+x)."""
-        if not self.coeffs or not other.coeffs:
-            return RightPolySeries()
-        rows = self.level + other.level + 1
-        cols = self.degree + other.degree + 1
-        out = [[_Z] * cols for _ in range(rows)]
-        for ka, ra in enumerate(self.coeffs):
-            for ja, a in enumerate(ra):
-                if a == _Z:
-                    continue
-                for kb, rb in enumerate(other.coeffs):
-                    for jb, b in enumerate(rb):
-                        if b == _Z:
-                            continue
-                        out[ka + kb][ja + jb] = out[ka + kb][ja + jb] + a * b
-        return RightPolySeries(out)
+        return RightPolySeries(_convolve(self.coeffs, other.coeffs))
 
     def conj(self) -> PolySliceSeries:
         """conj(c q^j qbar^k) = qbar^j q^k conj(c): transpose + conjugate."""
-        rows = self.degree + 1
-        cols = self.level + 1
-        return PolySliceSeries(
-            [[self.coeff(j, k).conj() for j in range(cols)] for k in range(rows)])
+        return PolySliceSeries([[c.conj() for c in col] for col in zip(*self.coeffs)])
 
     def eval(self, q: Quaternion) -> Quaternion:
-        q = _lift(q)
-        qc = q.conj()
-        qp = [quat(1)]
-        for _ in range(max(self.degree, 0)):
-            qp.append(qp[-1] * q)
-        qcp = [quat(1)]
-        for _ in range(max(self.level, 0)):
-            qcp.append(qcp[-1] * qc)
-        total = _Z
-        for k, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != _Z:
-                    total = total + c * qp[j] * qcp[k]
-        return total
+        """sum c_kj (qbar^k q^j): q^j and qbar^k commute, so this is the
+        left-coefficient evaluation of the same grid."""
+        return _eval(self.coeffs, q, left=True)
 
     __call__ = eval
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RightPolySeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def allclose(self, other: "RightPolySeries", tol: float = 1e-12) -> bool:
-        a = PolySliceSeries(self.coeffs)
-        b = PolySliceSeries(other.coeffs)
-        return a.allclose(b, tol)
-
-    def __repr__(self):
-        return f"RightPolySeries(level={self.level}, degree={self.degree})"
 
 
 def poly_monomial(k: int, j: int, c=1) -> PolySliceSeries:
@@ -568,17 +486,10 @@ def s_k_series(k: int, q: Quaternion) -> PolySliceSeries:
     if not 0 <= k <= DEGREE_CAP:
         raise ValueError(f"star distance power {k} exceeds cap {DEGREE_CAP}")
     q = _lift(q)
-    h = SliceSeries([-q, 1])
-    hk = h.star_pow(k)
-    qc = q.conj()
-    qcp = [quat(1)]
-    for _ in range(k):
-        qcp.append(qcp[-1] * qc)
-    rows = [[_Z]] * (k + 1)
-    for j in range(k + 1):
-        c = qcp[j] * ((-1) ** j * math.comb(k, j))
-        rows[k - j] = hk.rmul(c).coeffs
-    return PolySliceSeries(rows)
+    hk = SliceSeries([-q, 1]).star_pow(k)
+    qcp = _powers(q.conj(), k)
+    return PolySliceSeries([hk.rmul(qcp[j] * ((-1) ** j * math.comb(k, j))).coeffs
+                            for j in range(k, -1, -1)])
 
 
 def _laguerre_star_coeff(n: int, gamma, k: int):
@@ -615,11 +526,5 @@ def exp_star(q: Quaternion, terms: int = 40) -> PolySliceSeries:
     in p.  Same-slice evaluation gives e^(pbar q)."""
     if not 0 <= terms <= EXP_STAR_CAP:
         raise ValueError(f"exp_star truncation {terms} outside 0..{EXP_STAR_CAP}")
-    q = _lift(q)
-    rows = []
-    p = quat(1)
-    for k in range(terms + 1):
-        if k:
-            p = p * q
-        rows.append([p * Fraction(1, math.factorial(k))])
-    return PolySliceSeries(rows)
+    return PolySliceSeries([[c * Fraction(1, math.factorial(k))]
+                            for k, c in enumerate(_powers(_lift(q), terms))])

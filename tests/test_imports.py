@@ -1,5 +1,6 @@
 """No module of the package imports a name it neither uses nor exports,
-and the command line starts without scipy."""
+no module-level private helper goes unused, and the command line starts
+without scipy."""
 import ast
 import os
 import pathlib
@@ -32,6 +33,24 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_no_dead_private_helpers():
+    # every module-level _name function is referenced somewhere in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in used]
+    assert dead == []
 
 
 def test_cli_import_leaves_scipy_out():

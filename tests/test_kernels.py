@@ -288,6 +288,12 @@ def test_kernel_value_dispatch():
         series_tail_bound(k, p, q, 60) for k in range(3))
     assert kernel_tail(KernelSpec("second", 2, "series"), p, q) == series_tail_bound(2, p, q)
     assert kernel_tail(KernelSpec("second", 1, "star", 20), p, q) == star_tail_bound(1, p, q, 20)
+    # an (N, 4) batch gets each row's own estimate, as one point at a time does
+    batch = np.array([q.as_tuple(), p.as_tuple(), (0.0,) * 4, (1.2, 0.0, 0.0, 0.0)], dtype=float)
+    for spec in (KernelSpec("first", 2, "series", 60), KernelSpec("first", 2, "star", 20)):
+        tails = kernel_tail(spec, p, batch)
+        assert tails.shape == (4,) and tails[2] == 0.0
+        assert list(tails) == [kernel_tail(spec, p, qarray.to_quaternion(row)) for row in batch]
 
 
 def test_kernel_value_batch_matches_points():

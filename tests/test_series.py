@@ -112,6 +112,36 @@ def test_conj_swaps_left_and_right_star():
     assert lhs.coeffs == rhs.coeffs
 
 
+def _frac_grid(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    return [[quat(*(Fraction(int(v), 7) for v in rng.integers(-9, 10, 4)))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_right_form_value_is_left_coefficient_value():
+    # c q^j qbar^k = c qbar^k q^j: one grid, the coefficient on the left
+    q = quat(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 2))
+    for seed, (rows, cols) in enumerate(((1, 3), (3, 2), (4, 4))):
+        grid = _frac_grid(seed, rows, cols)
+        assert RightPolySeries(grid).eval(q) == PolySliceSeries(grid).eval_left(q)
+        assert RightPolySeries(grid)(q) != PolySliceSeries(grid)(q)  # noncommuting c
+
+
+def test_slice_star_is_level_zero_grid_star():
+    c, d = _frac_grid(7, 1, 4)[0], _frac_grid(8, 1, 3)[0]
+    got = SliceSeries(c).star(SliceSeries(d)).coeffs
+    assert got == PolySliceSeries([c]).star(PolySliceSeries([d])).coeffs[0]
+    assert SliceSeries(c).star(SliceSeries()).coeffs == ()
+
+
+def test_left_and_right_forms_never_equal():
+    grid = _frac_grid(3, 2, 3)
+    left, right = PolySliceSeries(grid), RightPolySeries(grid)
+    assert left.coeffs == right.coeffs
+    assert left != right and right != left
+    assert left == PolySliceSeries(grid) and right == RightPolySeries(grid)
+
+
 def test_s1_display():
     q = quat(Fraction(1, 2), Fraction(1, 4), 0, 0)
     s1 = s_k_series(1, q)
