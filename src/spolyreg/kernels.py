@@ -11,12 +11,14 @@ Two independent computational paths:
   Evaluated through factorial-normalised ladder recurrences so that
   200-term truncations stay inside double range.
 
-* star path: assemble (1/pi) e*^[pbar,q] * L*_k of the squared star
-  distance as a polyanalytic series in p whose coefficients lie in the
-  slice of q, held as complex grids batched over q (star_coeffs), then
-  evaluate it with the coefficients on the left.  On the slice of q
-  both paths collapse to the classical polyanalytic kernel
-  (1/pi) e^(pbar q) L_k(|p-q|^2).
+* star path: (1/pi) e*^[pbar,q] * L*_k of the squared star distance,
+  a polyanalytic series in p whose coefficients lie in the slice of q
+  (coordinate w), evaluated with the coefficients on the left.  Its value
+  needs the series only at zeta and zetabar, zeta the coordinate of p,
+  where every factor commutes: E_T(w zeta) L_k(|zeta - wbar|^2) and
+  E_T(w zetabar) L_k(|zeta - w|^2), E_T the exponential cut at T terms.
+  On the slice of q both paths collapse to the classical polyanalytic
+  kernel (1/pi) e^(pbar q) L_k(|p-q|^2).
 
 The level-n kernel of the first kind K_{1,n} is the sum of the first
 n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
@@ -27,14 +29,13 @@ evaluates it and kernel_tail estimates its truncation error.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qarray
-from .poly import DEGREE_CAP, laguerre
+from .poly import laguerre
 from .quad import values_on
 from .quat import Quaternion, qexp
 from .series import EXP_STAR_CAP
@@ -42,7 +43,6 @@ from .series import EXP_STAR_CAP
 __all__ = [
     "KernelSpec",
     "k2_series_levels",
-    "star_coeffs",
     "kernel_value",
     "kernel_tail",
     "closed_slice",
@@ -78,6 +78,8 @@ class KernelSpec:
         if self.terms is None:
             object.__setattr__(self, "terms",
                                SERIES_TERMS if self.method == "series" else STAR_TERMS)
+        if self.method == "series" and self.terms < self.level:
+            raise ValueError(f"series truncation {self.terms} is below the level {self.level}")
 
 
 def _ladder(z: np.ndarray, k_max: int, terms: int):
@@ -124,80 +126,41 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
 # -- star path -----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _laguerre_weights(kind: str, level: int) -> np.ndarray:
-    """The q-independent weights of the star Laguerre polynomial L*_level
-    (gamma of the kind) of the star distance, as a read-only
-    ((level+1)^2, (level+1)^2) table: row (alpha, beta), column (r, i) is
-    the weight of w^alpha wbar^beta at pbar^r p^i, w the slice coordinate
-    of q.  L* = sum_k c_k S_k with c_k = (-1)^k C(level+gamma, level-k)/k!,
-    and S_k carries (-1)^j C(k,j) C(k,i) (-w)^(k-i) wbar^j at pbar^(k-j) p^i."""
-    if not 0 <= level <= DEGREE_CAP:
-        raise ValueError(f"star Laguerre degree {level} exceeds cap {DEGREE_CAP}")
-    gamma, n = _GAMMA[kind], level + 1
-    t = np.zeros((n, n, n, n))
-    for k in range(n):
-        for i in range(k + 1):
-            for j in range(k + 1):
-                t[k - i, j, k - j, i] = ((-1) ** (i + j) * math.comb(level + gamma, level - k)
-                                         * math.comb(k, i) * math.comb(k, j)
-                                         / math.factorial(k))
-    t = t.reshape(n * n, n * n)
-    t.setflags(write=False)
-    return t
-
-
-def _laguerre_grid(kind: str, level: int, z: np.ndarray) -> np.ndarray:
-    """L*_level of the star distance to each q as an (N, level+1, level+1)
-    complex grid over (pbar power, p power), from the slice coordinates z."""
-    n = level + 1
-    t = _laguerre_weights(kind, level)
-    mono = (np.vander(z, n, increasing=True)[:, :, None]
-            * np.vander(np.conj(z), n, increasing=True)[:, None, :])
-    return (mono.reshape(len(z), n * n) @ t).reshape(len(z), n, n)
-
-
-def star_coeffs(kind: str, level: int, z: np.ndarray, terms: int = STAR_TERMS) -> np.ndarray:
-    """The star-path kernel (1/pi) e*^[pbar,q] * L*_level as complex
-    coefficient grids, shape (N, terms+level+1, level+1) over (pbar power,
-    p power), for the (N,) slice coordinates z of a q batch.
-
-    Every coefficient lies in the slice of its q, so the star product is a
-    row convolution of the exp row w^a/a! with the Laguerre grid."""
+def _exp_truncated(x: np.ndarray, terms: int) -> np.ndarray:
+    """E_T(x) = sum_{a <= T} x^a / a!, T = terms, summed term by term in
+    order of a, so each entry depends on its own argument alone."""
     if not 0 <= terms <= EXP_STAR_CAP:
         raise ValueError(f"star truncation {terms} outside 0..{EXP_STAR_CAP}")
-    lag = _laguerre_grid(kind, level, z)
-    steps = np.concatenate([np.ones((len(z), 1)), z[:, None] / np.arange(1, terms + 1)], axis=1)
-    exp_row = np.cumprod(steps, axis=1)
-    out = np.zeros((len(z), terms + level + 1, level + 1), dtype=complex)
-    for r in range(level + 1):
-        out[:, r:r + terms + 1] += exp_row[:, :, None] * lag[:, r, None, :]
-    return out * (1.0 / math.pi)
+    term = total = np.ones_like(x)
+    for a in range(1, terms + 1):
+        term = term * x / a
+        total = total + term
+    return total
 
 
 def clear_star_cache() -> None:
-    """Drop the cached star Laguerre weight tables."""
-    _laguerre_weights.cache_clear()
+    """A no-op kept for callers that reset state: the star path caches nothing."""
 
 
 def kernel_value(spec: KernelSpec, p: Quaternion, q):
     """K(p, q) for one Quaternion q, or K(p, q_n) as an (N, 4) array for an
     (N, 4) batch of q: one ladder on the series path (K_2 is its row at the
-    level, K_1 the sum of its rows), one coefficient grid per q on the star
-    path (its coefficients lie in the slice of q), contracted against one
-    pbar^r p^i table."""
+    level, K_1 the sum of its rows).  On the star path the coefficients lie
+    in the slice of q and the monomials pbar^r p^i in that of p, so the two
+    sums lift_conj_product combines are the series at zeta and zetabar, where
+    the star product is a product: E_T(w zeta) times L_level^(gamma) of
+    (zeta - wbar)(zetabar - w), and the same at zetabar, row by row."""
     if isinstance(q, Quaternion):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "series":
         k2 = k2_series_levels(spec.level, qarray.from_quaternion(p), q, spec.terms)
         return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
-    z, unit = qarray.to_slice(q)
-    c = star_coeffs(spec.kind, spec.level, z, spec.terms)
+    w, unit = qarray.to_slice(q)
     zp, up = qarray.to_slice(qarray.from_quaternion(p))
-    m = (np.vander([np.conj(zp)], c.shape[1], increasing=True).T
-         * np.vander([zp], c.shape[2], increasing=True)).ravel()
-    c = c.reshape(len(z), m.size)
-    return qarray.lift_conj_product(c @ np.conj(m), c @ m, unit, up)
+    z = np.array([zp, np.conj(zp)])[:, None]
+    s = (_exp_truncated(w * z, spec.terms) / math.pi
+         * laguerre(spec.level, _GAMMA[spec.kind], np.abs(z - np.conj(w)) ** 2))
+    return qarray.lift_conj_product(s[0], s[1], unit, up)
 
 
 # -- same-slice closed forms ---------------------------------------------
@@ -227,6 +190,8 @@ def series_tail_bound(k: int, p: Quaternion, q, terms: int = SERIES_TERMS):
     |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2); a float for one
     Quaternion q, an (N,) array for an (N, 4) batch.  The window is summed
     term by term, so a row's bound does not depend on the batch."""
+    if terms < k:
+        raise ValueError(f"series truncation {terms} is below the level {k}")
     if isinstance(q, Quaternion):
         return float(series_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
     q2 = np.sum(np.square(q), axis=1)
@@ -245,19 +210,17 @@ def series_tail_bound(k: int, p: Quaternion, q, terms: int = SERIES_TERMS):
 
 def star_tail_bound(k: int, p: Quaternion, q, terms: int = STAR_TERMS):
     """Heuristic bound on the exp-star truncation: dropped rows of
-    e*^[pbar,q] times the evaluated magnitude of the Laguerre factor
-    (|c| of a slice coefficient is its quaternion norm); a float for one
-    Quaternion q, an (N,) array for an (N, 4) batch from one Laguerre grid."""
+    e*^[pbar,q] times L_k(-(|p|+|q|)^2) = sum_m |c_m| (|p|+|q|)^(2m), which
+    bounds the Laguerre factor; a float for one Quaternion q, an (N,) array
+    for an (N, 4) batch."""
     if isinstance(q, Quaternion):
         return float(star_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
-    z, _ = qarray.to_slice(q)
-    lag = np.abs(_laguerre_grid("second", k, z))
-    ap = abs(p)
-    lag_bound = np.sum(lag * ap ** np.add.outer(np.arange(k + 1), np.arange(k + 1)), axis=(1, 2))
-    r = ap * np.sqrt(np.sum(np.square(q), axis=1))
+    ap, aq = abs(p), np.sqrt(np.sum(np.square(q), axis=1))
+    lag_bound = laguerre(k, 0, -np.square(ap + aq))
+    r = ap * aq
     lr = np.log(np.where(r > 0.0, r, 1.0))
     window = range(terms + 1, terms + 1 + STAR_TAIL_WINDOW)
-    tail = np.zeros(len(z))
+    tail = np.zeros(len(aq))
     for term in np.exp(np.array(window)[:, None] * lr
                        - np.array([math.lgamma(a + 1) for a in window])[:, None]):
         tail += term

@@ -185,20 +185,30 @@ def test_bad_quaternion_literal_exit_two():
 
 
 @pytest.mark.parametrize("method", ["series", "star"])
-def test_negative_terms_exit_two(method):
-    r = run("eval", "kernel", "--level", "0", "--p", "0", "--q", "0",
-            "--method", method, "--terms", "-5")
-    assert r.returncode == 2
-    assert r.stdout == ""
+def test_negative_terms_exit_two(method, capsys):
+    from spolyreg.cli import main
+    assert main(["eval", "kernel", "--level", "0", "--p", "0", "--q", "0",
+                 "--method", method, "--terms", "-5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("terms", ["--terms=-1", "--terms=201"])
-def test_star_terms_out_of_range_exit_two(terms):
-    r = run("eval", "kernel", "--level", "1", "--p", "0.5+0.5i", "--q", "0.25-0.1j",
-            "--method", "star", terms)
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert "outside 0..200" in r.stderr
+def test_star_terms_out_of_range_exit_two(terms, capsys):
+    from spolyreg.cli import main
+    assert main(["eval", "kernel", "--level", "1", "--p", "0.5+0.5i", "--q", "0.25-0.1j",
+                 "--method", "star", terms]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "outside 0..200" in out.err
+
+
+def test_series_terms_below_level_exit_two(capsys):
+    from spolyreg.cli import main
+    assert main(["eval", "kernel", "--level", "5", "--terms", "2",
+                 "--p", "0.3", "--q", "0.2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "series truncation 2 is below the level 5" in out.err
 
 
 def test_unknown_suite_rejected():
@@ -289,8 +299,9 @@ def test_eval_kernel_series_rows_match_single_points(tmp_path, capsys):
     qs = ["0.5+0.3i-0.2j", "-0.7+0.1k", "1.1", "0.2-0.4i+0.6j+0.3k"]
     pts = tmp_path / "q.csv"
     pts.write_text("0.5,0.3,-0.2,0\n-0.7,0,0,0.1\n1.1,0,0,0\n0.2,-0.4,0.6,0.3\n")
-    for kind in ("1", "2"):
-        argv = ["eval", "kernel", "--kind", kind, "--level", "2", "--p=0.4-0.6i+0.2k"]
+    for kind, method in [(k, m) for k in ("1", "2") for m in ("series", "star")]:
+        argv = ["eval", "kernel", "--kind", kind, "--level", "2", "--p=0.4-0.6i+0.2k",
+                "--method", method]
         assert main(argv + ["--points", str(pts)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == len(qs)

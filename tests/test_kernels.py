@@ -19,12 +19,10 @@ from spolyreg import (
     qarray,
     quat,
 )
-from spolyreg import kernels
 from spolyreg.kernels import (
     clear_star_cache,
     k2_series_levels,
     series_tail_bound,
-    star_coeffs,
     star_tail_bound,
 )
 
@@ -175,22 +173,23 @@ def test_star_tail_bound_positive_and_decreasing():
     assert 0 < b40 < b30
 
 
-def test_star_cache_reuse():
-    # one Laguerre weight table per (kind, level), shared by every q
-    clear_star_cache()
-    z = np.array([0.25 + 0.9j, -1.1 + 0.0j])
-    a = {(kind, level): star_coeffs(kind, level, z, 10)
-         for kind in ("first", "second") for level in range(3)}
-    for (kind, level), grid in a.items():
-        assert np.array_equal(star_coeffs(kind, level, z, 10), grid)
-    info = kernels._laguerre_weights.cache_info()
-    assert (info.misses, info.currsize) == (6, 6)
-    clear_star_cache()
-    assert kernels._laguerre_weights.cache_info().currsize == 0
-    for (kind, level), grid in a.items():
-        assert np.array_equal(star_coeffs(kind, level, z, 10), grid)
-    assert kernels._laguerre_weights.cache_info().misses == 6
-    clear_star_cache()
+def test_star_rows_match_one_row_calls():
+    # every star value and tail of a batch row equals its one-row call bit
+    # for bit, and a clear_star_cache() between calls changes nothing
+    rng = np.random.default_rng(17)
+    p = rng.standard_normal(4) * 0.6
+    batch = np.vstack([rng.standard_normal((40, 4)) * 0.7,
+                       [[0.8, 0, 0, 0], [0, 0, 0, 0], p, -p]])
+    pq = qarray.to_quaternion(p)
+    for kind in ("first", "second"):
+        for level in range(7):
+            spec = KernelSpec(kind, level, "star")
+            values, tails = kernel_value(spec, pq, batch), kernel_tail(spec, pq, batch)
+            clear_star_cache()
+            for n, row in enumerate(batch):
+                assert np.array_equal(kernel_value(spec, pq, batch[n:n + 1])[0], values[n])
+                assert kernel_tail(spec, pq, qarray.to_quaternion(row)) == tails[n]
+            assert np.array_equal(kernel_value(spec, pq, batch), values)
 
 
 def star_reference(kind: str, level: int, p, q, terms: int):
@@ -223,11 +222,20 @@ def test_star_coeffs_match_scalar_star_assembly():
 
 
 def test_star_coeffs_refuse_out_of_range_terms():
-    z = np.array([0.5 + 0.5j])
+    p, q = quat(0.3, 0.2, 0.1, 0.0), np.array([[0.5, 0.5, 0.0, 0.0]])
     for terms in (-1, 201):
-        with pytest.raises(ValueError):
-            star_coeffs("second", 1, z, terms)
-    assert star_coeffs("first", 2, z, 200).shape == (1, 203, 3)
+        with pytest.raises(ValueError, match=f"star truncation {terms} outside 0..200"):
+            kernel_value(KernelSpec("second", 1, "star", terms), p, q)
+    assert kernel_value(KernelSpec("first", 2, "star", 200), p, q).shape == (1, 4)
+
+
+def test_series_truncation_below_level_refused():
+    with pytest.raises(ValueError, match="series truncation 2 is below the level 5"):
+        KernelSpec("second", 5, "series", 2)
+    with pytest.raises(ValueError, match="series truncation 2 is below the level 5"):
+        series_tail_bound(5, quat(0.3), quat(0.2), 2)
+    assert series_tail_bound(5, quat(0.3), quat(0.2), 5) > 0.0
+    assert KernelSpec("second", 5, "star", 2).terms == 2
 
 
 def test_lift_conj_product_matches_qmul():
@@ -274,15 +282,9 @@ def test_kernel_value_dispatch():
         k2_series_levels(1, qarray.from_quaternion(p), qarray.from_quaternion(q)[None, :])[1, 0])
     assert kernel_value(KernelSpec("first", 2, "series"), p, q) == qarray.to_quaternion(
         k2.sum(axis=0)[0])
-    z, u = qarray.to_slice(qarray.from_quaternion(q)[None, :])
-    zp, v = qarray.to_slice(qarray.from_quaternion(p))
     for spec in (KernelSpec("first", 2, "star"), KernelSpec("second", 2, "star", 30)):
-        c = star_coeffs(spec.kind, 2, z, spec.terms)
-        m = (np.vander([np.conj(zp)], spec.terms + 3, increasing=True).T
-             * np.vander([zp], 3, increasing=True)).ravel()
-        c = c.reshape(1, m.size)
-        assert kernel_value(spec, p, q) == qarray.to_quaternion(
-            qarray.lift_conj_product(c @ np.conj(m), c @ m, u, v)[0])
+        ref = star_reference(spec.kind, 2, p, q, spec.terms)
+        assert (kernel_value(spec, p, q) - ref).norm() <= 1e-12 * max(1.0, abs(ref))
     # the tail estimate sums the method's bound over the levels of the kind
     assert kernel_tail(KernelSpec("first", 2, "series", 60), p, q) == sum(
         series_tail_bound(k, p, q, 60) for k in range(3))
