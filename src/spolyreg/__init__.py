@@ -19,8 +19,7 @@ transforms; `spectral` the slice operator and its eigenfunctions;
 from .bargmann import (HermiteLine, SampledLine, b2_grid, b2_norm_closed,
                        basis_image_scale, transform_batch)
 from .config import Config, load_config
-from .kernels import (KernelSpec, closed_slice, kernel_tail, kernel_value,
-                      project_batch)
+from .kernels import KernelSpec, kernel_tail, kernel_value, project_batch
 from .poly import (KummerConvergenceError, TruncationPolicy, hermite_H,
                    hermite_fn, hermite_quat, kummer_M, laguerre, pochhammer)
 from .quad import (QuadratureDegreeError, Rule1D, SliceQuadrature, SphereRule,
@@ -53,7 +52,7 @@ __all__ = [
     "Rule1D", "SliceQuadrature", "SphereRule", "QuadratureDegreeError",
     "gauss_hermite", "gauss_legendre", "sphere_rule", "inner_slice",
     "inner_real", "inner_full", "norm_sq_slice", "norm_sq_full", "gram_slice",
-    "KernelSpec", "kernel_value", "kernel_tail", "closed_slice", "project_batch",
+    "KernelSpec", "kernel_value", "kernel_tail", "project_batch",
     "HermiteLine", "SampledLine", "b2_grid", "transform_batch",
     "basis_image_scale", "b2_norm_closed",
     "SpectralConfig", "box_symbolic", "box_fd", "psi", "psi_norm_sq",

@@ -17,15 +17,18 @@ Two independent computational paths:
   needs the series only at zeta and zetabar, zeta the coordinate of p,
   where every factor commutes: E_T(w zeta) L_k(|zeta - wbar|^2) and
   E_T(w zetabar) L_k(|zeta - w|^2), E_T the exponential cut at T terms.
-  On the slice of q both paths collapse to the classical polyanalytic
-  kernel (1/pi) e^(pbar q) L_k(|p-q|^2).
+
+* closed form: the same two values with exp in place of E_T, the kernel
+  (1/pi) e^(pbar q) L_k(|p-q|^2) of each slice lifted to every pair by the
+  Representation Formula; both paths collapse to it on the slice of q.
 
 The level-n kernel of the first kind K_{1,n} is the sum of the first
 n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
 polynomial (the Laguerre summation identity).
 
 A KernelSpec names the kind, level, method and truncation; kernel_value
-evaluates it and kernel_tail estimates its truncation error.
+evaluates it for one p or paired p and q batches, and kernel_tail
+estimates the truncation error of the series and star paths.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import numpy as np
 from . import qarray
 from .poly import laguerre
 from .quad import values_on
-from .quat import Quaternion, qexp
+from .quat import Quaternion
 from .series import EXP_STAR_CAP
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "k2_series_levels",
     "kernel_value",
     "kernel_tail",
-    "closed_slice",
     "series_tail_bound",
     "star_tail_bound",
     "project_batch",
@@ -57,6 +59,7 @@ STAR_TERMS = 40
 SERIES_TAIL_WINDOW = 120      # dropped terms summed by series_tail_bound
 STAR_TAIL_WINDOW = 60         # dropped rows summed by star_tail_bound
 _GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
+_SAME_SLICE = 4 * np.finfo(float).eps   # |U x V| up to which two units share a slice
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,18 @@ class KernelSpec:
 
     kind: str = "second"          # "second" (fixed level) or "first" (sum)
     level: int = 0
-    method: str = "series"        # "series" or "star"
+    method: str = "series"        # "series", "star" or "closed"
     terms: int | None = None      # truncation; None takes the method's default
 
     def __post_init__(self):
         if self.kind not in ("first", "second"):
             raise ValueError(f"kernel kind must be 'first' or 'second', got {self.kind!r}")
-        if self.method not in ("series", "star"):
-            raise ValueError(f"kernel method must be 'series' or 'star', got {self.method!r}")
+        if self.method not in ("series", "star", "closed"):
+            raise ValueError(f"kernel method must be 'series', 'star' or 'closed', got {self.method!r}")
         if self.level < 0:
             raise ValueError("kernel level must be nonnegative")
-        if self.terms is None:
-            object.__setattr__(self, "terms",
-                               SERIES_TERMS if self.method == "series" else STAR_TERMS)
+        if self.terms is None:   # the closed form has no truncation
+            object.__setattr__(self, "terms", {"series": SERIES_TERMS, "star": STAR_TERMS}.get(self.method))
         if self.method == "series" and self.terms < self.level:
             raise ValueError(f"series truncation {self.terms} is below the level {self.level}")
 
@@ -142,44 +144,34 @@ def clear_star_cache() -> None:
     """A no-op kept for callers that reset state: the star path caches nothing."""
 
 
-def kernel_value(spec: KernelSpec, p: Quaternion, q):
-    """K(p, q) for one Quaternion q, or K(p, q_n) as an (N, 4) array for an
-    (N, 4) batch of q: one ladder on the series path (K_2 is its row at the
-    level, K_1 the sum of its rows).  On the star path the coefficients lie
-    in the slice of q and the monomials pbar^r p^i in that of p, so the two
-    sums lift_conj_product combines are the series at zeta and zetabar, where
-    the star product is a product: E_T(w zeta) times L_level^(gamma) of
-    (zeta - wbar)(zetabar - w), and the same at zetabar, row by row."""
+def kernel_value(spec: KernelSpec, p, q):
+    """K(p, q) for one Quaternion q, or K(p_n, q_n) as an (N, 4) array for an
+    (N, 4) batch of q, with p one Quaternion or an (N, 4) batch paired with q.
+    The series path is one ladder (K_2 is its row at the level, K_1 the sum
+    of its rows).  The star path's coefficients lie in the slice of q and its
+    monomials in that of p, so the two sums lift_conj_product combines are
+    s(z) = E_T(w z) L_level^(gamma)(|z - wbar|^2)/pi at z = zeta and zetabar;
+    "closed" puts exp in place of E_T.  Where p and q share a slice (parallel
+    or opposite units, or a real point) the value is the one term s(zetabar)
+    or s(zeta) at the common unit, which the lift's (s1 + s2)/2 +- (s2 - s1)/2
+    would cancel away."""
     if isinstance(q, Quaternion):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
+    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
     if spec.method == "series":
-        k2 = k2_series_levels(spec.level, qarray.from_quaternion(p), q, spec.terms)
+        k2 = k2_series_levels(spec.level, p, q, spec.terms)
         return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
     w, unit = qarray.to_slice(q)
-    zp, up = qarray.to_slice(qarray.from_quaternion(p))
-    z = np.array([zp, np.conj(zp)])[:, None]
-    s = (_exp_truncated(w * z, spec.terms) / math.pi
-         * laguerre(spec.level, _GAMMA[spec.kind], np.abs(z - np.conj(w)) ** 2))
-    return qarray.lift_conj_product(s[0], s[1], unit, up)
-
-
-# -- same-slice closed forms ---------------------------------------------
-
-
-def _common_slice_check(p: Quaternion, q: Quaternion, tol: float = 1e-12) -> None:
-    ip, iq = p.imag(), q.imag()
-    # cross product of the imaginary parts must vanish
-    c = ip * iq - iq * ip
-    if c.imag_norm() > tol * max(1.0, ip.imag_norm() * iq.imag_norm()):
-        raise ValueError("closed form needs p and q in a common slice")
-
-
-def closed_slice(kind: str, level: int, p: Quaternion, q: Quaternion) -> Quaternion:
-    """(1/pi) e^(pbar q) L_level^(gamma)(|p-q|^2) for p, q in a common slice,
-    with gamma = 0 for the second kind and 1 for the first."""
-    _common_slice_check(p, q)
-    d2 = float((p - q).norm_sq())
-    return qexp(p.conj() * q) * (laguerre(level, _GAMMA[kind], d2) / math.pi)
+    zp, up = qarray.to_slice(p)
+    z = np.array([zp, np.conj(zp)])
+    e = np.exp(w * z) if spec.method == "closed" else _exp_truncated(w * z, spec.terms)
+    s = e / math.pi * laguerre(spec.level, _GAMMA[spec.kind], np.abs(z - np.conj(w)) ** 2)
+    out = qarray.lift_conj_product(s[0], s[1], unit, up)
+    common = np.sum(np.square(np.cross(unit, up)), axis=-1) <= _SAME_SLICE ** 2
+    if common.any():
+        term = np.where(np.sum(unit * up, axis=-1) < 0, s[0], s[1])
+        out[common] = qarray.from_slice(term, np.where(w.imag[:, None] > 0, unit, up))[common]
+    return out
 
 
 # -- truncation diagnostics ----------------------------------------------
@@ -231,6 +223,8 @@ def kernel_tail(spec: KernelSpec, p: Quaternion, q):
     """Truncation estimate of kernel_value(spec, p, q), for one Quaternion q
     (a float) or an (N, 4) batch (an (N,) array): the method's tail bound
     summed over the levels that the kernel's kind adds up."""
+    if spec.method == "closed":
+        raise ValueError("the closed form has no truncation tail")
     bound = series_tail_bound if spec.method == "series" else star_tail_bound
     levels = range(spec.level + 1) if spec.kind == "first" else (spec.level,)
     return sum(bound(kappa, p, q, spec.terms) for kappa in levels)

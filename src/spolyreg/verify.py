@@ -23,8 +23,7 @@ from . import qarray
 from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
                        basis_image_scale, isometry_grams, transform_batch)
 from .config import Config
-from .kernels import (KernelSpec, closed_slice, k2_series_levels, kernel_value,
-                      project_batch)
+from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
 from .poly import hermite_quat, laguerre
 from .quad import SliceQuadrature, gauss_hermite, gram_slice, norm_sq_full, sphere_rule
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
@@ -157,15 +156,17 @@ def verify_kernel_dual(config: Config,
     def series_levels(ps, qs):
         """K_{2,kappa}(p_n, q_n) and K_{1,kappa}(p_n, q_n) for every
         kappa <= level_max, from one paired ladder."""
-        k2 = k2_series_levels(level_max, _batch(ps), _batch(qs), config.series_terms)
+        k2 = k2_series_levels(level_max, ps, qs, config.series_terms)
         return k2, np.cumsum(k2, axis=0)
 
     pairs = [(_bounded(rng, 1.5), _bounded(rng, 1.5)) for _ in range(25)]
-    k2, _ = series_levels(*zip(*pairs))
+    ps, qs = _batch(p for p, _ in pairs), _batch(q for _, q in pairs)
+    k2, _ = series_levels(ps, qs)
+    star = [kernel_value(KernelSpec("second", k, "star", config.star_terms), ps, qs)
+            for k in levels]
     for n, (p, q) in enumerate(pairs):
         for k in levels:
-            a = qarray.to_quaternion(k2[k, n])
-            b = kernel_value(KernelSpec("second", k, "star", config.star_terms), p, q)
+            a, b = qarray.to_quaternion(k2[k, n]), qarray.to_quaternion(star[k][n])
             rep.add({"p": p, "q": q, "k": k, "check": "dual"}, a, b, _qdiff(a, b))
     closed = []
     for _ in range(25):
@@ -173,16 +174,17 @@ def verify_kernel_dual(config: Config,
         p = quat(rng.normal()) + unit * rng.normal()
         q = quat(rng.normal()) + unit * rng.normal()
         closed.append((p, q, int(rng.integers(level_max + 1))))
-    k2, k1 = series_levels([c[0] for c in closed], [c[1] for c in closed])
+    ps, qs = _batch(c[0] for c in closed), _batch(c[1] for c in closed)
+    k2, k1 = series_levels(ps, qs)
+    c2, c1 = ([kernel_value(KernelSpec(kind, k, "closed"), ps, qs) for k in levels]
+              for kind in ("second", "first"))
     for n, (p, q, k) in enumerate(closed):
-        a = qarray.to_quaternion(k2[k, n])
-        b = closed_slice("second", k, p, q)
+        a, b = qarray.to_quaternion(k2[k, n]), qarray.to_quaternion(c2[k][n])
         rep.add({"p": p, "q": q, "k": k, "check": "closed-2"}, b, a, _qdiff(a, b))
-        a1 = qarray.to_quaternion(k1[k, n])
-        b1 = closed_slice("first", k, p, q)
+        a1, b1 = qarray.to_quaternion(k1[k, n]), qarray.to_quaternion(c1[k][n])
         rep.add({"p": p, "q": q, "n": k, "check": "closed-1"}, b1, a1, _qdiff(a1, b1))
     diag = [_bounded(rng, 2.0) for _ in range(4)]
-    k2, k1 = series_levels(diag, diag)
+    k2, k1 = series_levels(_batch(diag), _batch(diag))
     for n, q in enumerate(diag):
         base = math.exp(float(q.norm_sq())) / math.pi
         for k in levels:

@@ -13,6 +13,18 @@ def run(*args, **kw):
     return subprocess.run(BIN + list(args), capture_output=True, text=True, **kw)
 
 
+def run_main(capsys, *args):
+    """cli.main(args) in this interpreter, read back as run() reads a fresh
+    one; an argparse refusal leaves through SystemExit with its status."""
+    from spolyreg.cli import main
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return subprocess.CompletedProcess(list(args), code, out.out, out.err)
+
+
 def test_eval_hermite_vanishes_on_unit_imaginary():
     r = run("eval", "hermite-q", "--m", "1", "--n", "1", "--q", "0+1i+0j+0k")
     assert r.returncode == 0
@@ -127,13 +139,13 @@ def test_verify_exit_one_on_failure(tmp_path):
     assert json.loads(r.stdout)["passed"] is False
 
 
-def test_verify_grid_flags():
-    r = run("verify", "--suite", "eigen", "--max-degree", "3")
+def test_verify_grid_flags(capsys):
+    r = run_main(capsys, "verify", "--suite", "eigen", "--max-degree", "3")
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert d["passed"] is True
     # spectrum takes no degree grid
-    r = run("verify", "--suite", "spectrum", "--max-degree", "3")
+    r = run_main(capsys, "verify", "--suite", "spectrum", "--max-degree", "3")
     assert r.returncode == 2
     assert "does not take" in r.stderr
     # a negative grid flag is refused before any work, not passed vacuously
@@ -148,7 +160,7 @@ def test_verify_grid_flags():
                  ("table", "norms", "--n", "-1"),
                  ("table", "hermite-gram", "--max", "-1"),
                  ("table", "laguerre-sum", "--n", "-1")):
-        r = run(*argv)
+        r = run_main(capsys, *argv)
         assert r.returncode == 2, argv
         assert "is negative" in r.stderr and r.stdout == ""
 
@@ -161,25 +173,25 @@ def test_empty_report_does_not_pass():
     assert rep.passed is True
 
 
-def test_bad_quaternion_literal_exit_two():
-    r = run("eval", "psi", "--mu", "nope", "--j", "0", "--q", "0")
+def test_bad_quaternion_literal_exit_two(capsys):
+    r = run_main(capsys, "eval", "psi", "--mu", "nope", "--j", "0", "--q", "0")
     assert r.returncode == 2
     assert "quaternion literal" in r.stderr
-    r = run("eval", "kernel", "--level", "0", "--p", "1e400", "--q", "0")
+    r = run_main(capsys, "eval", "kernel", "--level", "0", "--p", "1e400", "--q", "0")
     assert r.returncode == 2
     assert "not finite" in r.stderr
     for t in ("nan", "inf"):
-        r = run("eval", "bargmann-kernel", "--level", "0", "--t", t, "--q", "0")
+        r = run_main(capsys, "eval", "bargmann-kernel", "--level", "0", "--t", t, "--q", "0")
         assert r.returncode == 2, t
         assert "not finite" in r.stderr and r.stdout == ""
     for flags in (("--rmax", "nan"), ("--rmax", "inf"), ("--rmax", "0"),
                   ("--windows", "0"), ("--windows", "1"), ("--windows", "2")):
-        r = run("spectrum-probe", "--mu", "1", *flags)
+        r = run_main(capsys, "spectrum-probe", "--mu", "1", *flags)
         assert r.returncode == 2, flags
         assert r.stdout == ""
     for argv in (("table", "hermite-gram", "--max", "24"),
                  ("verify", "--suite", "orthogonality", "--max-degree", "24")):
-        r = run(*argv)
+        r = run_main(capsys, *argv)
         assert r.returncode == 2, argv
         assert "exact only through degree 79" in r.stderr and r.stdout == ""
 
@@ -222,10 +234,10 @@ def test_missing_points_file_exit_two(tmp_path):
     assert r.returncode == 2
 
 
-def test_malformed_points_file_diagnostic(tmp_path):
+def test_malformed_points_file_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,0,0,0\n1,2,3\n")
-    r = run("eval", "hermite-q", "--m", "1", "--n", "0", "--points", str(bad))
+    r = run_main(capsys, "eval", "hermite-q", "--m", "1", "--n", "0", "--points", str(bad))
     assert r.returncode == 2
     assert "bad.csv:2" in r.stderr and "4 columns" in r.stderr
     for row in ("nan,0,0,0", "0,inf,0,0", "0,0,-inf,0", "1e400,0,0,0"):
@@ -233,40 +245,40 @@ def test_malformed_points_file_diagnostic(tmp_path):
         for argv in (("eval", "hermite-q", "--m", "1", "--n", "0"),
                      ("eval", "kernel", "--level", "0", "--p", "0"),
                      ("transform", "--level", "0", "--phi", "h:0")):
-            r = run(*argv, "--points", str(bad))
+            r = run_main(capsys, *argv, "--points", str(bad))
             assert r.returncode == 2, (row, argv)
             assert "bad.csv:2" in r.stderr and "non-finite" in r.stderr
             assert r.stdout == ""
     samples = tmp_path / "samples.csv"
     samples.write_text("0,1\n0.5,nan\n")
-    r = run("transform", "--level", "0", "--phi", str(samples), "--q", "0")
+    r = run_main(capsys, "transform", "--level", "0", "--phi", str(samples), "--q", "0")
     assert r.returncode == 2
     assert "samples.csv:2" in r.stderr and "non-finite" in r.stderr
 
 
-def test_bad_basis_label_exit_two():
-    r = run("transform", "--level", "0", "--phi", "h:99", "--q", "0")
+def test_bad_basis_label_exit_two(capsys):
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:99", "--q", "0")
     assert r.returncode == 2
     # the line quadrature loses accuracy beyond |Im q| = 5.5
-    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "9i")
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:0", "--q", "9i")
     assert r.returncode == 2
     assert "|Im q|" in r.stderr and r.stdout == ""
-    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "1.5+5i")
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:0", "--q", "1.5+5i")
     assert r.returncode == 0
     assert float(r.stdout.split(",")[4]) == pytest.approx(math.pi ** -0.25, rel=1e-9)
     # the coherent state leaves the line rule's nodes beyond |Re q| = 8
-    r = run("transform", "--level", "0", "--phi", "h:0", "--q", "15")
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:0", "--q", "15")
     assert r.returncode == 2
     assert "|Re q|" in r.stderr and r.stdout == ""
-    r = run("transform", "--level", "0", "--phi", "h:0", "--q=-8+5.5j")
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:0", "--q=-8+5.5j")
     assert r.returncode == 0
     assert float(r.stdout.split(",")[4]) == pytest.approx(math.pi ** -0.25, rel=1e-7)
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"definitely_not_a_key": 1}))
-    r = run("verify", "--suite", "spectrum", "--config", str(cfg))
+    r = run_main(capsys, "verify", "--suite", "spectrum", "--config", str(cfg))
     assert r.returncode == 2
     # a value of the wrong type or range is refused by field name
     for field, value, argv in (
@@ -279,7 +291,7 @@ def test_config_rejects_unknown_keys(tmp_path):
             ("line_nodes", 8, ("transform", "--level", "0", "--phi", "h:0",
                                "--q", "0.5+5i"))):
         cfg.write_text(json.dumps({field: value}))
-        r = run(*argv, "--config", str(cfg))
+        r = run_main(capsys, *argv, "--config", str(cfg))
         assert r.returncode == 2, field
         assert repr(field) in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""

@@ -8,7 +8,6 @@ import pytest
 from spolyreg import (
     KernelSpec,
     SliceQuadrature,
-    closed_slice,
     exp_star,
     hermite_series,
     kernel_tail,
@@ -119,17 +118,41 @@ def test_closed_slice_forms():
     q = quat(-0.3) + u * 1.1
     for k in range(4):
         a = kernel_value(series("second", k), p, q)
-        b = closed_slice("second", k, p, q)
+        b = kernel_value(KernelSpec("second", k, "closed"), p, q)
         assert (a - b).norm() < 1e-10
     for n in range(3):
         a = kernel_value(series("first", n), p, q)
-        b = closed_slice("first", n, p, q)
+        b = kernel_value(KernelSpec("first", n, "closed"), p, q)
         assert (a - b).norm() < 1e-10
 
 
-def test_closed_slice_rejects_mixed_slices():
-    with pytest.raises(ValueError):
-        closed_slice("second", 1, quat(0, 1, 0, 0), quat(0, 0, 1, 0))
+def test_closed_matches_series_on_mixed_slices():
+    # the closed form holds at every pair, not only on a common slice
+    rng = np.random.default_rng(23)
+    ps = rng.standard_normal((12, 4))
+    qs = rng.standard_normal((12, 4))
+    ps *= (1.5 * rng.uniform(size=12) / np.linalg.norm(ps, axis=1))[:, None]
+    qs *= (1.5 * rng.uniform(size=12) / np.linalg.norm(qs, axis=1))[:, None]
+    ps[0], qs[0] = [0, 1.5, 0, 0], [0, 0, 1.5, 0]        # orthogonal units
+    for kind in ("second", "first"):
+        for k in range(5):
+            got = kernel_value(KernelSpec(kind, k, "closed"), ps, qs)
+            ref = kernel_value(series(kind, k), ps, qs)
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("kind, gamma", [("second", 0), ("first", 1)])
+def test_closed_exact_at_antipodes(kind, gamma):
+    # K(p, -p) = e^(-|p|^2) L_k^(gamma)(4|p|^2) / pi; the lift of the two
+    # same-slice values cancels this to 0 at p = 5i, the direct term does not
+    rng = np.random.default_rng(31)
+    for p in (quat(0, 5, 0, 0), quat(1, 3, 4, 0), quat(5), quat(*rng.standard_normal(4))):
+        r2 = float(p.norm_sq())
+        for k in range(4):
+            ref = math.exp(-r2) * laguerre(k, gamma, 4.0 * r2) / math.pi
+            got = kernel_value(KernelSpec(kind, k, "closed"), p, -p)
+            assert abs(got - quat(ref)) <= 1e-13 * abs(ref)
 
 
 def test_diagonal_values():
@@ -174,22 +197,31 @@ def test_star_tail_bound_positive_and_decreasing():
 
 
 def test_star_rows_match_one_row_calls():
-    # every star value and tail of a batch row equals its one-row call bit
-    # for bit, and a clear_star_cache() between calls changes nothing
+    # every star and closed value and star tail of a batch row equals its
+    # one-row call bit for bit, with one p or a paired (N, 4) p batch, and a
+    # clear_star_cache() between calls changes nothing
     rng = np.random.default_rng(17)
     p = rng.standard_normal(4) * 0.6
     batch = np.vstack([rng.standard_normal((40, 4)) * 0.7,
                        [[0.8, 0, 0, 0], [0, 0, 0, 0], p, -p]])
+    pbatch = np.vstack([rng.standard_normal((40, 4)) * 0.7,
+                        [[0, 0.5, 0, 0], [0.3, 0, 0, 0], -p, p]])
     pq = qarray.to_quaternion(p)
     for kind in ("first", "second"):
         for level in range(7):
+            for method in ("star", "closed"):
+                spec = KernelSpec(kind, level, method)
+                values, paired = kernel_value(spec, pq, batch), kernel_value(spec, pbatch, batch)
+                clear_star_cache()
+                for n in range(len(batch)):
+                    assert np.array_equal(kernel_value(spec, pq, batch[n:n + 1])[0], values[n])
+                    assert np.array_equal(
+                        kernel_value(spec, pbatch[n:n + 1], batch[n:n + 1])[0], paired[n])
+                assert np.array_equal(kernel_value(spec, pq, batch), values)
             spec = KernelSpec(kind, level, "star")
-            values, tails = kernel_value(spec, pq, batch), kernel_tail(spec, pq, batch)
-            clear_star_cache()
+            tails = kernel_tail(spec, pq, batch)
             for n, row in enumerate(batch):
-                assert np.array_equal(kernel_value(spec, pq, batch[n:n + 1])[0], values[n])
                 assert kernel_tail(spec, pq, qarray.to_quaternion(row)) == tails[n]
-            assert np.array_equal(kernel_value(spec, pq, batch), values)
 
 
 def star_reference(kind: str, level: int, p, q, terms: int):
@@ -272,6 +304,17 @@ def test_kernel_spec_validation():
         KernelSpec(method="magic")
     with pytest.raises(ValueError):
         KernelSpec(level=-1)
+
+
+def test_unknown_method_and_closed_tail_refused():
+    with pytest.raises(ValueError, match="'series', 'star' or 'closed', got 'magic'"):
+        KernelSpec(method="magic")
+    p, batch = quat(0.3, 0.2, 0.1, 0.0), np.array([[0.5, 0.5, 0.0, 0.0]])
+    for spec in (KernelSpec("second", 1, "closed"), KernelSpec("first", 2, "closed", 40)):
+        with pytest.raises(ValueError, match="closed form has no truncation tail"):
+            kernel_tail(spec, p, batch)
+        with pytest.raises(ValueError, match="closed form has no truncation tail"):
+            kernel_tail(spec, p, quat(0.5, 0.5))
 
 
 def test_kernel_value_dispatch():
