@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -54,8 +55,14 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _quad_row(q: Quaternion) -> str:
-    return ",".join(_fmt(c) for c in q.as_tuple())
+def _csv_rows(block) -> list[str]:
+    """CSV text of the rows of an (N, C) float array, cells as _fmt prints them."""
+    return [",".join(map(repr, row)) for row in np.asarray(block, dtype=float).tolist()]
+
+
+def _write_lines(lines) -> None:
+    """All output rows in one write; no rows write nothing."""
+    sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 def _finite_float(text: str) -> float:
@@ -98,10 +105,12 @@ def _read_csv(path: str, columns: str) -> np.ndarray:
 
 
 def _target_points(args) -> np.ndarray:
-    """The (N, 4) evaluation points from --points or --q."""
-    if getattr(args, "points", None):
+    """The (N, 4) evaluation points from --points or --q, not both."""
+    if args.points is not None and args.q is not None:
+        raise ValueError("give --q or --points, not both")
+    if args.points is not None:
         return _read_csv(args.points, "w,x,y,z")
-    if getattr(args, "q", None) is None:
+    if args.q is None:
         raise ValueError("need --q or --points")
     return qarray.from_quaternion(parse_quaternion(args.q))[None, :]
 
@@ -111,22 +120,20 @@ def _target_points(args) -> np.ndarray:
 
 def cmd_eval(args, config: Config) -> int:
     batch = _target_points(args)
-    pts = [qarray.to_quaternion(row) for row in batch]
     if args.target == "hermite-q":
-        for q in pts:
-            print(_quad_row(quat(hermite_quat(args.m, args.n, q))))
+        rows = _csv_rows([quat(hermite_quat(args.m, args.n, Quaternion(*q))).as_tuple()
+                          for q in batch.tolist()])
     elif args.target == "psi":
         mu = parse_quaternion(args.mu)
-        for q in pts:
-            print(_quad_row(quat(psi(mu, args.j, q))))
+        rows = _csv_rows([quat(psi(mu, args.j, Quaternion(*q))).as_tuple()
+                          for q in batch.tolist()])
     elif args.target == "bargmann-kernel":
         # B_{1,n} is the sum of the level kernels through n, added in level order
         levels = range(args.level + 1) if args.kind == 1 else (args.level,)
         total = 0.0
         for k in levels:
             total = total + b2_grid(k, [args.t], batch)[:, 0]
-        for v in total:
-            print(_quad_row(qarray.to_quaternion(v)))
+        rows = _csv_rows(total)
     else:  # kernel
         terms = args.terms
         if terms is None:
@@ -134,9 +141,11 @@ def cmd_eval(args, config: Config) -> int:
         spec = KernelSpec(kind="second" if args.kind == 2 else "first", level=args.level,
                           method=args.method, terms=terms)
         p = parse_quaternion(args.p)
-        for q, v, tail in zip(pts, kernel_value(spec, p, batch), kernel_tail(spec, p, batch)):
-            print(f"{_quad_row(p)},{_quad_row(q)},{_quad_row(qarray.to_quaternion(v))},"
-                  f"{spec.method},{_fmt(tail)}")
+        block = np.hstack([np.broadcast_to(qarray.from_quaternion(p), batch.shape), batch,
+                           kernel_value(spec, p, batch)])
+        rows = [f"{row},{spec.method},{tail!r}"
+                for row, tail in zip(_csv_rows(block), kernel_tail(spec, p, batch).tolist())]
+    _write_lines(rows)
     return 0
 
 
@@ -209,8 +218,7 @@ def cmd_transform(args, config: Config) -> int:
         if np.any(size > limit):
             raise ValueError(f"target point with |{part} q| = {size.max():.6g} beyond {limit}, "
                              "where the line quadrature loses accuracy")
-    for q, v in zip(pts, transform_batch(args.level, phi, pts, rule)):
-        print(",".join(_fmt(c) for c in (*q, *v)))
+    _write_lines(_csv_rows(np.hstack([pts, transform_batch(args.level, phi, pts, rule)])))
     return 0
 
 
@@ -278,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     eh.add_argument("--n", type=int, required=True)
     eh.add_argument("--q", help="quaternion literal")
     eh.add_argument("--points", help="CSV file of w,x,y,z rows")
-    eh.set_defaults(func=cmd_eval)
 
     ek = se.add_parser("kernel", parents=[common])
     ek.add_argument("--kind", type=int, choices=(1, 2), default=2)
@@ -288,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     ek.add_argument("--p", required=True, help="quaternion literal")
     ek.add_argument("--q", help="quaternion literal")
     ek.add_argument("--points", help="CSV file of q points")
-    ek.set_defaults(func=cmd_eval)
 
     eb = se.add_parser("bargmann-kernel", parents=[common])
     eb.add_argument("--kind", type=int, choices=(1, 2), default=2)
@@ -296,21 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     eb.add_argument("--t", type=_finite_float, required=True)
     eb.add_argument("--q", help="quaternion literal")
     eb.add_argument("--points", help="CSV file of w,x,y,z rows")
-    eb.set_defaults(func=cmd_eval)
 
     ep = se.add_parser("psi", parents=[common])
     ep.add_argument("--mu", required=True, help="eigenvalue (quaternion literal)")
     ep.add_argument("--j", type=int, required=True)
     ep.add_argument("--q", help="quaternion literal")
     ep.add_argument("--points", help="CSV file of w,x,y,z rows")
-    ep.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run an identity suite, print a JSON report")
     pv.add_argument("--suite", required=True, choices=SUITE_ORDER + ["all"])
     pv.add_argument("--max-degree", type=_nonnegative_int, dest="max_degree")
     pv.add_argument("--levels", type=_nonnegative_int)
-    pv.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("transform", parents=[common],
                         help="apply the level-k Bargmann transform")
@@ -319,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="h:<j> or a CSV file of t,value samples on the nodes")
     pt.add_argument("--q", help="quaternion literal")
     pt.add_argument("--points", help="CSV file of target points")
-    pt.set_defaults(func=cmd_transform)
 
     pb = sub.add_parser("table", parents=[common],
                         help="closed-form vs quadrature tables")
@@ -327,13 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     tn = st.add_parser("norms", parents=[common])
     tn.add_argument("--n", type=_nonnegative_int, required=True)
     tn.add_argument("--jmax", type=_nonnegative_int, default=3)
-    tn.set_defaults(func=cmd_table)
     tg = st.add_parser("hermite-gram", parents=[common])
     tg.add_argument("--max", type=_nonnegative_int, default=4)
-    tg.set_defaults(func=cmd_table)
     tl = st.add_parser("laguerre-sum", parents=[common])
     tl.add_argument("--n", type=_nonnegative_int, required=True)
-    tl.set_defaults(func=cmd_table)
 
     ps = sub.add_parser("spectrum-probe", parents=[common],
                         help="radial mass probe of an eigenvalue candidate")
@@ -341,17 +340,27 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--j", type=int, default=0)
     ps.add_argument("--rmax", type=_finite_float, default=8.0)
     ps.add_argument("--windows", type=int, default=16)
-    ps.set_defaults(func=cmd_spectrum_probe)
 
     return parser
 
 
+_COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "transform": cmd_transform,
+             "table": cmd_table, "spectrum-probe": cmd_spectrum_probe}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once and reused: parsing leaves no state on it, and
+    it holds command names, so main runs whatever _COMMANDS holds now."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called any number of times in one process."""
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        return _COMMANDS[args.command](args, config)
     except (ValueError, OSError, KummerConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

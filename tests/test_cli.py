@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 BIN = [sys.executable, "-m", "spolyreg"]
@@ -25,8 +26,8 @@ def run_main(capsys, *args):
     return subprocess.CompletedProcess(list(args), code, out.out, out.err)
 
 
-def test_eval_hermite_vanishes_on_unit_imaginary():
-    r = run("eval", "hermite-q", "--m", "1", "--n", "1", "--q", "0+1i+0j+0k")
+def test_eval_hermite_vanishes_on_unit_imaginary(capsys):
+    r = run_main(capsys, "eval", "hermite-q", "--m", "1", "--n", "1", "--q", "0+1i+0j+0k")
     assert r.returncode == 0
     assert r.stdout.strip() == "0.0,0.0,0.0,0.0"
 
@@ -42,8 +43,8 @@ def test_eval_kernel_star_at_origin():
     assert fields[12] == "star"
 
 
-def test_eval_kernel_series_reports_tail():
-    r = run("eval", "kernel", "--kind", "1", "--level", "1",
+def test_eval_kernel_series_reports_tail(capsys):
+    r = run_main(capsys, "eval", "kernel", "--kind", "1", "--level", "1",
             "--p", "0.5+0.5i", "--q", "0.25-0.1j", "--method", "series")
     assert r.returncode == 0
     fields = r.stdout.strip().split(",")
@@ -51,8 +52,8 @@ def test_eval_kernel_series_reports_tail():
     assert 0.0 <= float(fields[13]) < 1e-8
 
 
-def test_eval_psi_constant_case():
-    r = run("eval", "psi", "--mu", "0", "--j", "2", "--q", "1+0i+0j+0k")
+def test_eval_psi_constant_case(capsys):
+    r = run_main(capsys, "eval", "psi", "--mu", "0", "--j", "2", "--q", "1+0i+0j+0k")
     assert r.returncode == 0
     assert r.stdout.strip() == "1.0,0.0,0.0,0.0"
 
@@ -65,15 +66,15 @@ def test_transform_ground_state():
     assert float(fields[4]) == pytest.approx(math.pi ** -0.25, rel=1e-12)
 
 
-def test_transform_batch_and_empty(tmp_path):
+def test_transform_batch_and_empty(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("0,0,0,0\n0.5,0.25,0,0\n")
-    r = run("transform", "--level", "1", "--phi", "h:2", "--points", str(pts))
+    r = run_main(capsys, "transform", "--level", "1", "--phi", "h:2", "--points", str(pts))
     assert r.returncode == 0
     assert len(r.stdout.strip().splitlines()) == 2
     empty = tmp_path / "none.csv"
     empty.write_text("")
-    r = run("transform", "--level", "1", "--phi", "h:2", "--points", str(empty))
+    r = run_main(capsys, "transform", "--level", "1", "--phi", "h:2", "--points", str(empty))
     assert r.returncode == 0
     assert r.stdout.strip() == ""
 
@@ -91,8 +92,8 @@ def test_table_norms_golden_row():
     assert all(res < 1e-8 for _, res in row.values())
 
 
-def test_table_hermite_gram_diagonal():
-    r = run("table", "hermite-gram", "--max", "3")
+def test_table_hermite_gram_diagonal(capsys):
+    r = run_main(capsys, "table", "hermite-gram", "--max", "3")
     assert r.returncode == 0
     for line in r.stdout.strip().splitlines()[1:]:
         m, n, closed, quad, res = line.split(",")
@@ -101,8 +102,8 @@ def test_table_hermite_gram_diagonal():
         assert float(res) < 1e-10
 
 
-def test_table_laguerre_sum():
-    r = run("table", "laguerre-sum", "--n", "3")
+def test_table_laguerre_sum(capsys):
+    r = run_main(capsys, "table", "laguerre-sum", "--n", "3")
     assert r.returncode == 0
     lines = r.stdout.strip().splitlines()
     assert len(lines) == 11  # header + 10 abscissae
@@ -110,13 +111,13 @@ def test_table_laguerre_sum():
         assert float(line.split(",")[-1]) < 1e-12
 
 
-def test_spectrum_probe_json():
+def test_spectrum_probe_json(capsys):
     r = run("spectrum-probe", "--mu", "0.5", "--j", "0", "--rmax", "8")
     assert r.returncode == 0
     d = json.loads(r.stdout)
     assert d["schema"] == 1
     assert d["converged"] is False
-    r = run("spectrum-probe", "--mu", "2", "--j", "0", "--rmax", "8")
+    r = run_main(capsys, "spectrum-probe", "--mu", "2", "--j", "0", "--rmax", "8")
     assert json.loads(r.stdout)["converged"] is True
 
 
@@ -131,10 +132,10 @@ def test_verify_single_suite_json():
     assert d["max_residual"] < d["tolerance"]
 
 
-def test_verify_exit_one_on_failure(tmp_path):
+def test_verify_exit_one_on_failure(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"norms": 1e-30}}))
-    r = run("verify", "--suite", "norms", "--config", str(cfg))
+    r = run_main(capsys, "verify", "--suite", "norms", "--config", str(cfg))
     assert r.returncode == 1
     assert json.loads(r.stdout)["passed"] is False
 
@@ -223,15 +224,104 @@ def test_series_terms_below_level_exit_two(capsys):
     assert "series truncation 2 is below the level 5" in out.err
 
 
-def test_unknown_suite_rejected():
-    r = run("verify", "--suite", "bogus")
+def test_unknown_suite_rejected(capsys):
+    r = run_main(capsys, "verify", "--suite", "bogus")
     assert r.returncode == 2
 
 
-def test_missing_points_file_exit_two(tmp_path):
-    r = run("eval", "hermite-q", "--m", "1", "--n", "0",
+def test_missing_points_file_exit_two(tmp_path, capsys):
+    r = run_main(capsys, "eval", "hermite-q", "--m", "1", "--n", "0",
             "--points", str(tmp_path / "absent.csv"))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [("eval", "hermite-q", "--m", "1", "--n", "0"),
+                                  ("eval", "psi", "--mu", "0", "--j", "1"),
+                                  ("eval", "bargmann-kernel", "--level", "0", "--t", "0"),
+                                  ("eval", "kernel", "--level", "0", "--p", "1"),
+                                  ("transform", "--level", "0", "--phi", "h:0")])
+def test_q_with_points_refused(argv, tmp_path, capsys):
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.5,0,0,0\n")
+    r = run_main(capsys, *argv, "--q", "1", "--points", str(pts))
+    assert r.returncode == 2
+    assert "give --q or --points, not both" in r.stderr and r.stdout == ""
+
+
+def test_main_reuses_one_stateless_parser(tmp_path, capsys, monkeypatch):
+    from spolyreg import cli
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.5,0.3,-0.2,0\n-0.7,0,0,0.1\n")
+    kernel = ("eval", "kernel", "--kind", "1", "--level", "2", "--p=0.4-0.6i+0.2k",
+              "--points", str(pts))
+    r = run_main(capsys, "eval", "kernel", "--kind", "3", "--level", "0", "--p", "0", "--q", "0")
+    assert r.returncode == 2 and "invalid choice" in r.stderr and r.stdout == ""
+    r = run_main(capsys, "transform", "--level", "0", "--phi", "h:0", "--q", "9i")
+    assert r.returncode == 2 and "|Im q|" in r.stderr and r.stdout == ""
+    first, second = run_main(capsys, *kernel), run_main(capsys, *kernel)
+    assert first.returncode == second.returncode == 0
+    assert len(first.stdout.splitlines()) == 2
+    assert first.stdout == second.stdout == run(*kernel).stdout
+    r = run_main(capsys, "table", "laguerre-sum", "--n", "3")
+    assert r.returncode == 0 and len(r.stdout.splitlines()) == 11
+    # main builds one parser per process; build_parser always builds anew
+    build, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (kernel, ("table", "laguerre-sum", "--n", "1"), kernel):
+        assert run_main(capsys, *argv).returncode == 0
+    assert len(builds) == 1
+    assert build() is not build()
+
+
+def test_row_blocks_print_library_floats(tmp_path, capsys):
+    from spolyreg import qarray
+    from spolyreg.bargmann import HermiteLine, b2_grid, transform_batch
+    from spolyreg.config import Config
+    from spolyreg.kernels import KernelSpec, kernel_tail, kernel_value
+    from spolyreg.quad import gauss_hermite
+    from spolyreg.quat import parse_quaternion
+    # a real point, q = 0, signed zeros and cells in exponent form
+    text = "0.7,0,0,0\n0,0,0,0\n-0.0,0.5,-0.0,0\n1e-5,-2e-7,0,3e-6\n-0.4,0.3,-0.2,0.6\n"
+    pts = tmp_path / "q.csv"
+    pts.write_text(text)
+    q = np.array([[float(c) for c in line.split(",")] for line in text.splitlines()])
+    cfg = Config()
+
+    def cells(*argv):
+        r = run_main(capsys, *argv, "--points", str(pts))
+        assert r.returncode == 0 and r.stdout.endswith("\n")
+        return [line.split(",") for line in r.stdout.splitlines()]
+
+    def want(*blocks):
+        return [[repr(float(v)) for v in row] for row in np.hstack(blocks).tolist()]
+
+    assert cells("transform", "--level", "2", "--phi", "h:1") == want(
+        q, transform_batch(2, HermiteLine(1), q, gauss_hermite(cfg.line_nodes)))
+    # the levels are summed from 0.0, so a kernel value -0.0 prints as 0.0
+    assert cells("eval", "bargmann-kernel", "--level", "1", "--t", "-0.8") == want(
+        0.0 + b2_grid(1, [-0.8], q)[:, 0])
+    p = parse_quaternion("0.4-0.6i+0.2k")
+    values = []
+    for kind, method, terms in (("first", "series", cfg.series_terms),
+                                ("second", "star", cfg.star_terms)):
+        spec = KernelSpec(kind=kind, level=2, method=method, terms=terms)
+        got = cells("eval", "kernel", "--kind", "1" if kind == "first" else "2", "--level", "2",
+                    "--method", method, "--p=0.4-0.6i+0.2k")
+        ps = np.broadcast_to(qarray.from_quaternion(p), q.shape)
+        assert got == [row + [method, repr(float(t))] for row, t in zip(
+            want(ps, q, kernel_value(spec, p, q)), kernel_tail(spec, p, q))]
+        values += [c for row in got for c in row[8:12]]
+    assert "-0.0" in values and any("e-" in c for c in values)
+    pts.write_text("")
+    for argv in (("eval", "hermite-q", "--m", "1", "--n", "0"),
+                 ("eval", "psi", "--mu", "0", "--j", "1"),
+                 ("eval", "bargmann-kernel", "--level", "0", "--t", "0"),
+                 ("eval", "kernel", "--level", "0", "--p", "1", "--method", "star"),
+                 ("eval", "kernel", "--level", "0", "--p", "1"),
+                 ("transform", "--level", "0", "--phi", "h:0")):
+        r = run_main(capsys, *argv, "--points", str(pts))
+        assert (r.returncode, r.stdout) == (0, ""), argv
 
 
 def test_malformed_points_file_diagnostic(tmp_path, capsys):
@@ -351,13 +441,10 @@ def test_eval_bargmann_kernel_first_kind_sums_levels(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_config_via_environment(tmp_path, monkeypatch):
+def test_config_via_environment(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"slice_nodes": 24}))
-    env = {"SPOLYREG_CONFIG": str(cfg)}
-    import os
-    r = subprocess.run(BIN + ["verify", "--suite", "norms"],
-                       capture_output=True, text=True,
-                       env={**os.environ, **env})
+    monkeypatch.setenv("SPOLYREG_CONFIG", str(cfg))
+    r = run_main(capsys, "verify", "--suite", "norms")
     assert r.returncode == 0
     assert json.loads(r.stdout)["passed"] is True
