@@ -124,9 +124,7 @@ def cmd_eval(args, config: Config) -> int:
         rows = _csv_rows([quat(hermite_quat(args.m, args.n, Quaternion(*q))).as_tuple()
                           for q in batch.tolist()])
     elif args.target == "psi":
-        mu = parse_quaternion(args.mu)
-        rows = _csv_rows([quat(psi(mu, args.j, Quaternion(*q))).as_tuple()
-                          for q in batch.tolist()])
+        rows = _csv_rows(psi(parse_quaternion(args.mu), args.j, batch))
     elif args.target == "bargmann-kernel":
         # B_{1,n} is the sum of the level kernels through n, added in level order
         levels = range(args.level + 1) if args.kind == 1 else (args.level,)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qarray
 from .quat import Quaternion, quat
 
 __all__ = [
@@ -115,7 +116,7 @@ DEFAULT_POLICY = TruncationPolicy()
 
 class KummerConvergenceError(RuntimeError):
     """Raised when the Kummer series hits max_terms while terms are still
-    above the policy tolerance."""
+    above the policy tolerance, or when a term is not finite."""
 
     def __init__(self, terms_used: int, last_term: float):
         super().__init__(
@@ -126,11 +127,7 @@ class KummerConvergenceError(RuntimeError):
 
 
 def _as_nonpositive_int(a) -> int | None:
-    """-a if a is (the embedding of) a nonpositive integer, else None."""
-    if isinstance(a, Quaternion):
-        if a.imag_norm() != 0:
-            return None
-        a = a.w
+    """-a if a is a nonpositive integer, else None."""
     av = float(a)
     if av <= 0 and av.is_integer():
         return int(-av)
@@ -140,45 +137,45 @@ def _as_nonpositive_int(a) -> int | None:
 def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
     """Confluent hypergeometric M(a; c | x) = sum_j (a)_j/(c)_j x^j/j!.
 
-    Parameters
-    ----------
-    a : Quaternion or real.  A nonpositive integer makes the series
-        terminate exactly (it is then a Laguerre polynomial up to scale).
-    c : real, not zero or a negative integer.
-    x : real argument.
-    policy : truncation rule for the non-terminating case.
-
-    Returns a Quaternion when a is one, else a scalar of x's kind.
+    a is real or complex; a nonpositive integer makes the series terminate
+    exactly (a Laguerre polynomial up to scale).  The terms are real
+    polynomials in a, so for a Quaternion a = s + U t the sum lies in its
+    slice: it is taken at s + i t and lifted back, to a Quaternion for scalar
+    x and an (..., 4) array for array x; a real one keeps the real path,
+    exact for Fraction x.  c is real, not zero or a negative integer.  Each
+    entry of an array x stops at its own first term below policy.abs_tol, as
+    its scalar call does.  A term that is not finite, or max_terms reached,
+    raises KummerConvergenceError.
     """
     if float(c) <= 0 and float(c).is_integer():
         raise ValueError(f"kummer_M pole: c = {c} is zero or a negative integer")
-    n_term = _as_nonpositive_int(a)
-    quaternionic = isinstance(a, Quaternion)
-
-    def magnitude(t):
-        if quaternionic:
-            return abs(t)
-        if isinstance(t, np.ndarray):
-            return float(np.max(np.abs(t)))
-        return abs(float(t))
-
-    term = quat(1) if quaternionic else (x * 0 + 1)
-    total = term
-    j = 0
-    while True:
-        if n_term is not None and j >= n_term:
-            return total
-        if n_term is None and j >= policy.max_terms:
-            mag = magnitude(term)
-            if mag >= policy.abs_tol:
-                raise KummerConvergenceError(j, mag)
-            return total
-        # term_{j+1} = term_j * (a+j) * x / ((c+j)(j+1)); factors commute
-        term = term * (a + j) * (x / ((c + j) * (j + 1)))
-        total = total + term
-        j += 1
-        if n_term is None and magnitude(term) < policy.abs_tol:
-            return total
+    if isinstance(a, Quaternion):
+        s = a.to_slice()
+        if s.y == 0 and not isinstance(x, np.ndarray):
+            return quat(kummer_M(a.w, c, x, policy))
+        xs = np.asarray(x, dtype=float)  # a scalar x too: it then rounds as a batch entry
+        m = kummer_M(complex(s.x, s.y) if s.y else s.x, c, xs.reshape(-1), policy)
+        out = qarray.from_slice(m.reshape(xs.shape), qarray.from_quaternion(s.unit)[1:])
+        return out if isinstance(x, np.ndarray) else qarray.to_quaternion(out)
+    n_term = None if isinstance(a, complex) else _as_nonpositive_int(a)
+    stop = policy.max_terms if n_term is None else n_term
+    total = term = x * 0 + 1
+    live = True  # entries whose last term is >= abs_tol; the others add zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(stop):
+            # term_{j+1} = term_j * (a+j) * x / ((c+j)(j+1))
+            term = term * (a + j) * (x / ((c + j) * (j + 1))) * live
+            total = total + term
+            mag = abs(term)
+            if not np.all(mag < math.inf):
+                raise KummerConvergenceError(j + 1, float(np.max(mag)))
+            if n_term is None:
+                live = mag >= policy.abs_tol
+                if not np.any(live):
+                    return total
+    if n_term is None:
+        raise KummerConvergenceError(stop, float(np.max(mag)))
+    return total
 
 
 def hermite_quat(m: int, n: int, q: Quaternion) -> Quaternion:

@@ -23,8 +23,10 @@ The radial eigenfunction family is confluent hypergeometric:
     psi_{mu,j}(q) = qbar^(|j|)    M(-(mu+j); |j|+1| |q|^2)   for j < 0,
 
 with box psi = mu psi; it is square integrable against e^(-|q|^2) exactly
-when the series terminates, i.e. mu in {0,1,2,...} with j >= -mu.
-spectrum_probe measures that tail behaviour numerically.
+when the series terminates, i.e. mu in {0,1,2,...} with j >= -mu.  psi is
+the one evaluation route, for one point or a batch: z^|j| in the slice of q
+times M, which is real for real mu and lies in the slice of a quaternion mu.
+spectrum_probe measures the tail behaviour numerically through psi.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ __all__ = [
     "box_symbolic",
     "box_fd",
     "psi",
-    "psi_batch",
     "Eigenfunction",
     "psi_norm_sq",
     "EigenExpansion",
@@ -134,41 +135,44 @@ def box_fd(f, q: Quaternion, cfg: SpectralConfig = DEFAULT_SPECTRAL) -> Quaterni
 
 
 def _psi_params(mu, j: int):
-    """Kummer parameters (a, c, power, conjugated) for psi_{mu,j}."""
+    """Kummer parameters (a, c, power, conjugated) for psi_{mu,j}; a is a
+    float for real mu (a Quaternion with zero imaginary part counts)."""
+    if not isinstance(mu, Quaternion) or mu.imag_norm() == 0:
+        mu = float(quat(mu).w)
     if j >= 0:
-        return -mu if isinstance(mu, Quaternion) else -quat(mu), j + 1, j, False
-    shifted = (mu + j) if isinstance(mu, Quaternion) else quat(mu + j)
-    return -shifted, -j + 1, -j, True
+        return -mu, j + 1, j, False
+    return -(mu + j), -j + 1, -j, True
 
 
-def psi(mu, j: int, q: Quaternion,
-        policy: TruncationPolicy = DEFAULT_POLICY) -> Quaternion:
-    """Eigenfunction psi_{mu,j}(q) of the slice operator, box psi = mu psi."""
+def psi(mu, j: int, q, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Eigenfunction psi_{mu,j} of the slice operator, box psi = mu psi, at
+    one Quaternion q (a Quaternion) or an (..., 4) batch (an (..., 4) array).
+
+    z^|j| is taken in the slice of each point and multiplied by the Kummer
+    factor M: for real mu M is real, for quaternion mu it lies in the slice
+    of mu and multiplies from the right."""
+    if isinstance(q, Quaternion):
+        return qarray.to_quaternion(psi(mu, j, qarray.from_quaternion(q)[None, :], policy)[0])
     a, c, power, conjugated = _psi_params(mu, j)
-    q = quat(q)
-    t = float(q.norm_sq())
-    m = kummer_M(a, c, t, policy)
-    base = q.conj() if conjugated else q
-    return base ** power * m
-
-
-def psi_batch(n: int, j: int, pts: np.ndarray) -> np.ndarray:
-    """Vectorised psi_{n,j} for integer eigenvalue n >= 0 (terminating
-    series, real Kummer values)."""
-    a, c, power, conjugated = _psi_params(float(n), j)
-    z, unit = qarray.to_slice(pts)
-    m = kummer_M(float(a.w), c, qarray.norm_sq(pts))
-    return qarray.from_slice((np.conj(z) if conjugated else z) ** power * m, unit)
+    z, unit = qarray.to_slice(q)
+    m = kummer_M(a, c, qarray.norm_sq(q), policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = (np.conj(z) if conjugated else z) ** power
+        out = (qarray.qmul(qarray.from_slice(base, unit), m) if isinstance(a, Quaternion)
+               else qarray.from_slice(base * m, unit))
+    if not np.isfinite(out).all():
+        raise ValueError(f"psi_{{{mu},{j}}} leaves double range on this batch")
+    return out
 
 
 class Eigenfunction:
-    """psi_{n,j} as a quadrature integrand: evaluates through psi_batch."""
+    """psi_{n,j} as a quadrature integrand: evaluates through psi."""
 
     def __init__(self, n: int, j: int):
         self.n, self.j = n, j
 
     def eval_many(self, pts):
-        return psi_batch(self.n, self.j, pts)
+        return psi(self.n, self.j, pts)
 
 
 def psi_norm_sq(n: int, j: int) -> float:
@@ -253,10 +257,17 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
                    policy: TruncationPolicy | None = None) -> ProbeResult:
     """Measure the radial e^(-r^2) mass of psi_{mu,j} on annuli.
 
-    The slice integrand is r^(2|j|+1) |M|^2 e^(-r^2); for terminating
-    (integer) mu the annulus masses collapse, otherwise M grows like
-    e^(r^2) and the masses blow up.  converged requires the last two
-    annulus ratios to fall below 1.
+    The slice integrand is r^(2|j|+1) |M|^2 e^(-r^2) = r |psi(r) e^(-r^2/2)|^2,
+    evaluated by one psi call on the stacked 24-node Gauss-Legendre rules of
+    the windows; for terminating (integer) mu the annulus masses collapse,
+    otherwise M grows like e^(r^2) and the masses blow up.  converged
+    requires the last two annulus ratios to fall below 1.
+
+    Domain: a non-terminating series must converge within the probe's
+    800-term policy, r_max up to about 17 (KummerConvergenceError beyond).
+    For a terminating one e^(-r^2) underflows past r_max = 27: a mass that
+    is not finite, or 0 where a ratio divides by it, is refused with
+    ValueError rather than read as a ratio.
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"probe radius {r_max} must be finite and positive")
@@ -265,26 +276,18 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
     mu = quat(mu)
     if policy is None:
         policy = TruncationPolicy(max_terms=800, abs_tol=1e-12)
-    a, c, power, _ = _psi_params(mu, j)
-    real_mu = mu.imag_norm() == 0.0
-
     edges = np.linspace(0.0, r_max, windows + 1)
-    masses = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rule = gauss_legendre(24, float(lo), float(hi))
-        if real_mu:
-            m = kummer_M(float(a.w), c, rule.nodes ** 2, policy)
-            g = rule.nodes ** (2 * power + 1) * m * m * np.exp(-rule.nodes ** 2)
-            masses.append(float(g @ rule.weights))
-        else:
-            total = 0.0
-            for r, w in zip(rule.nodes, rule.weights):
-                m = kummer_M(a, c, float(r * r), policy)
-                total += w * r ** (2 * power + 1) * float(m.norm_sq()) * math.exp(-r * r)
-            masses.append(total)
-
-    ratios = []
-    for prev, cur in zip(masses[:-1], masses[1:]):
-        ratios.append(cur / prev if prev > 0 else math.inf)
+    rules = [gauss_legendre(24, float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    r = np.array([rule.nodes for rule in rules])
+    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3)), policy) * np.exp(-r * r / 2)[..., None]
+    masses = np.sum(np.array([rule.weights for rule in rules]) * r * qarray.norm_sq(decayed),
+                    axis=1)
+    for i, mass in enumerate(masses):
+        # a tail ratio divides by every mass but the last; 0/x still reads as decay
+        if not mass < math.inf or (mass == 0.0 and i < windows - 1):
+            raise ValueError(
+                f"annulus mass {float(mass)!r} on window [{edges[i]:.6g}, {edges[i + 1]:.6g}] "
+                f"of r_max = {r_max:g} is outside double range; no tail ratio can use it")
+    ratios = masses[1:] / masses[:-1]
     converged = ratios[-1] < 1.0 and ratios[-2] < 1.0
-    return ProbeResult(mu, j, converged, ratios, masses)
+    return ProbeResult(mu, j, bool(converged), ratios.tolist(), masses.tolist())

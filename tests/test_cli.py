@@ -111,6 +111,27 @@ def test_table_laguerre_sum(capsys):
         assert float(line.split(",")[-1]) < 1e-12
 
 
+def test_eval_psi_overflow_exit_two(capsys):
+    # e^(|q|^2) leaves double range: refused, not printed as nan with exit 0
+    for mu in ("0.5", "0.5+0.25i"):
+        for q in ("30", "40"):
+            r = run_main(capsys, "eval", "psi", "--mu", mu, "--j", "0", "--q", q)
+            assert r.returncode == 2, (mu, q)
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: Kummer series not converged")
+            assert r.stderr.count("\n") == 1
+
+
+def test_spectrum_probe_refuses_underflowed_masses(capsys):
+    # the far annulus masses of an integer mu underflow to 0 past r_max = 27;
+    # 0/0 used to read as divergence and print "converged": false
+    for rmax in ("32", "64"):
+        r = run_main(capsys, "spectrum-probe", "--mu", "2", "--rmax", rmax)
+        assert r.returncode == 2, rmax
+        assert r.stdout == ""
+        assert f"r_max = {rmax}" in r.stderr and "window" in r.stderr
+
+
 def test_spectrum_probe_json(capsys):
     r = run("spectrum-probe", "--mu", "0.5", "--j", "0", "--rmax", "8")
     assert r.returncode == 0

@@ -8,6 +8,7 @@ from scipy.special import eval_genlaguerre, eval_hermite, hyp1f1
 
 from spolyreg import (
     KummerConvergenceError,
+    Quaternion,
     TruncationPolicy,
     hermite_H,
     hermite_fn,
@@ -15,6 +16,7 @@ from spolyreg import (
     kummer_M,
     laguerre,
     pochhammer,
+    qarray,
     quat,
 )
 
@@ -71,6 +73,8 @@ def test_kummer_terminates_for_nonpositive_integer_a():
     v = kummer_M(-2, 3, Fraction(1, 2))
     assert v == 1 - Fraction(2, 3) * Fraction(1, 2) + \
         Fraction(pochhammer(-2, 2), pochhammer(3, 2)) * Fraction(1, 8)
+    # a real Quaternion a takes the same exact path
+    assert kummer_M(quat(-2), 3, Fraction(1, 2)) == quat(v)
 
 
 def test_kummer_truncation_policy():
@@ -90,6 +94,35 @@ def test_kummer_quaternion_argument():
         ref += term
     assert v.w == pytest.approx(ref.real, abs=1e-12)
     assert v.x == pytest.approx(ref.imag, abs=1e-12)
+
+
+def test_kummer_array_entries_match_scalar_calls():
+    # each entry stops at its own first term below abs_tol, so it equals its
+    # scalar call exactly, for real and for Quaternion a
+    x = np.array([0.0, 0.3, 2.0, 5.0, 12.0, 30.0])
+    for a in (0.5, -1.5, -3, quat(0.5, 0.25, -0.5, 0.1), quat(-2.5), quat(-0.3, 0, 0, 2)):
+        got = kummer_M(a, 1.5, x)
+        assert got.shape == (x.shape + (4,) if isinstance(a, Quaternion) else x.shape)
+        for xi, entry in zip(x, got):
+            one = kummer_M(a, 1.5, float(xi))
+            assert np.array_equal(entry, qarray.from_quaternion(one)
+                                  if isinstance(a, Quaternion) else one), (a, xi)
+    grid = kummer_M(quat(0.5, 0.25, -0.5, 0.1), 1.5, x.reshape(2, 3))
+    assert np.array_equal(grid, kummer_M(quat(0.5, 0.25, -0.5, 0.1), 1.5, x).reshape(2, 3, 4))
+
+
+def test_kummer_refuses_overflowed_series():
+    # M(-1/2; 1 | 900) ~ e^900 leaves double range long before max_terms; the
+    # Quaternion route used to return nan, the real one to run on to max_terms
+    for a in (-0.5, quat(-0.5), quat(-0.5, 0.25, 0, 0)):
+        for x in (900.0, np.array([0.5, 900.0])):
+            with pytest.raises(KummerConvergenceError) as info:
+                kummer_M(a, 1, x)
+            assert not math.isfinite(info.value.last_term)
+            assert info.value.terms_used < TruncationPolicy().max_terms
+    # a terminating series that overflows is refused too
+    with pytest.raises(KummerConvergenceError):
+        kummer_M(-300, 1, 1e6)
 
 
 def test_hermite_quat_frozen_values():

@@ -13,6 +13,7 @@ from spolyreg import (
     hermite_quat,
     hermite_series,
     norm_sq_full,
+    pochhammer,
     psi,
     psi_norm_sq,
     qarray,
@@ -20,6 +21,7 @@ from spolyreg import (
     quat,
     spectrum_probe,
 )
+from spolyreg.spectral import Eigenfunction
 
 PI2 = math.pi ** 2
 
@@ -100,23 +102,51 @@ def test_psi_closed_values():
     assert (v - q * q).norm() < 1e-14
 
 
+def _sample_points(seed):
+    """25 points in [-1.5, 1.5]^4, every sixth one real, then q = 0."""
+    pts = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(25, 4))
+    pts[::6, 1:] = 0.0
+    return np.vstack([pts, np.zeros((1, 4))])
+
+
 @pytest.mark.parametrize("n,j", [(0, 0), (1, 0), (2, 1), (1, 3), (2, -1), (3, -2)])
 def test_psi_is_scaled_hermite(n, j):
     q = quat(0.3, -0.6, 0.2, 0.5)
     got = psi(n, j, q)
-    if j >= 0:
-        kappa = (-1) ** n * Fraction(math.factorial(j), math.factorial(n + j))
-        ref = hermite_quat(n + j, n, q) * quat(kappa)
-    else:
-        kappa = (-1) ** (n + j) * Fraction(math.factorial(-j), math.factorial(n))
-        ref = hermite_quat(n + j, n, q) * quat(kappa)
+    kappa = quat(_kappa(n, j))
+    ref = hermite_quat(n + j, n, q) * kappa
     assert (got - quat(ref)).norm() < 1e-12
+    # the batch route against the same closed sum
+    pts = _sample_points(n + 7)
+    for row, p in zip(psi(n, j, pts), pts):
+        ref = qarray.from_quaternion(hermite_quat(n + j, n, qarray.to_quaternion(p)) * kappa)
+        assert np.max(np.abs(row - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_psi_quaternion_mu():
     mu = quat(0.5, 0.25, 0, 0)
     v = psi(mu, 1, quat(0.4, 0.2, -0.1, 0.3))
     assert v.norm() > 0  # converged truncated Kummer evaluation
+
+
+@pytest.mark.parametrize("j", [-2, 0, 3])
+def test_psi_quaternion_mu_matches_pochhammer_series(j):
+    # psi = base^|j| M(a; |j|+1 | |q|^2) with the Kummer series summed here in
+    # Quaternion arithmetic from (a)_k: no slice-complex step
+    pts = _sample_points(11)
+    for mu in (quat(0.5, 0.25, 0, 0), quat(1.5, 0.25, -0.5, 0.1), quat(-0.3, 0, 0, 2.0)):
+        a = -mu if j >= 0 else -(mu + j)
+        coef = [pochhammer(a, k) / (pochhammer(abs(j) + 1, k) * math.factorial(k))
+                for k in range(90)]
+        got = psi(mu, j, pts)
+        for row, p in zip(got, pts):
+            q = qarray.to_quaternion(p)
+            t = float(q.norm_sq())
+            m = quat(0)
+            for k, ck in enumerate(coef):
+                m = m + ck * t ** k
+            ref = qarray.from_quaternion((q.conj() if j < 0 else q) ** abs(j) * m)
+            assert np.max(np.abs(row - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_psi_norm_sq_values():
@@ -134,18 +164,9 @@ def test_psi_norm_sq_rejects_bad_orders():
         psi_norm_sq(-1, 0)
 
 
-class _PsiFn:
-    def __init__(self, n, j):
-        self.n, self.j = n, j
-
-    def eval_many(self, pts):
-        from spolyreg.spectral import psi_batch
-        return psi_batch(self.n, self.j, pts)
-
-
 @pytest.mark.parametrize("n,j", [(1, 0), (2, 2), (2, -1)])
 def test_psi_norm_matches_quadrature(n, j):
-    num = norm_sq_full(_PsiFn(n, j), n_slice=40)
+    num = norm_sq_full(Eigenfunction(n, j), n_slice=40)
     assert num == pytest.approx(psi_norm_sq(n, j), rel=1e-10)
 
 
@@ -189,6 +210,20 @@ def test_spectrum_probe_flags():
     assert not spectrum_probe(2.5, 1).converged
 
 
+def test_spectrum_probe_refuses_masses_outside_double_range():
+    # past r_max = 27 the e^(-r^2) weight underflows: the far annulus masses
+    # of an integer mu are 0, and 0/0 must not read as divergence
+    for r_max in (32.0, 40.0):
+        with pytest.raises(ValueError, match=f"r_max = {r_max:g}"):
+            spectrum_probe(2.0, 0, r_max=r_max)
+    assert spectrum_probe(2.0, 0, r_max=27.0, windows=1000).converged
+    # a last mass of 0 divides nothing: 0/x still reads as decay
+    pr = spectrum_probe(2.0, 0, r_max=30.0)
+    assert pr.converged and pr.annulus_masses[-1] == 0.0
+    assert not spectrum_probe(2.5, 0, r_max=16.0).converged
+    assert not spectrum_probe(quat(2, 0.5, 0, 0), 0).converged
+
+
 def test_box_on_hermite_image_of_slice_regular():
     # for any slice-regular F, the n-fold ladder image is a level-n eigenvector
     from spolyreg import SliceSeries, hermite_op
@@ -203,7 +238,7 @@ def test_psi_family_orthogonal_in_full_pairing():
     from spolyreg import inner_full
     n = 1
     for ja, jb in ((0, 1), (1, 2), (-1, 0), (-1, 2)):
-        v = inner_full(_PsiFn(n, ja), _PsiFn(n, jb), n_slice=40)
+        v = inner_full(Eigenfunction(n, ja), Eigenfunction(n, jb), n_slice=40)
         assert v.norm() < 1e-9
 
 
@@ -228,10 +263,12 @@ def test_spectrum_probe_report():
 
 @pytest.mark.parametrize("n,j", [(0, 0), (2, 3), (3, -2), (1, -1)])
 def test_psi_batch_matches_psi(n, j):
-    from spolyreg.spectral import psi_batch
-    pts = np.random.default_rng(n + 7).uniform(-1.5, 1.5, size=(25, 4))
-    pts[::6, 1:] = 0.0
-    ref = np.array([psi(n, j, qarray.to_quaternion(p)).as_tuple() for p in pts], dtype=float)
-    got = psi_batch(n, j, pts)
-    assert got.shape == pts.shape
-    assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+    # each row of a batch equals its one-point call exactly, for integer,
+    # non-integer and quaternion mu, on real points and at q = 0
+    pts = _sample_points(n + 7)
+    for mu in (n, n + 0.5, quat(n + 0.5, 0.25, -0.5, 0.1)):
+        got = psi(mu, j, pts)
+        assert got.shape == pts.shape
+        for row, p in zip(got, pts):
+            one = qarray.from_quaternion(psi(mu, j, qarray.to_quaternion(p)))
+            assert np.array_equal(row, one), (mu, p)
