@@ -40,10 +40,10 @@ from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid
                        transform_batch)
 from .config import Config, load_config
 from .kernels import KernelSpec, kernel_tail, kernel_value
-from .poly import DEGREE_CAP, KummerConvergenceError, hermite_quat, laguerre
+from .poly import DEGREE_CAP, KummerConvergenceError, laguerre
 from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
 from .quad import norm_sq_full
-from .quat import Quaternion, parse_quaternion, quat
+from .quat import parse_quaternion
 from .series import hermite_series
 from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
 from .verify import SUITE_ORDER, run_all, run_suite
@@ -121,8 +121,8 @@ def _target_points(args) -> np.ndarray:
 def cmd_eval(args, config: Config) -> int:
     batch = _target_points(args)
     if args.target == "hermite-q":
-        rows = _csv_rows([quat(hermite_quat(args.m, args.n, Quaternion(*q))).as_tuple()
-                          for q in batch.tolist()])
+        # summed from 0.0, so a value -0.0 prints as 0.0
+        rows = _csv_rows(0.0 + hermite_series(args.m, args.n).eval_many(batch))
     elif args.target == "psi":
         rows = _csv_rows(psi(parse_quaternion(args.mu), args.j, batch))
     elif args.target == "bargmann-kernel":
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternionic polyanalytic Bargmann analysis toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", parents=[common],
+    pe = sub.add_parser("eval",
                         help="evaluate Hermite polynomials, kernels, eigenfunctions")
     se = pe.add_subparsers(dest="target", required=True)
 
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--q", help="quaternion literal")
     pt.add_argument("--points", help="CSV file of target points")
 
-    pb = sub.add_parser("table", parents=[common],
+    pb = sub.add_parser("table",
                         help="closed-form vs quadrature tables")
     st = pb.add_subparsers(dest="table", required=True)
     tn = st.add_parser("norms", parents=[common])

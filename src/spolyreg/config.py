@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from .bargmann import LINE_NODES_MIN
+from .kernels import SERIES_TERMS, STAR_TERMS
 from .quad import NODE_CAP
 from .series import EXP_STAR_CAP
 
@@ -60,8 +61,8 @@ class Config:
     line_nodes: int = 80        # Gauss-Hermite points for the real-line pairing
     slice_nodes: int = 40       # per-axis Gauss-Hermite points on a slice
     sphere_order: int = 6       # exactness order of the unit-sphere rule
-    series_terms: int = 200     # truncation of the kernel ladder series
-    star_terms: int = 40        # truncation of the star-product kernel path
+    series_terms: int = SERIES_TERMS   # truncation of the kernel ladder series
+    star_terms: int = STAR_TERMS       # truncation of the star-product kernel path
     fd_step: float = 1e-3       # finite-difference step for the slice operator
     fd_order: int = 4           # central-stencil order (2 or 4)
     seed: int = 20240 + 1       # base seed for randomised verification suites

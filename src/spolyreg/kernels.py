@@ -26,9 +26,10 @@ The level-n kernel of the first kind K_{1,n} is the sum of the first
 n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
 polynomial (the Laguerre summation identity).
 
-A KernelSpec names the kind, level, method and truncation; kernel_value
-evaluates it for one p or paired p and q batches, and kernel_tail
-estimates the truncation error of the series and star paths.
+A KernelSpec names the kind, level, method and truncation, and is the one
+place a truncation is checked.  kernel_value evaluates it and kernel_tail
+estimates the truncation error of its series or star path, both for one p
+or a p batch paired with q.
 """
 from __future__ import annotations
 
@@ -48,23 +49,21 @@ __all__ = [
     "k2_series_levels",
     "kernel_value",
     "kernel_tail",
-    "series_tail_bound",
-    "star_tail_bound",
     "project_batch",
     "clear_star_cache",
 ]
 
 SERIES_TERMS = 200
 STAR_TERMS = 40
-SERIES_TAIL_WINDOW = 120      # dropped terms summed by series_tail_bound
-STAR_TAIL_WINDOW = 60         # dropped rows summed by star_tail_bound
+SERIES_TAIL_WINDOW = 120      # dropped terms kernel_tail sums per series level
+STAR_TAIL_WINDOW = 60         # dropped rows kernel_tail sums for the star path
 _GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
 _SAME_SLICE = 4 * np.finfo(float).eps   # |U x V| up to which two units share a slice
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to compute and how."""
+    """Which kernel to compute and how; the one place a truncation is checked."""
 
     kind: str = "second"          # "second" (fixed level) or "first" (sum)
     level: int = 0
@@ -82,6 +81,8 @@ class KernelSpec:
             object.__setattr__(self, "terms", {"series": SERIES_TERMS, "star": STAR_TERMS}.get(self.method))
         if self.method == "series" and self.terms < self.level:
             raise ValueError(f"series truncation {self.terms} is below the level {self.level}")
+        if self.method == "star" and not 0 <= self.terms <= EXP_STAR_CAP:
+            raise ValueError(f"star truncation {self.terms} outside 0..{EXP_STAR_CAP}")
 
 
 def _ladder(z: np.ndarray, k_max: int, terms: int):
@@ -131,8 +132,6 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
 def _exp_truncated(x: np.ndarray, terms: int) -> np.ndarray:
     """E_T(x) = sum_{a <= T} x^a / a!, T = terms, summed term by term in
     order of a, so each entry depends on its own argument alone."""
-    if not 0 <= terms <= EXP_STAR_CAP:
-        raise ValueError(f"star truncation {terms} outside 0..{EXP_STAR_CAP}")
     term = total = np.ones_like(x)
     for a in range(1, terms + 1):
         term = term * x / a
@@ -174,60 +173,51 @@ def kernel_value(spec: KernelSpec, p, q):
     return out
 
 
-# -- truncation diagnostics ----------------------------------------------
+# -- truncation estimate -------------------------------------------------
 
 
-def series_tail_bound(k: int, p: Quaternion, q, terms: int = SERIES_TERMS):
-    """Upper bound on the dropped series tail, from the growth estimate
-    |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2); a float for one
-    Quaternion q, an (N,) array for an (N, 4) batch.  The window is summed
-    term by term, so a row's bound does not depend on the batch."""
-    if terms < k:
-        raise ValueError(f"series truncation {terms} is below the level {k}")
+def _window_sum(log_terms: np.ndarray) -> np.ndarray:
+    """Sum of exp(log_terms) over the window axis, term by term in window
+    order, so each row's sum depends on its own terms alone."""
+    total = 0.0
+    for term in np.exp(log_terms):
+        total = total + term
+    return total
+
+
+def kernel_tail(spec: KernelSpec, p, q):
+    """Truncation estimate of kernel_value(spec, p, q), with the same
+    arguments: a float for one Quaternion q, an (N,) array for an (N, 4)
+    batch of q, with p one Quaternion or an (N, 4) batch paired with q.
+
+    Each level the kernel's kind adds up contributes a window of dropped
+    terms.  The series bound uses the growth estimate
+    |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2); the star estimate is
+    the dropped rows of e*^[pbar,q] times L_k(-(|p|+|q|)^2), which bounds
+    the Laguerre factor.  Either reads 0 where p or q is 0."""
     if isinstance(q, Quaternion):
-        return float(series_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
-    q2 = np.sum(np.square(q), axis=1)
-    r = abs(p) * np.sqrt(q2)
-    expo = (float(p.norm_sq()) + q2) / 2.0
-    lr = np.log(np.where(r > 0.0, r, 1.0))
-    window = range(terms + 1, terms + 1 + SERIES_TAIL_WINDOW)
-    lt = (np.array([math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
-                    for j in window])[:, None]
-          + np.subtract(window, k)[:, None] * lr + expo - math.log(math.pi))
-    total = np.zeros(len(q2))
-    for term in np.exp(lt):
-        total += term
-    return np.where(r > 0.0, total, 0.0)
-
-
-def star_tail_bound(k: int, p: Quaternion, q, terms: int = STAR_TERMS):
-    """Heuristic bound on the exp-star truncation: dropped rows of
-    e*^[pbar,q] times L_k(-(|p|+|q|)^2) = sum_m |c_m| (|p|+|q|)^(2m), which
-    bounds the Laguerre factor; a float for one Quaternion q, an (N,) array
-    for an (N, 4) batch."""
-    if isinstance(q, Quaternion):
-        return float(star_tail_bound(k, p, qarray.from_quaternion(q)[None, :], terms)[0])
-    ap, aq = abs(p), np.sqrt(np.sum(np.square(q), axis=1))
-    lag_bound = laguerre(k, 0, -np.square(ap + aq))
-    r = ap * aq
-    lr = np.log(np.where(r > 0.0, r, 1.0))
-    window = range(terms + 1, terms + 1 + STAR_TAIL_WINDOW)
-    tail = np.zeros(len(aq))
-    for term in np.exp(np.array(window)[:, None] * lr
-                       - np.array([math.lgamma(a + 1) for a in window])[:, None]):
-        tail += term
-    return np.where(r > 0.0, tail * lag_bound / math.pi, 0.0)
-
-
-def kernel_tail(spec: KernelSpec, p: Quaternion, q):
-    """Truncation estimate of kernel_value(spec, p, q), for one Quaternion q
-    (a float) or an (N, 4) batch (an (N,) array): the method's tail bound
-    summed over the levels that the kernel's kind adds up."""
+        return float(kernel_tail(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "closed":
         raise ValueError("the closed form has no truncation tail")
-    bound = series_tail_bound if spec.method == "series" else star_tail_bound
+    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
+    p2, q2 = qarray.norm_sq(p), qarray.norm_sq(q)
+    r = np.sqrt(p2) * np.sqrt(q2)
+    lr = np.log(np.where(r > 0.0, r, 1.0))
     levels = range(spec.level + 1) if spec.kind == "first" else (spec.level,)
-    return sum(bound(kappa, p, q, spec.terms) for kappa in levels)
+    if spec.method == "series":
+        window = range(spec.terms + 1, spec.terms + 1 + SERIES_TAIL_WINDOW)
+        total = sum(_window_sum(
+            np.array([math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
+                      for j in window])[:, None]
+            + np.subtract(window, k)[:, None] * lr + (p2 + q2) / 2.0 - math.log(math.pi))
+            for k in levels)
+    else:
+        window = range(spec.terms + 1, spec.terms + 1 + STAR_TAIL_WINDOW)
+        tail = _window_sum(np.array(window)[:, None] * lr
+                           - np.array([math.lgamma(a + 1) for a in window])[:, None])
+        x = -np.square(np.sqrt(p2) + np.sqrt(q2))
+        total = sum(tail * laguerre(k, 0, x) / math.pi for k in levels)
+    return np.where(r > 0.0, total, 0.0)
 
 
 # -- projection ----------------------------------------------------------

@@ -116,12 +116,16 @@ DEFAULT_POLICY = TruncationPolicy()
 
 class KummerConvergenceError(RuntimeError):
     """Raised when the Kummer series hits max_terms while terms are still
-    above the policy tolerance, or when a term is not finite."""
+    above the policy tolerance, or when a term is not finite; the message
+    names which of the two happened."""
 
     def __init__(self, terms_used: int, last_term: float):
-        super().__init__(
-            f"Kummer series not converged after {terms_used} terms "
-            f"(last term modulus {last_term:.3e})")
+        if math.isfinite(last_term):
+            cause = f" after {terms_used} terms (last term modulus {last_term:.3e})"
+        else:
+            cause = (f": term {terms_used} is not finite (modulus {last_term:.3e}), "
+                     "so the sum leaves double range")
+        super().__init__("Kummer series not converged" + cause)
         self.terms_used = terms_used
         self.last_term = last_term
 

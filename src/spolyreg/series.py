@@ -408,7 +408,7 @@ def hermite_series(m: int, n: int) -> PolySliceSeries:
     """H_{m,n} as an exact PolySliceSeries: integer coefficient
     (-1)^s C(m,s) C(n,s) s! at qbar^(n-s) q^(m-s)."""
     if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
-        raise ValueError(f"hermite indices ({m},{n}) exceed cap {DEGREE_CAP}")
+        raise ValueError(f"hermite indices ({m},{n}) outside 0..{DEGREE_CAP}")
     rows = [[0] * (m + 1) for _ in range(n + 1)]
     for s in range(min(m, n) + 1):
         rows[n - s][m - s] = ((-1) ** s * math.comb(m, s) * math.comb(n, s)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,39 @@ def test_eval_hermite_vanishes_on_unit_imaginary(capsys):
     r = run_main(capsys, "eval", "hermite-q", "--m", "1", "--n", "1", "--q", "0+1i+0j+0k")
     assert r.returncode == 0
     assert r.stdout.strip() == "0.0,0.0,0.0,0.0"
+
+
+def test_eval_hermite_batch_within_rounding_of_exact(tmp_path, capsys):
+    # the batch route against exact rational values at the same float points:
+    # within (m+n+1) eps sum_s |c_s| |q|^(m+n-2s), the rounding bound that the
+    # scalar Quaternion route also meets
+    from spolyreg.poly import hermite_quat
+    from spolyreg.quat import Quaternion
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    q = np.vstack([rng.standard_normal((6, 4)) * s for s in (0.5, 1.5, 3.0)]
+                  + [[[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [-1.5, 0, 0.5, 0]]])
+    pts = tmp_path / "q.csv"
+    pts.write_text("".join(",".join(map(repr, row)) + "\n" for row in q.tolist()))
+    for m, n in ((0, 0), (1, 1), (3, 2), (6, 6), (10, 4), (0, 12), (20, 20), (30, 0), (30, 30)):
+        r = run_main(capsys, "eval", "hermite-q", "--m", str(m), "--n", str(n),
+                     "--points", str(pts))
+        assert r.returncode == 0
+        got = np.array([[float(c) for c in line.split(",")] for line in r.stdout.splitlines()])
+        assert got.shape == q.shape
+        for row, value in zip(q.tolist(), got):
+            exact = hermite_quat(m, n, Quaternion(*map(Fraction, row)))
+            exact = np.array([float(c) for c in exact.as_tuple()])
+            scalar = np.array(hermite_quat(m, n, Quaternion(*row)).as_tuple(), dtype=float)
+            radius = math.sqrt(math.fsum(c * c for c in row))
+            bound = (m + n + 1) * eps * sum(
+                math.comb(m, s) * math.comb(n, s) * math.factorial(s) * radius ** (m + n - 2 * s)
+                for s in range(min(m, n) + 1))
+            assert np.linalg.norm(value - exact) <= bound, (m, n, row)
+            assert np.linalg.norm(scalar - exact) <= bound, (m, n, row)
+    for m in ("31", "-1"):
+        r = run_main(capsys, "eval", "hermite-q", "--m", m, "--n", "0", "--q", "1")
+        assert r.returncode == 2 and r.stdout == "" and "outside 0..30" in r.stderr
 
 
 def test_eval_kernel_star_at_origin():
@@ -406,6 +440,25 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert r.returncode == 2, field
         assert repr(field) in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+
+def test_config_is_read_at_the_leaf_command_only(tmp_path, capsys):
+    # --config belongs to the leaf command; before a nested subcommand it is
+    # refused instead of silently dropped
+    cfg, bad = tmp_path / "c.json", tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"series_terms": 3}))
+    bad.write_text(json.dumps({"slice_nodes": 0}))
+    kernel = ("--level", "0", "--p", "1", "--q", "1")
+    r = run_main(capsys, "eval", "kernel", "--config", str(cfg), *kernel)
+    assert r.returncode == 0 and r.stdout.split(",")[8] == "0.8488263631567752"
+    r = run_main(capsys, "eval", "kernel", *kernel)
+    assert r.returncode == 0 and r.stdout.split(",")[8] == "0.8652559794322653"
+    r = run_main(capsys, "table", "norms", "--config", str(bad), "--n", "0", "--jmax", "0")
+    assert r.returncode == 2 and "'slice_nodes'" in r.stderr and r.stdout == ""
+    for argv in (("eval", "--config", str(cfg), "kernel", *kernel),
+                 ("table", "--config", str(bad), "norms", "--n", "0", "--jmax", "0")):
+        r = run_main(capsys, *argv)
+        assert r.returncode == 2 and r.stdout == "", argv
 
 
 def test_config_tolerance_overrides_keep_defaults():

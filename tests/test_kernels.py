@@ -18,12 +18,7 @@ from spolyreg import (
     qarray,
     quat,
 )
-from spolyreg.kernels import (
-    clear_star_cache,
-    k2_series_levels,
-    series_tail_bound,
-    star_tail_bound,
-)
+from spolyreg.kernels import EXP_STAR_CAP, clear_star_cache, k2_series_levels
 
 I = quat(0, 1, 0, 0)
 
@@ -182,17 +177,17 @@ def test_series_tail_bound_covers_truncation():
     for k in range(3):
         full = kernel_value(series("second", k, 200), p, q)
         short = kernel_value(series("second", k, 60), p, q)
-        bound = series_tail_bound(k, p, q, 60)
+        bound = kernel_tail(series("second", k, 60), p, q)
         assert (full - short).norm() <= bound + 1e-15
         # and the bound shrinks as terms grow
-        assert series_tail_bound(k, p, q, 80) < bound
+        assert kernel_tail(series("second", k, 80), p, q) < bound
 
 
 def test_star_tail_bound_positive_and_decreasing():
     p = quat(1.2, 0.4, 0.3, -0.2)
     q = quat(0.8, -0.6, 0.5, 0.1)
-    b30 = star_tail_bound(2, p, q, 30)
-    b40 = star_tail_bound(2, p, q, 40)
+    b30 = kernel_tail(KernelSpec("second", 2, "star", 30), p, q)
+    b40 = kernel_tail(KernelSpec("second", 2, "star", 40), p, q)
     assert 0 < b40 < b30
 
 
@@ -222,6 +217,36 @@ def test_star_rows_match_one_row_calls():
             tails = kernel_tail(spec, pq, batch)
             for n, row in enumerate(batch):
                 assert kernel_tail(spec, pq, qarray.to_quaternion(row)) == tails[n]
+
+
+def test_kernel_tail_paired_rows_match_one_row_calls():
+    # kernel_tail takes kernel_value's arguments: every row of a paired
+    # (p_n, q_n) batch equals its one-row call and its one-point call bit for
+    # bit, for both methods and both kinds, zero and real points included
+    rng = np.random.default_rng(23)
+    pbatch = np.vstack([rng.standard_normal((12, 4)), [[0, 0, 0, 0], [0.8, 0, 0, 0],
+                                                       [0.3, 0.2, 0, 0], [0, 0, 0, 0]]])
+    qbatch = np.vstack([rng.standard_normal((12, 4)) * 1.5, [[0.4, 0, 0.2, 0], [0, 0, 0, 0],
+                                                             [-1.1, 0, 0, 0], [0, 0, 0, 0]]])
+    for kind in ("first", "second"):
+        for method, terms in (("series", None), ("series", 30), ("star", None), ("star", 12)):
+            for level in (0, 2, 4):
+                spec = KernelSpec(kind, level, method, terms)
+                tails = kernel_tail(spec, pbatch, qbatch)
+                assert tails.shape == (len(qbatch),) and np.all(tails[12:14] == 0.0)
+                for n in range(len(qbatch)):
+                    assert kernel_tail(spec, pbatch[n:n + 1], qbatch[n:n + 1])[0] == tails[n]
+                    assert kernel_tail(spec, qarray.to_quaternion(pbatch[n]),
+                                       qarray.to_quaternion(qbatch[n])) == tails[n]
+
+
+def test_kernel_spec_refuses_star_truncation_outside_cap():
+    # refused on construction, so kernel_tail has no spec to return a number for
+    for terms in (-1, EXP_STAR_CAP + 1, 500):
+        with pytest.raises(ValueError, match=f"star truncation {terms} outside 0..200"):
+            KernelSpec("second", 0, "star", terms)
+    assert kernel_tail(KernelSpec("second", 0, "star", 0), quat(0.5), quat(0.5)) > 0.0
+    assert kernel_tail(KernelSpec("second", 0, "star", EXP_STAR_CAP), quat(0.5), quat(0.5)) >= 0.0
 
 
 def star_reference(kind: str, level: int, p, q, terms: int):
@@ -265,8 +290,8 @@ def test_series_truncation_below_level_refused():
     with pytest.raises(ValueError, match="series truncation 2 is below the level 5"):
         KernelSpec("second", 5, "series", 2)
     with pytest.raises(ValueError, match="series truncation 2 is below the level 5"):
-        series_tail_bound(5, quat(0.3), quat(0.2), 2)
-    assert series_tail_bound(5, quat(0.3), quat(0.2), 5) > 0.0
+        kernel_tail(series("second", 5, 2), quat(0.3), quat(0.2))
+    assert kernel_tail(series("second", 5, 5), quat(0.3), quat(0.2)) > 0.0
     assert KernelSpec("second", 5, "star", 2).terms == 2
 
 
@@ -328,11 +353,14 @@ def test_kernel_value_dispatch():
     for spec in (KernelSpec("first", 2, "star"), KernelSpec("second", 2, "star", 30)):
         ref = star_reference(spec.kind, 2, p, q, spec.terms)
         assert (kernel_value(spec, p, q) - ref).norm() <= 1e-12 * max(1.0, abs(ref))
-    # the tail estimate sums the method's bound over the levels of the kind
+    # the first kind's tail estimate is the sum of the second-kind estimates
+    # over its levels, for either method
     assert kernel_tail(KernelSpec("first", 2, "series", 60), p, q) == sum(
-        series_tail_bound(k, p, q, 60) for k in range(3))
-    assert kernel_tail(KernelSpec("second", 2, "series"), p, q) == series_tail_bound(2, p, q)
-    assert kernel_tail(KernelSpec("second", 1, "star", 20), p, q) == star_tail_bound(1, p, q, 20)
+        kernel_tail(KernelSpec("second", k, "series", 60), p, q) for k in range(3))
+    assert kernel_tail(KernelSpec("second", 2, "series"), p, q) == kernel_tail(
+        KernelSpec("second", 2, "series", 200), p, q)
+    assert kernel_tail(KernelSpec("first", 1, "star", 20), p, q) == sum(
+        kernel_tail(KernelSpec("second", k, "star", 20), p, q) for k in range(2))
     # an (N, 4) batch gets each row's own estimate, as one point at a time does
     batch = np.array([q.as_tuple(), p.as_tuple(), (0.0,) * 4, (1.2, 0.0, 0.0, 0.0)], dtype=float)
     for spec in (KernelSpec("first", 2, "series", 60), KernelSpec("first", 2, "star", 20)):

@@ -125,6 +125,20 @@ def test_kummer_refuses_overflowed_series():
         kummer_M(-300, 1, 1e6)
 
 
+def test_kummer_error_names_its_cause():
+    # a term that is not finite is worded apart from running out of terms
+    with pytest.raises(KummerConvergenceError) as info:
+        kummer_M(-300, 1, 1e6)
+    assert str(info.value) == ("Kummer series not converged: term 54 is not finite "
+                               "(modulus inf), so the sum leaves double range")
+    assert (info.value.terms_used, info.value.last_term) == (54, math.inf)
+    with pytest.raises(KummerConvergenceError) as info:
+        kummer_M(0.5, 1.5, 30.0, policy=TruncationPolicy(max_terms=5, abs_tol=0.0))
+    assert str(info.value) == ("Kummer series not converged after 5 terms "
+                               "(last term modulus 1.841e+04)")
+    assert info.value.terms_used == 5 and math.isfinite(info.value.last_term)
+
+
 def test_hermite_quat_frozen_values():
     q = quat(1, 1, 0, 0)
     # H_{1,1} = |q|^2 - 1, H_{2,1} = qbar q^2 - 2 q
