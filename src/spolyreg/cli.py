@@ -121,8 +121,12 @@ def _target_points(args) -> np.ndarray:
 def cmd_eval(args, config: Config) -> int:
     batch = _target_points(args)
     if args.target == "hermite-q":
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = hermite_series(args.m, args.n).eval_many(batch)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"H_{{{args.m},{args.n}}} leaves double range on this batch")
         # summed from 0.0, so a value -0.0 prints as 0.0
-        rows = _csv_rows(0.0 + hermite_series(args.m, args.n).eval_many(batch))
+        rows = _csv_rows(0.0 + values)
     elif args.target == "psi":
         rows = _csv_rows(psi(parse_quaternion(args.mu), args.j, batch))
     elif args.target == "bargmann-kernel":

@@ -64,6 +64,11 @@ def test_eval_hermite_batch_within_rounding_of_exact(tmp_path, capsys):
     for m in ("31", "-1"):
         r = run_main(capsys, "eval", "hermite-q", "--m", m, "--n", "0", "--q", "1")
         assert r.returncode == 2 and r.stdout == "" and "outside 0..30" in r.stderr
+    # a value that leaves double range is refused, not printed as nan
+    for q in ("1e10", "1e20+1e20i"):
+        r = run_main(capsys, "eval", "hermite-q", "--m", "30", "--n", "30", "--q", q)
+        assert r.returncode == 2 and r.stdout == "", q
+        assert r.stderr == "error: H_{30,30} leaves double range on this batch\n"
 
 
 def test_eval_kernel_star_at_origin():

@@ -18,7 +18,8 @@ from spolyreg import (
     qarray,
     quat,
 )
-from spolyreg.kernels import EXP_STAR_CAP, clear_star_cache, k2_series_levels
+from spolyreg.kernels import clear_star_cache, k2_series_levels
+from spolyreg.series import EXP_STAR_CAP
 
 I = quat(0, 1, 0, 0)
 
