@@ -41,9 +41,10 @@ from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid
 from .config import Config, load_config
 from .kernels import KernelSpec, kernel_tail, kernel_value
 from .poly import DEGREE_CAP, KummerConvergenceError, laguerre
-from .quad import SliceQuadrature, gauss_hermite, norm_sq_slice, sphere_rule
+from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_slice,
+                   sphere_rule)
 from .quad import norm_sq_full
-from .quat import parse_quaternion
+from .quat import format_quaternion, parse_quaternion
 from .series import hermite_series
 from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
 from .verify import SUITE_ORDER, run_all, run_suite
@@ -143,10 +144,17 @@ def cmd_eval(args, config: Config) -> int:
         spec = KernelSpec(kind="second" if args.kind == 2 else "first", level=args.level,
                           method=args.method, terms=terms)
         p = parse_quaternion(args.p)
-        block = np.hstack([np.broadcast_to(qarray.from_quaternion(p), batch.shape), batch,
-                           kernel_value(spec, p, batch)])
+        values, tails = kernel_value(spec, p, batch), kernel_tail(spec, p, batch)
+        finite = np.isfinite(values).all(axis=1) & np.isfinite(tails)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise ValueError(
+                f"kernel row {n + 1} (q = {format_quaternion(qarray.to_quaternion(batch[n]))}) "
+                f"leaves double range: {spec.method} value {_csv_rows(values[n:n + 1])[0]}, "
+                f"tail {float(tails[n])!r}")
+        block = np.hstack([np.broadcast_to(qarray.from_quaternion(p), batch.shape), batch, values])
         rows = [f"{row},{spec.method},{tail!r}"
-                for row, tail in zip(_csv_rows(block), kernel_tail(spec, p, batch).tolist())]
+                for row, tail in zip(_csv_rows(block), tails.tolist())]
     _write_lines(rows)
     return 0
 
@@ -237,9 +245,10 @@ def cmd_table(args, config: Config) -> int:
             print(f"{args.n},{j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":
-        Q = SliceQuadrature(config.slice_nodes)
         idx = [(m, n) for m in range(args.max + 1) for n in range(args.max + 1)]
-        # all rows before the header: the degree guard may refuse a large --max
+        # |H_{m,n}|^2 has degree 2(m + n): refuse a large --max before any work
+        check_slice_degree((2 * (m + n) for m, n in idx), config.slice_nodes)
+        Q = SliceQuadrature(config.slice_nodes)
         nums = [norm_sq_slice(hermite_series(m, n), Q) for m, n in idx]
         print("m,n,closed,quadrature,residual")
         for (m, n), num in zip(idx, nums):

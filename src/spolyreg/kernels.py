@@ -9,7 +9,8 @@ Two independent computational paths:
   with the q-side factor on the left; this is the factor order that
   satisfies the reproducing property under the pairing <K(p,.), f>.
   Evaluated through factorial-normalised ladder recurrences so that
-  200-term truncations stay inside double range.
+  200-term truncations stay inside double range; each row stops once the
+  bound on its dropped terms falls below eps |K|.
 
 * star path: (1/pi) e*^[pbar,q] * L*_k of the squared star distance,
   a polyanalytic series in p whose coefficients lie in the slice of q
@@ -29,7 +30,9 @@ polynomial (the Laguerre summation identity).
 A KernelSpec names the kind, level, method and truncation, and is the one
 place a truncation is checked.  kernel_value evaluates it and kernel_tail
 estimates the truncation error of its series or star path, both for one p
-or a p batch paired with q.
+or a p batch paired with q.  A series truncation is a cap: each (level, row)
+stops at its own last useful term (_series_stops), and the value and the
+tail share that stop.
 """
 from __future__ import annotations
 
@@ -55,10 +58,14 @@ __all__ = [
 
 SERIES_TERMS = 200
 STAR_TERMS = 40
-SERIES_TAIL_WINDOW = 120      # dropped terms kernel_tail sums per series level
+SERIES_TAIL_WINDOW = 120      # bound terms past the series cap that a row's tail sums
 STAR_TAIL_WINDOW = 60         # dropped rows kernel_tail sums for the star path
 _GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
-_SAME_SLICE = 4 * np.finfo(float).eps   # |U x V| up to which two units share a slice
+_EPS = np.finfo(float).eps
+_SAME_SLICE = 4 * _EPS        # |U x V| up to which two units share a slice
+_LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
+_LOG_DROP = -700.0            # log of the ratio below which a bound term counts as 0
+_LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + SERIES_TAIL_WINDOW + 1)])
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,75 @@ class KernelSpec:
             raise ValueError(f"star truncation {self.terms} outside 0..{EXP_STAR_CAP}")
 
 
+def _levels(spec: KernelSpec):
+    """The second-kind levels whose kernels spec's kind adds up."""
+    return range(spec.level + 1) if spec.kind == "first" else (spec.level,)
+
+
+def _log_factorial(n: int) -> np.ndarray:
+    """log j! for j = 0..n, from the module table while it reaches."""
+    if n < len(_LOG_FACTORIAL):
+        return _LOG_FACTORIAL[:n + 1]
+    return np.array([math.lgamma(j + 1) for j in range(n + 1)])
+
+
+def _log_radius(p2: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """log(|p||q|), -inf where p or q is 0."""
+    r = np.sqrt(p2) * np.sqrt(q2)
+    return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0)
+
+
+def _series_stops(levels, zeta: np.ndarray, w: np.ndarray, terms: int):
+    """Each row's last series term T for each level kappa in `levels`, and
+    the bound on the terms it drops, both shape (L, N), from the slice
+    coordinates zeta of p (N or 1 of them) and w of q (N).
+
+    b_i = i!/(kappa! ((i-kappa)!)^2) (|p||q|)^(i-kappa) e^((|p|^2+|q|^2)/2)/pi
+    bounds the i-th term of K_{2,kappa}(p, q) through
+    |H_{i,kappa}(q)| <= (i!/(i-kappa)!) |q|^(i-kappa) e^(|q|^2/2).  T is the
+    first j >= kappa, at most `terms`, where the dropped-tail bound
+    sum_{i>j} b_i (through i = terms + SERIES_TAIL_WINDOW) is at most
+    eps |K_{2,kappa}(p, q)|, and the tail is that sum at j = T.  |K| is bounded
+    below by min(|s(zeta)|, |s(zetabar)|), the closed form's two same-slice
+    values, since |K|^2 = c |s(zeta)|^2 + (1-c) |s(zetabar)|^2 with
+    0 <= c <= 1; a row whose bound is 0 or leaves double range keeps
+    T = terms.  The sums run in log space, shifted by each row's largest
+    term, elementwise or along the last axis, so each row depends on its own
+    p and q alone; a tail past double range reads inf."""
+    lev = np.asarray(levels)[:, None]
+    i = np.arange(1, terms + SERIES_TAIL_WINDOW + 1)
+    lf = _log_factorial(max(terms + SERIES_TAIL_WINDOW, int(lev.max(initial=0))))
+    d = np.maximum(i - lev, 1)         # i <= kappa is no dropped term: masked to -inf
+    coef = np.where(i > lev, lf[i] - lf[lev] - 2 * lf[d], -np.inf)
+    p2, q2 = np.square(zeta.real) + np.square(zeta.imag), np.square(w.real) + np.square(w.imag)
+    b = d[:, None, :] * _log_radius(p2, q2)[:, None]    # log b_i, then b_i / max_i b_i, in place
+    b += coef[:, None, :]
+    b += ((p2 + q2) / 2.0 - math.log(math.pi))[:, None]
+    top = np.max(b, axis=-1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    b -= top[..., None]
+    # terms below e^-700 of the row's largest count as 0: exp is slow to underflow
+    kept = b >= _LOG_DROP
+    np.exp(np.maximum(b, _LOG_DROP, out=b), out=b)
+    b *= kept
+    past = np.cumsum(b[..., ::-1], axis=-1)[..., ::-1]      # [j]: sum over i > j
+    z = np.array([zeta, np.conj(zeta)])
+    x = np.abs(z - np.conj(w)) ** 2
+    lag = np.abs([laguerre(int(kappa), 0, x) for kappa in lev[:, 0]])
+    log_s = (w * z).real + np.log(lag, out=np.full(lag.shape, -np.inf), where=lag > 0.0)
+    log_k = np.min(log_s, axis=1) - math.log(math.pi)
+    useful = (log_k > _LOG_TINY) & (log_k < _LOG_HUGE)
+    with np.errstate(over="ignore"):      # past double range: a stop at once, or a tail of inf
+        floor = np.exp(np.where(useful, log_k + math.log(_EPS), -np.inf) - top)
+        done = past[..., :terms + 1] <= floor[..., None]
+        stops = np.where(useful & done.any(axis=-1), np.maximum(np.argmax(done, axis=-1), lev),
+                         terms)
+        stops = np.minimum(stops, terms)
+        left = np.take_along_axis(past, stops[..., None], axis=-1)[..., 0]
+        tail = np.exp(top + np.log(left, out=np.full(left.shape, -np.inf), where=left > 0.0))
+    return stops, tail
+
+
 def _ladder(z: np.ndarray, k_max: int, terms: int):
     """Yield the (k_max+1, N) complex rows A_{j,kappa}(z), kappa <= k_max,
     for j = 0..terms, where A_{j,kappa} = H_{j,kappa}/sqrt(j!) lives in the
@@ -102,28 +178,45 @@ def _ladder(z: np.ndarray, k_max: int, terms: int):
         yield row
 
 
+def _slice_pair(p, q):
+    """Slice coordinates and units of the (N, 4) q batch and the (N or 1, 4)
+    p batch, split from one to_slice call: (w, zeta, U, V)."""
+    p = np.asarray(p, dtype=float).reshape(-1, 4)
+    q = np.asarray(q, dtype=float).reshape(-1, 4)
+    z, unit = qarray.to_slice(np.vstack([q, p]))
+    n = len(q)
+    return z[:n], z[n:], unit[:n], unit[n:]
+
+
 def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
-                     terms: int = SERIES_TERMS) -> np.ndarray:
+                     terms: int = SERIES_TERMS, levels=None) -> np.ndarray:
     """K_{2,kappa}(p_n, q_n) for every level kappa <= k_max, shape
     (k_max+1, N, 4), with the (P, 4) p batch broadcast against the (N, 4)
     q batch (one p, or paired p_n, q_n); K_1 is the cumulative sum.
 
     The summand is (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)), with
     both factors in the slice of their point: qarray.lift_conj_product
-    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p))."""
-    ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
-    qpts = np.asarray(qpts, dtype=float).reshape(-1, 4)
-    z, unit = qarray.to_slice(np.vstack([qpts, ppts]))
-    n = len(qpts)
-    s1 = s2 = 0.0
-    for row in _ladder(z, k_max, terms):
+    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  `terms` is a
+    cap: each (level, row) adds its terms through its own _series_stops
+    stop, and the ladder runs to the largest.  `levels` (default every
+    level) are the levels whose stops drive the sums; one level's stop then
+    serves every level, as kernel_value's second kind reads only its own."""
+    if terms < 0:
+        raise ValueError(f"series truncation {terms} is negative")
+    w, zeta, unit_q, unit_p = _slice_pair(ppts, qpts)
+    stops = _series_stops(range(k_max + 1) if levels is None else levels, zeta, w, terms)[0]
+    z = np.concatenate([w, zeta])
+    n = len(w)
+    s1, s2 = np.zeros((k_max + 1, n), complex), np.zeros((k_max + 1, n), complex)
+    for j, row in enumerate(_ladder(z, k_max, int(stops.max(initial=0)))):
         aq, ap = row[:, :n], row[:, n:]
-        s1 = s1 + aq * ap
-        s2 = s2 + aq * np.conj(ap)
+        live = j <= stops
+        np.add(s1, aq * ap, out=s1, where=live)
+        np.add(s2, aq * np.conj(ap), out=s2, where=live)
     scales = np.array([1.0 / (math.pi * math.factorial(kappa))
                        for kappa in range(k_max + 1)])[:, None]
     s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
-    return qarray.lift_conj_product(s1, s2, unit[:n], unit[n:])
+    return qarray.lift_conj_product(s1, s2, unit_q, unit_p)
 
 
 # -- star path -----------------------------------------------------------
@@ -158,7 +251,7 @@ def kernel_value(spec: KernelSpec, p, q):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
     if spec.method == "series":
-        k2 = k2_series_levels(spec.level, p, q, spec.terms)
+        k2 = k2_series_levels(spec.level, p, q, spec.terms, _levels(spec))
         return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
     w, unit = qarray.to_slice(q)
     zp, up = qarray.to_slice(p)
@@ -176,48 +269,32 @@ def kernel_value(spec: KernelSpec, p, q):
 # -- truncation estimate -------------------------------------------------
 
 
-def _window_sum(log_terms: np.ndarray) -> np.ndarray:
-    """Sum of exp(log_terms) over the window axis, term by term in window
-    order, so each row's sum depends on its own terms alone."""
-    total = 0.0
-    for term in np.exp(log_terms):
-        total = total + term
-    return total
-
-
 def kernel_tail(spec: KernelSpec, p, q):
     """Truncation estimate of kernel_value(spec, p, q), with the same
     arguments: a float for one Quaternion q, an (N,) array for an (N, 4)
     batch of q, with p one Quaternion or an (N, 4) batch paired with q.
 
-    Each level the kernel's kind adds up contributes a window of dropped
-    terms.  The series bound uses the growth estimate
-    |H_{j,k}(q)| <= (j!/(j-k)!) |q|^(j-k) e^(|q|^2/2); the star estimate is
+    Each level the kernel's kind adds up contributes its dropped terms.  The
+    series bound is the growth bound b_i of _series_stops summed past each
+    row's own stop, through terms + SERIES_TAIL_WINDOW; the star estimate is
     the dropped rows of e*^[pbar,q] times L_k(-(|p|+|q|)^2), which bounds
-    the Laguerre factor.  Either reads 0 where p or q is 0."""
+    the Laguerre factor.  Either reads 0 where p or q is 0, and inf where it
+    leaves double range."""
     if isinstance(q, Quaternion):
         return float(kernel_tail(spec, p, qarray.from_quaternion(q)[None, :])[0])
     if spec.method == "closed":
         raise ValueError("the closed form has no truncation tail")
     p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
-    p2, q2 = qarray.norm_sq(p), qarray.norm_sq(q)
-    r = np.sqrt(p2) * np.sqrt(q2)
-    lr = np.log(np.where(r > 0.0, r, 1.0))
-    levels = range(spec.level + 1) if spec.kind == "first" else (spec.level,)
+    levels = _levels(spec)
     if spec.method == "series":
-        window = range(spec.terms + 1, spec.terms + 1 + SERIES_TAIL_WINDOW)
-        total = sum(_window_sum(
-            np.array([math.lgamma(j + 1) - math.lgamma(k + 1) - 2 * math.lgamma(j - k + 1)
-                      for j in window])[:, None]
-            + np.subtract(window, k)[:, None] * lr + (p2 + q2) / 2.0 - math.log(math.pi))
-            for k in levels)
-    else:
-        window = range(spec.terms + 1, spec.terms + 1 + STAR_TAIL_WINDOW)
-        tail = _window_sum(np.array(window)[:, None] * lr
-                           - np.array([math.lgamma(a + 1) for a in window])[:, None])
-        x = -np.square(np.sqrt(p2) + np.sqrt(q2))
-        total = sum(tail * laguerre(k, 0, x) / math.pi for k in levels)
-    return np.where(r > 0.0, total, 0.0)
+        w, zeta = _slice_pair(p, q)[:2]
+        return sum(_series_stops(levels, zeta, w, spec.terms)[1])
+    p2, q2 = qarray.norm_sq(p), qarray.norm_sq(q)
+    a = np.arange(spec.terms + 1, spec.terms + 1 + STAR_TAIL_WINDOW)
+    with np.errstate(over="ignore"):
+        tail = np.sum(np.exp(_log_radius(p2, q2)[:, None] * a - _log_factorial(a[-1])[a]), axis=-1)
+    x = -np.square(np.sqrt(p2) + np.sqrt(q2))
+    return sum(tail * laguerre(k, 0, x) / math.pi for k in levels)
 
 
 # -- projection ----------------------------------------------------------

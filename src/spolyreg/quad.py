@@ -18,8 +18,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from . import qarray
 from .quat import I as UNIT_I
@@ -39,6 +37,7 @@ __all__ = [
     "inner_slice",
     "inner_full",
     "norm_sq_slice",
+    "check_slice_degree",
     "norm_sq_full",
     "gram_slice",
 ]
@@ -66,12 +65,16 @@ class Rule1D:
 
 
 @lru_cache(maxsize=None)
-def _base_rule(gauss, n: int):
-    """Nodes and weights of numpy's n-point rule, built once per (rule, n)
-    and read-only, because every caller shares them."""
+def _base_rule(family: str, n: int):
+    """Nodes and weights of numpy's n-point Gauss rule of the family
+    ("hermite" or "legendre"), built once per (family, n) and read-only,
+    because every caller shares them.  numpy.polynomial (about 0.75 MB)
+    is imported with the first rule, so a command that builds none, such
+    as eval kernel, never loads it."""
     if not 1 <= n <= NODE_CAP:
         raise ValueError(f"node count {n} outside 1..{NODE_CAP}")
-    x, w = gauss(n)
+    from numpy.polynomial import hermite, legendre
+    x, w = hermite.hermgauss(n) if family == "hermite" else legendre.leggauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -79,11 +82,11 @@ def _base_rule(gauss, n: int):
 
 def gauss_hermite(n: int) -> Rule1D:
     """Gauss-Hermite rule: exact for e^(-t^2) * (poly of degree <= 2n-1)."""
-    return Rule1D(*_base_rule(hermgauss, n))
+    return Rule1D(*_base_rule("hermite", n))
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
-    x, w = _base_rule(leggauss, n)
+    x, w = _base_rule("legendre", n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return Rule1D(mid + half * x, half * w)
 
@@ -151,6 +154,16 @@ def values_on(f, pts: np.ndarray) -> np.ndarray:
     return np.array(vals).reshape(-1, 4)
 
 
+def check_slice_degree(degrees, n: int) -> None:
+    """Refuse the first of the integrand degrees that the n-node slice rule
+    does not integrate exactly, before anything is evaluated."""
+    for deg in degrees:
+        if deg > 2 * n - 1:
+            raise QuadratureDegreeError(
+                f"slice rule with n={n} is exact only through degree {2 * n - 1}, "
+                f"integrand has degree {deg}")
+
+
 def _check_slice_degree(f, g, n: int) -> None:
     deg = 0
     for h in (f, g):
@@ -158,10 +171,7 @@ def _check_slice_degree(f, g, n: int) -> None:
         if d is None:
             return
         deg += max(d, 0) + max(getattr(h, "level", 0), 0)
-    if deg > 2 * n - 1:
-        raise QuadratureDegreeError(
-            f"slice rule with n={n} is exact only through degree {2 * n - 1}, "
-            f"integrand has degree {deg}")
+    check_slice_degree((deg,), n)
 
 
 def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:

@@ -25,7 +25,8 @@ from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
 from .config import Config
 from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
 from .poly import hermite_quat, laguerre
-from .quad import SliceQuadrature, gauss_hermite, gram_slice, norm_sq_full, sphere_rule
+from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, gram_slice, norm_sq_full,
+                   sphere_rule)
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, exp_star, hermite_series,
@@ -81,6 +82,8 @@ def verify_orthogonality(config: Config,
                               "right_factors": "random unit quaternion per H_{j,k} and slice",
                               "nodes": config.slice_nodes, "seed": config.seed})
     idx = [(j, k) for j in range(index_max + 1) for k in range(index_max + 1)]
+    # |H_{j,k} a|^2 has degree 2(j + k): refuse a large index_max before any work
+    check_slice_degree((2 * (j + k) for j, k in idx), config.slice_nodes)
     basis = [hermite_series(j, k) for j, k in idx]
     scale = np.array([math.sqrt(math.pi * math.factorial(j) * math.factorial(k))
                       for j, k in idx])

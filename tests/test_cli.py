@@ -91,6 +91,26 @@ def test_eval_kernel_series_reports_tail(capsys):
     assert 0.0 <= float(fields[13]) < 1e-8
 
 
+def test_eval_kernel_refuses_rows_past_double_range(tmp_path, capsys):
+    # K(30, 30) = e^900/pi is past double range: the series tail reads inf,
+    # and the row is refused by number, with no floating-point warning
+    r = run_main(capsys, "eval", "kernel", "--level", "0", "--p", "30", "--q", "30")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: kernel row 1 (q = 30.0) leaves double range: series value ")
+    assert r.stderr.endswith(", tail inf\n")
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.5,0,0,0\n30,0,0,0\n0,0.2,0,0\n")
+    r = run_main(capsys, "eval", "kernel", "--kind", "1", "--level", "2", "--p", "30",
+                 "--points", str(pts))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "kernel row 2 (q = 30.0)" in r.stderr
+    # the rows in range still print
+    pts.write_text("0.5,0,0,0\n0,0.2,0,0\n")
+    r = run_main(capsys, "eval", "kernel", "--kind", "1", "--level", "2", "--p", "30",
+                 "--points", str(pts))
+    assert r.returncode == 0 and len(r.stdout.splitlines()) == 2
+
+
 def test_eval_psi_constant_case(capsys):
     r = run_main(capsys, "eval", "psi", "--mu", "0", "--j", "2", "--q", "1+0i+0j+0k")
     assert r.returncode == 0

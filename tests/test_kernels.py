@@ -176,12 +176,19 @@ def test_series_tail_bound_covers_truncation():
     p = quat(0.9, 0.6, -0.8, 0.3)
     q = quat(-0.5, 0.7, 0.4, -0.6)
     for k in range(3):
+        # caps 10 and 15 bind: the rows stop there, before their own stop
         full = kernel_value(series("second", k, 200), p, q)
-        short = kernel_value(series("second", k, 60), p, q)
-        bound = kernel_tail(series("second", k, 60), p, q)
+        short = kernel_value(series("second", k, 10), p, q)
+        bound = kernel_tail(series("second", k, 10), p, q)
         assert (full - short).norm() <= bound + 1e-15
         # and the bound shrinks as terms grow
-        assert kernel_tail(series("second", k, 80), p, q) < bound
+        assert kernel_tail(series("second", k, 15), p, q) < bound
+        # this pair stops by itself near term 22-25, so caps 60 and 80 no
+        # longer bind: the same value and the same tail
+        assert kernel_value(series("second", k, 60), p, q) == kernel_value(
+            series("second", k, 80), p, q)
+        assert kernel_tail(series("second", k, 60), p, q) == kernel_tail(
+            series("second", k, 80), p, q)
 
 
 def test_star_tail_bound_positive_and_decreasing():
@@ -218,6 +225,80 @@ def test_star_rows_match_one_row_calls():
             tails = kernel_tail(spec, pq, batch)
             for n, row in enumerate(batch):
                 assert kernel_tail(spec, pq, qarray.to_quaternion(row)) == tails[n]
+
+
+def test_series_rows_match_one_row_calls():
+    # every series value and tail of a batch row equals its one-row call bit
+    # for bit, with one p or a paired (N, 4) p batch: each row stops at its
+    # own term, whatever the other rows of its batch need
+    rng = np.random.default_rng(19)
+    p = rng.standard_normal(4) * 0.6
+    unit = np.array([0.0, 0.48, 0.6, -0.64])
+    batch = np.vstack([rng.standard_normal((6, 4)) * 0.9,
+                       [[0.8, 0, 0, 0], [0, 0, 0, 0], p, -p, [0.3, *(1.2 * unit[1:])]]])
+    pbatch = np.vstack([rng.standard_normal((6, 4)) * 0.9,
+                        [[0, 0.5, 0, 0], [0.3, 0, 0, 0], -p, p, [-0.7, *(0.4 * unit[1:])]]])
+    pq = qarray.to_quaternion(p)
+    for kind in ("first", "second"):
+        for level in range(7):
+            for terms in (None, 30):
+                spec = series(kind, level, terms)
+                values, paired = kernel_value(spec, pq, batch), kernel_value(spec, pbatch, batch)
+                tails, paired_tails = kernel_tail(spec, pq, batch), kernel_tail(spec, pbatch, batch)
+                for n in range(len(batch)):
+                    one, pone = batch[n:n + 1], pbatch[n:n + 1]
+                    assert np.array_equal(kernel_value(spec, pq, one)[0], values[n])
+                    assert np.array_equal(kernel_value(spec, pone, one)[0], paired[n])
+                    assert kernel_tail(spec, pq, one)[0] == tails[n]
+                    assert kernel_tail(spec, pone, one)[0] == paired_tails[n]
+
+
+def series_reference(k_max: int, p: np.ndarray, q: np.ndarray, terms: int = 200):
+    """The terms-term ladder sums K_{2,kappa}(p_n, q_n), kappa <= k_max, shape
+    (k_max+1, N, 4), and their magnitude sums sum_j |t_j|, shape (k_max+1, N),
+    from A_{0,kappa} = zbar^kappa, A_{j+1,kappa} = (z A_{j,kappa} -
+    kappa A_{j,kappa-1})/sqrt(j+1) and t_j = A_{j,kappa}(q) conj(A_{j,kappa}(p))/(pi kappa!)."""
+    (zq, uq), (zp, up) = qarray.to_slice(q), qarray.to_slice(p)
+    kap = np.arange(k_max + 1)[:, None]
+    # the powers as kernels._ladder forms them: the ladder magnifies their rounding
+    aq = np.vander(np.conj(zq), k_max + 1, increasing=True).T
+    ap = np.vander(np.conj(zp), k_max + 1, increasing=True).T
+    s1 = s2 = mag = 0.0
+    for j in range(terms + 1):
+        if j:
+            aq = (zq * aq - kap * np.vstack([0 * aq[:1], aq[:-1]])) / math.sqrt(j)
+            ap = (zp * ap - kap * np.vstack([0 * ap[:1], ap[:-1]])) / math.sqrt(j)
+        s1, s2 = s1 + aq * ap, s2 + aq * np.conj(ap)
+        mag = mag + np.abs(aq) * np.abs(ap)
+    scale = np.array([1.0 / (math.pi * factorial(k)) for k in range(k_max + 1)])[:, None]
+    return qarray.lift_conj_product(s1 * scale, s2 * scale, uq, up), mag * scale
+
+
+def test_series_stop_is_honest():
+    # the stopped value is within its reported tail plus rounding,
+    # 16 eps sum_j |t_j|, of the full 200-term sum, for pairs on a common
+    # slice, antipodes and general pairs
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for radius in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        def sphere(n):
+            v = rng.standard_normal((n, 4))
+            return radius * v / np.linalg.norm(v, axis=1)[:, None]
+        ps = sphere(12)
+        common = ps[8:12] * rng.choice([-1.0, 1.0], size=(4, 1))   # p's unit or its opposite
+        common[:, 0] = rng.uniform(-radius, radius, size=4)
+        qs = np.vstack([sphere(4), -ps[4:8], common])
+        ref, mag = series_reference(5, ps, qs)
+        for kind in ("second", "first"):
+            for level in range(6):
+                spec = series(kind, level)
+                got, tail = kernel_value(spec, ps, qs), kernel_tail(spec, ps, qs)
+                if kind == "second":
+                    want, size = ref[level], mag[level]
+                else:
+                    want, size = ref[:level + 1].sum(axis=0), mag[:level + 1].sum(axis=0)
+                err = np.linalg.norm(got - want, axis=1)
+                assert np.all(err <= tail + 16 * eps * size), (radius, kind, level)
 
 
 def test_kernel_tail_paired_rows_match_one_row_calls():
