@@ -39,7 +39,7 @@ from . import qarray
 from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid,
                        transform_batch)
 from .config import Config, load_config
-from .kernels import KernelSpec, kernel_tail, kernel_value
+from .kernels import KernelSpec, kernel_value_tail
 from .poly import DEGREE_CAP, KummerConvergenceError, laguerre
 from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_slice,
                    sphere_rule)
@@ -144,7 +144,7 @@ def cmd_eval(args, config: Config) -> int:
         spec = KernelSpec(kind="second" if args.kind == 2 else "first", level=args.level,
                           method=args.method, terms=terms)
         p = parse_quaternion(args.p)
-        values, tails = kernel_value(spec, p, batch), kernel_tail(spec, p, batch)
+        values, tails = kernel_value_tail(spec, p, batch)
         finite = np.isfinite(values).all(axis=1) & np.isfinite(tails)
         if not finite.all():
             n = int(np.argmin(finite))

@@ -30,9 +30,9 @@ polynomial (the Laguerre summation identity).
 A KernelSpec names the kind, level, method and truncation, and is the one
 place a truncation is checked.  kernel_value evaluates it and kernel_tail
 estimates the truncation error of its series or star path, both for one p
-or a p batch paired with q.  A series truncation is a cap: each (level, row)
-stops at its own last useful term (_series_stops), and the value and the
-tail share that stop.
+or a p batch paired with q; kernel_value_tail gives both.  A series
+truncation is a cap: each (level, row) stops at its own last useful term
+(_series_stops), and the value and the tail share that stop.
 """
 from __future__ import annotations
 
@@ -52,6 +52,7 @@ __all__ = [
     "k2_series_levels",
     "kernel_value",
     "kernel_tail",
+    "kernel_value_tail",
     "project_batch",
     "clear_star_cache",
 ]
@@ -65,6 +66,7 @@ _EPS = np.finfo(float).eps
 _SAME_SLICE = 4 * _EPS        # |U x V| up to which two units share a slice
 _LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
 _LOG_DROP = -700.0            # log of the ratio below which a bound term counts as 0
+_STOP_BLOCK = 1 << 17         # (level, row, term) cells of one block of the stop search
 _LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + SERIES_TAIL_WINDOW + 1)])
 
 
@@ -92,9 +94,9 @@ class KernelSpec:
             raise ValueError(f"star truncation {self.terms} outside 0..{EXP_STAR_CAP}")
 
 
-def _levels(spec: KernelSpec):
+def _levels(spec: KernelSpec) -> range:
     """The second-kind levels whose kernels spec's kind adds up."""
-    return range(spec.level + 1) if spec.kind == "first" else (spec.level,)
+    return range(spec.level + 1) if spec.kind == "first" else range(spec.level, spec.level + 1)
 
 
 def _log_factorial(n: int) -> np.ndarray:
@@ -124,14 +126,27 @@ def _series_stops(levels, zeta: np.ndarray, w: np.ndarray, terms: int):
     below by min(|s(zeta)|, |s(zetabar)|), the closed form's two same-slice
     values, since |K|^2 = c |s(zeta)|^2 + (1-c) |s(zetabar)|^2 with
     0 <= c <= 1; a row whose bound is 0 or leaves double range keeps
-    T = terms.  The sums run in log space, shifted by each row's largest
-    term, elementwise or along the last axis, so each row depends on its own
-    p and q alone; a tail past double range reads inf."""
+    T = terms.  The rows are searched in blocks of at most _STOP_BLOCK
+    (level, row, term) cells, so memory grows with levels x rows and not
+    with the cap; within a block every step is elementwise or along the
+    term axis, so each row depends on its own p and q alone."""
     lev = np.asarray(levels)[:, None]
     i = np.arange(1, terms + SERIES_TAIL_WINDOW + 1)
     lf = _log_factorial(max(terms + SERIES_TAIL_WINDOW, int(lev.max(initial=0))))
     d = np.maximum(i - lev, 1)         # i <= kappa is no dropped term: masked to -inf
     coef = np.where(i > lev, lf[i] - lf[lev] - 2 * lf[d], -np.inf)
+    zeta = np.broadcast_to(zeta, w.shape)
+    stops, tail = np.empty((len(lev), len(w)), int), np.empty((len(lev), len(w)))
+    step = max(1, _STOP_BLOCK // coef.size)
+    for a in range(0, len(w), step):
+        rows = slice(a, a + step)
+        stops[:, rows], tail[:, rows] = _stop_block(lev, d, coef, zeta[rows], w[rows], terms)
+    return stops, tail
+
+
+def _stop_block(lev, d, coef, zeta, w, terms: int):
+    """_series_stops on one block of rows.  The bound sums run in log space,
+    shifted by each row's largest term; a tail past double range reads inf."""
     p2, q2 = np.square(zeta.real) + np.square(zeta.imag), np.square(w.real) + np.square(w.imag)
     b = d[:, None, :] * _log_radius(p2, q2)[:, None]    # log b_i, then b_i / max_i b_i, in place
     b += coef[:, None, :]
@@ -188,8 +203,26 @@ def _slice_pair(p, q):
     return z[:n], z[n:], unit[:n], unit[n:]
 
 
+def _k2_series(levels: range, w, zeta, unit_q, unit_p, stops) -> np.ndarray:
+    """K_{2,kappa}(p_n, q_n) for kappa in `levels`, a range that ends at the
+    top level, shape (L, N, 4), from the slice coordinates and units of
+    _slice_pair: each (level, row) adds its terms j <= its (L, N) stop, and
+    the ladder runs to the largest stop."""
+    n = len(w)
+    s1, s2 = np.zeros((len(levels), n), complex), np.zeros((len(levels), n), complex)
+    for j, row in enumerate(_ladder(np.concatenate([w, zeta]), levels[-1],
+                                    int(stops.max(initial=0)))):
+        aq, ap = row[levels.start:, :n], row[levels.start:, n:]
+        live = j <= stops
+        np.add(s1, aq * ap, out=s1, where=live)
+        np.add(s2, aq * np.conj(ap), out=s2, where=live)
+    scales = np.array([1.0 / (math.pi * math.factorial(kappa)) for kappa in levels])[:, None]
+    s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
+    return qarray.lift_conj_product(s1, s2, unit_q, unit_p)
+
+
 def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
-                     terms: int = SERIES_TERMS, levels=None) -> np.ndarray:
+                     terms: int = SERIES_TERMS) -> np.ndarray:
     """K_{2,kappa}(p_n, q_n) for every level kappa <= k_max, shape
     (k_max+1, N, 4), with the (P, 4) p batch broadcast against the (N, 4)
     q batch (one p, or paired p_n, q_n); K_1 is the cumulative sum.
@@ -198,25 +231,22 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     both factors in the slice of their point: qarray.lift_conj_product
     forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  `terms` is a
     cap: each (level, row) adds its terms through its own _series_stops
-    stop, and the ladder runs to the largest.  `levels` (default every
-    level) are the levels whose stops drive the sums; one level's stop then
-    serves every level, as kernel_value's second kind reads only its own."""
+    stop."""
     if terms < 0:
         raise ValueError(f"series truncation {terms} is negative")
     w, zeta, unit_q, unit_p = _slice_pair(ppts, qpts)
-    stops = _series_stops(range(k_max + 1) if levels is None else levels, zeta, w, terms)[0]
-    z = np.concatenate([w, zeta])
-    n = len(w)
-    s1, s2 = np.zeros((k_max + 1, n), complex), np.zeros((k_max + 1, n), complex)
-    for j, row in enumerate(_ladder(z, k_max, int(stops.max(initial=0)))):
-        aq, ap = row[:, :n], row[:, n:]
-        live = j <= stops
-        np.add(s1, aq * ap, out=s1, where=live)
-        np.add(s2, aq * np.conj(ap), out=s2, where=live)
-    scales = np.array([1.0 / (math.pi * math.factorial(kappa))
-                       for kappa in range(k_max + 1)])[:, None]
-    s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
-    return qarray.lift_conj_product(s1, s2, unit_q, unit_p)
+    levels = range(k_max + 1)
+    return _k2_series(levels, w, zeta, unit_q, unit_p, _series_stops(levels, zeta, w, terms)[0])
+
+
+def _series_value_tail(spec: KernelSpec, p: np.ndarray, q: np.ndarray):
+    """kernel_value and kernel_tail of a series spec on (N or 1, 4) p and
+    (N, 4) q batches, from one stop search."""
+    w, zeta, unit_q, unit_p = _slice_pair(p, q)
+    levels = _levels(spec)
+    stops, tails = _series_stops(levels, zeta, w, spec.terms)
+    k2 = _k2_series(levels, w, zeta, unit_q, unit_p, stops)
+    return (k2[0] if spec.kind == "second" else k2.sum(axis=0)), sum(tails)
 
 
 # -- star path -----------------------------------------------------------
@@ -251,8 +281,7 @@ def kernel_value(spec: KernelSpec, p, q):
         return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
     p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
     if spec.method == "series":
-        k2 = k2_series_levels(spec.level, p, q, spec.terms, _levels(spec))
-        return k2[spec.level] if spec.kind == "second" else k2.sum(axis=0)
+        return _series_value_tail(spec, p, q)[0]
     w, unit = qarray.to_slice(q)
     zp, up = qarray.to_slice(p)
     z = np.array([zp, np.conj(zp)])
@@ -295,6 +324,18 @@ def kernel_tail(spec: KernelSpec, p, q):
         tail = np.sum(np.exp(_log_radius(p2, q2)[:, None] * a - _log_factorial(a[-1])[a]), axis=-1)
     x = -np.square(np.sqrt(p2) + np.sqrt(q2))
     return sum(tail * laguerre(k, 0, x) / math.pi for k in levels)
+
+
+def kernel_value_tail(spec: KernelSpec, p, q):
+    """(kernel_value(spec, p, q), kernel_tail(spec, p, q)), with the same
+    arguments; a series spec searches its rows' stops once for both."""
+    if isinstance(q, Quaternion):
+        value, tail = kernel_value_tail(spec, p, qarray.from_quaternion(q)[None, :])
+        return qarray.to_quaternion(value[0]), float(tail[0])
+    if spec.method != "series":
+        return kernel_value(spec, p, q), kernel_tail(spec, p, q)
+    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
+    return _series_value_tail(spec, p, q)
 
 
 # -- projection ----------------------------------------------------------

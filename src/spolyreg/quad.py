@@ -65,28 +65,30 @@ class Rule1D:
 
 
 @lru_cache(maxsize=None)
-def _base_rule(family: str, n: int):
-    """Nodes and weights of numpy's n-point Gauss rule of the family
-    ("hermite" or "legendre"), built once per (family, n) and read-only,
-    because every caller shares them.  numpy.polynomial (about 0.75 MB)
-    is imported with the first rule, so a command that builds none, such
-    as eval kernel, never loads it."""
+def _base_rule(gauss, n: int):
+    """Nodes and weights of numpy's n-point rule, built once per (rule, n)
+    and read-only, because every caller shares them."""
     if not 1 <= n <= NODE_CAP:
         raise ValueError(f"node count {n} outside 1..{NODE_CAP}")
-    from numpy.polynomial import hermite, legendre
-    x, w = hermite.hermgauss(n) if family == "hermite" else legendre.leggauss(n)
+    x, w = gauss(n)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
+# numpy.polynomial (about 0.75 MB) is imported with the first rule, so a
+# command that builds none, such as eval kernel, never loads it
+
+
 def gauss_hermite(n: int) -> Rule1D:
     """Gauss-Hermite rule: exact for e^(-t^2) * (poly of degree <= 2n-1)."""
-    return Rule1D(*_base_rule("hermite", n))
+    from numpy.polynomial.hermite import hermgauss
+    return Rule1D(*_base_rule(hermgauss, n))
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
-    x, w = _base_rule("legendre", n)
+    from numpy.polynomial.legendre import leggauss
+    x, w = _base_rule(leggauss, n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return Rule1D(mid + half * x, half * w)
 

@@ -18,7 +18,8 @@ from spolyreg import (
     qarray,
     quat,
 )
-from spolyreg.kernels import clear_star_cache, k2_series_levels
+from spolyreg import kernels
+from spolyreg.kernels import clear_star_cache, k2_series_levels, kernel_value_tail
 from spolyreg.series import EXP_STAR_CAP
 
 I = quat(0, 1, 0, 0)
@@ -245,12 +246,32 @@ def test_series_rows_match_one_row_calls():
                 spec = series(kind, level, terms)
                 values, paired = kernel_value(spec, pq, batch), kernel_value(spec, pbatch, batch)
                 tails, paired_tails = kernel_tail(spec, pq, batch), kernel_tail(spec, pbatch, batch)
+                both = kernel_value_tail(spec, pbatch, batch)
+                assert np.array_equal(both[0], paired) and np.array_equal(both[1], paired_tails)
                 for n in range(len(batch)):
                     one, pone = batch[n:n + 1], pbatch[n:n + 1]
                     assert np.array_equal(kernel_value(spec, pq, one)[0], values[n])
                     assert np.array_equal(kernel_value(spec, pone, one)[0], paired[n])
                     assert kernel_tail(spec, pq, one)[0] == tails[n]
                     assert kernel_tail(spec, pone, one)[0] == paired_tails[n]
+
+
+def test_series_stop_search_in_row_blocks_matches_one_block(monkeypatch):
+    # a batch searched in many small row blocks gives the stops, values and
+    # tails of one block, for one p and a paired p batch
+    rng = np.random.default_rng(31)
+    qs = rng.standard_normal((23, 4)) * 1.2
+    ps = rng.standard_normal((23, 4)) * 1.2
+    specs = [series(kind, level, terms) for kind in ("first", "second")
+             for level in (0, 3) for terms in (None, 30)]
+    whole = [(kernel_value_tail(s, ps[0], qs), kernel_value_tail(s, ps, qs)) for s in specs]
+    levels = k2_series_levels(4, ps, qs)
+    monkeypatch.setattr(kernels, "_STOP_BLOCK", 700)     # one to four rows a block
+    for s, (one_p, paired) in zip(specs, whole):
+        for got, want in zip(kernel_value_tail(s, ps[0], qs) + kernel_value_tail(s, ps, qs),
+                             one_p + paired):
+            assert np.array_equal(got, want)
+    assert np.array_equal(k2_series_levels(4, ps, qs), levels)
 
 
 def series_reference(k_max: int, p: np.ndarray, q: np.ndarray, terms: int = 200):
