@@ -131,7 +131,7 @@ def _series_stops(levels, zeta: np.ndarray, w: np.ndarray, terms: int):
     with the cap; within a block every step is elementwise or along the
     term axis, so each row depends on its own p and q alone."""
     lev = np.asarray(levels)[:, None]
-    i = np.arange(1, terms + SERIES_TAIL_WINDOW + 1)
+    i = np.arange(terms + SERIES_TAIL_WINDOW, 0, -1)     # descending: the tail sums run forward
     lf = _log_factorial(max(terms + SERIES_TAIL_WINDOW, int(lev.max(initial=0))))
     d = np.maximum(i - lev, 1)         # i <= kappa is no dropped term: masked to -inf
     coef = np.where(i > lev, lf[i] - lf[lev] - 2 * lf[d], -np.inf)
@@ -140,25 +140,28 @@ def _series_stops(levels, zeta: np.ndarray, w: np.ndarray, terms: int):
     step = max(1, _STOP_BLOCK // coef.size)
     for a in range(0, len(w), step):
         rows = slice(a, a + step)
-        stops[:, rows], tail[:, rows] = _stop_block(lev, d, coef, zeta[rows], w[rows], terms)
+        stops[:, rows], tail[:, rows] = _stop_block(lev, d.astype(float), coef, zeta[rows],
+                                                    w[rows], terms)
     return stops, tail
 
 
 def _stop_block(lev, d, coef, zeta, w, terms: int):
-    """_series_stops on one block of rows.  The bound sums run in log space,
-    shifted by each row's largest term; a tail past double range reads inf."""
+    """_series_stops on one block of rows, on one (L, rows, term) grid
+    with the terms i in descending order, worked in place.  The bound sums
+    run in log space, shifted by each row's largest term; a tail past
+    double range reads inf."""
     p2, q2 = np.square(zeta.real) + np.square(zeta.imag), np.square(w.real) + np.square(w.imag)
-    b = d[:, None, :] * _log_radius(p2, q2)[:, None]    # log b_i, then b_i / max_i b_i, in place
+    b = d[:, None, :] * _log_radius(p2, q2)[:, None]    # log b_i, then b_i / max_i b_i
     b += coef[:, None, :]
     b += ((p2 + q2) / 2.0 - math.log(math.pi))[:, None]
     top = np.max(b, axis=-1)
     top = np.where(np.isfinite(top), top, 0.0)
     b -= top[..., None]
     # terms below e^-700 of the row's largest count as 0: exp is slow to underflow
-    kept = b >= _LOG_DROP
-    np.exp(np.maximum(b, _LOG_DROP, out=b), out=b)
-    b *= kept
-    past = np.cumsum(b[..., ::-1], axis=-1)[..., ::-1]      # [j]: sum over i > j
+    np.putmask(b, b < _LOG_DROP, -np.inf)
+    np.exp(b, out=b)
+    np.cumsum(b, axis=-1, out=b)      # sum over i >= the term at that place
+    past = b[..., SERIES_TAIL_WINDOW - 1:][..., ::-1]        # [j]: sum over i > j, j <= terms
     z = np.array([zeta, np.conj(zeta)])
     x = np.abs(z - np.conj(w)) ** 2
     lag = np.abs([laguerre(int(kappa), 0, x) for kappa in lev[:, 0]])
@@ -167,7 +170,7 @@ def _stop_block(lev, d, coef, zeta, w, terms: int):
     useful = (log_k > _LOG_TINY) & (log_k < _LOG_HUGE)
     with np.errstate(over="ignore"):      # past double range: a stop at once, or a tail of inf
         floor = np.exp(np.where(useful, log_k + math.log(_EPS), -np.inf) - top)
-        done = past[..., :terms + 1] <= floor[..., None]
+        done = past <= floor[..., None]
         stops = np.where(useful & done.any(axis=-1), np.maximum(np.argmax(done, axis=-1), lev),
                          terms)
         stops = np.minimum(stops, terms)
