@@ -18,8 +18,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from . import qarray
 from .quat import I as UNIT_I
@@ -78,12 +76,18 @@ def _base_rule(gauss, n: int):
     return x, w
 
 
+# The two rules import numpy.polynomial (about 0.8 MB resident) when first
+# called, so a command that builds no rule, such as eval kernel, never loads it.
+
+
 def gauss_hermite(n: int) -> Rule1D:
     """Gauss-Hermite rule: exact for e^(-t^2) * (poly of degree <= 2n-1)."""
+    from numpy.polynomial.hermite import hermgauss
     return Rule1D(*_base_rule(hermgauss, n))
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0) -> Rule1D:
+    from numpy.polynomial.legendre import leggauss
     x, w = _base_rule(leggauss, n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     return Rule1D(mid + half * x, half * w)
