@@ -210,15 +210,21 @@ def _k2_series(levels: range, w, zeta, unit_q, unit_p, stops) -> np.ndarray:
     """K_{2,kappa}(p_n, q_n) for kappa in `levels`, a range that ends at the
     top level, shape (L, N, 4), from the slice coordinates and units of
     _slice_pair: each (level, row) adds its terms j <= its (L, N) stop, and
-    the ladder runs to the largest stop."""
+    the ladder runs to the largest stop.  Up to the smallest stop every
+    (level, row) adds, so those steps need no mask."""
     n = len(w)
     s1, s2 = np.zeros((len(levels), n), complex), np.zeros((len(levels), n), complex)
+    first = int(stops.min(initial=0))
     for j, row in enumerate(_ladder(np.concatenate([w, zeta]), levels[-1],
                                     int(stops.max(initial=0)))):
         aq, ap = row[levels.start:, :n], row[levels.start:, n:]
-        live = j <= stops
-        np.add(s1, aq * ap, out=s1, where=live)
-        np.add(s2, aq * np.conj(ap), out=s2, where=live)
+        if j <= first:
+            s1 += aq * ap
+            s2 += aq * np.conj(ap)
+        else:
+            live = j <= stops
+            np.add(s1, aq * ap, out=s1, where=live)
+            np.add(s2, aq * np.conj(ap), out=s2, where=live)
     scales = np.array([1.0 / (math.pi * math.factorial(kappa)) for kappa in levels])[:, None]
     s1, s2 = np.broadcast_arrays(s1 * scales, s2 * scales)
     return qarray.lift_conj_product(s1, s2, unit_q, unit_p)

@@ -257,8 +257,8 @@ def test_series_rows_match_one_row_calls():
 
 
 def test_series_stop_search_in_row_blocks_matches_one_block(monkeypatch):
-    # a batch searched in many small row blocks gives the stops, values and
-    # tails of one block, for one p and a paired p batch
+    # a batch searched in many small row blocks gives the values and tails
+    # of one block, for one p and a paired p batch
     rng = np.random.default_rng(31)
     qs = rng.standard_normal((23, 4)) * 1.2
     ps = rng.standard_normal((23, 4)) * 1.2
@@ -529,6 +529,8 @@ def test_series_levels_paired_matches_pointwise():
     k2 = k2_series_levels(3, ps, qs)
     k1 = np.cumsum(k2, axis=0)
     assert k2.shape == (4, 8, 4)
+    for kappa in range(4):      # each level stops at its own term, as kernel_value's does
+        assert np.array_equal(k2[kappa], kernel_value(series("second", kappa), ps, qs))
     for n, (pv, qv) in enumerate(zip(ps, qs)):
         p, q = qarray.to_quaternion(pv), qarray.to_quaternion(qv)
         for kappa in range(4):
