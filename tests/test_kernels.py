@@ -310,12 +310,16 @@ def test_series_stop_is_honest():
         common[:, 0] = rng.uniform(-radius, radius, size=4)
         qs = np.vstack([sphere(4), -ps[4:8], common])
         ref, mag = series_reference(5, ps, qs)
+        levels = k2_series_levels(5, ps, qs)
         for kind in ("second", "first"):
             for level in range(6):
                 spec = series(kind, level)
                 got, tail = kernel_value(spec, ps, qs), kernel_tail(spec, ps, qs)
                 if kind == "second":
                     want, size = ref[level], mag[level]
+                    # every level of k2_series_levels stops at its own term
+                    err = np.linalg.norm(levels[level] - want, axis=1)
+                    assert np.all(err <= tail + 16 * eps * size), (radius, "levels", level)
                 else:
                     want, size = ref[:level + 1].sum(axis=0), mag[:level + 1].sum(axis=0)
                 err = np.linalg.norm(got - want, axis=1)
@@ -529,8 +533,6 @@ def test_series_levels_paired_matches_pointwise():
     k2 = k2_series_levels(3, ps, qs)
     k1 = np.cumsum(k2, axis=0)
     assert k2.shape == (4, 8, 4)
-    for kappa in range(4):      # each level stops at its own term, as kernel_value's does
-        assert np.array_equal(k2[kappa], kernel_value(series("second", kappa), ps, qs))
     for n, (pv, qv) in enumerate(zip(ps, qs)):
         p, q = qarray.to_quaternion(pv), qarray.to_quaternion(qv)
         for kappa in range(4):
