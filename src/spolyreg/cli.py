@@ -45,7 +45,7 @@ from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_s
                    sphere_rule)
 from .quad import norm_sq_full
 from .quat import format_quaternion, parse_quaternion
-from .series import hermite_series
+from .series import coeff_stack, hermite_series
 from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
 from .verify import SUITE_ORDER, run_all, run_suite
 
@@ -249,7 +249,8 @@ def cmd_table(args, config: Config) -> int:
         # |H_{m,n}|^2 has degree 2(m + n): refuse a large --max before any work
         check_slice_degree((2 * (m + n) for m, n in idx), config.slice_nodes)
         Q = SliceQuadrature(config.slice_nodes)
-        nums = [norm_sq_slice(hermite_series(m, n), Q) for m, n in idx]
+        # the diagonal of the Gram of one coefficient stack, without the pairs off it
+        nums = norm_sq_slice(coeff_stack([hermite_series(m, n) for m, n in idx]), Q).tolist()
         print("m,n,closed,quadrature,residual")
         for (m, n), num in zip(idx, nums):
             closed = math.pi * math.factorial(m) * math.factorial(n)

@@ -33,6 +33,10 @@ estimates the truncation error of its series or star path, both for one p
 or a p batch paired with q; kernel_value_tail gives both.  A series
 truncation is a cap: each (level, row) stops at its own last useful term
 (_series_stops), and the value and the tail share that stop.
+
+project_batch pairs K_{2,k}(p, .) with f over a slice rule, with `terms`
+again a cap: the H_{j,k} are orthogonal, so for a polynomial f every term
+past its degree in q is 0, and both of its ladders stop there.
 """
 from __future__ import annotations
 
@@ -43,9 +47,9 @@ import numpy as np
 
 from . import qarray
 from .poly import laguerre
-from .quad import values_on
+from .quad import check_slice_degree, values_on
 from .quat import Quaternion
-from .series import EXP_STAR_CAP
+from .series import EXP_STAR_CAP, PolySliceSeries
 
 __all__ = [
     "KernelSpec",
@@ -358,7 +362,17 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
     The rule's points q_n = Re z_n + I Im z_n share the unit I, so
     conj(A(q_n)) f = Re A f - Im A (I f) and c_j = Re(A_{j,k}(z) @ (wf + i wIf)),
     one row per ladder step.  The p side is one short ladder over the batch,
-    lifted onto each point's unit by qarray.lift."""
+    lifted onto each point's unit by qarray.lift.
+
+    `terms` is a cap.  The H_{j,k} are orthogonal and a PolySliceSeries f
+    of degree D in q lies in their span over j <= D, so c_j = 0 for j > D
+    and both ladders stop at min(terms, D); the stop depends on f alone, so
+    a batch row equals its one-row call.  Such an f is refused before any
+    work unless the rule integrates conj(A_{j,k}) f, of degree
+    2 D + level + k, exactly.  Any other f runs to the cap."""
+    if isinstance(f, PolySliceSeries):
+        check_slice_degree((2 * f.degree + f.level + k,), Q.n)
+        terms = min(terms, max(f.degree, 0))
     ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
     fv = values_on(f, Q.points) * Q.weights[:, None]
     unit = qarray.from_quaternion(Q.unit)

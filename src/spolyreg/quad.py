@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 NODE_CAP = 200
+_NORM_BLOCK = 64         # functions per block of norm_sq_slice on a coefficient stack
 
 
 class QuadratureDegreeError(ValueError):
@@ -184,7 +185,29 @@ def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:
     return qarray.to_quaternion(qarray.gram(fv[None], gv[None], Q.weights)[0, 0])
 
 
-def norm_sq_slice(f, Q: SliceQuadrature) -> float:
+def _stack_values(c: np.ndarray, Q: SliceQuadrature) -> np.ndarray:
+    """Values of the functions of a coeff_stack tensor c on the points of
+    the slice rule, (m, N, 4) real quaternions from one vander table, after
+    refusing a function whose |f|^2, of degree 2 (level + degree), the rule
+    does not integrate exactly.  Each function's level and degree are its
+    last nonzero row and column, so a short function padded to the stack's
+    shape is checked as itself."""
+    nonzero = np.any(c != 0, axis=-1)
+    level = np.max(np.arange(c.shape[0])[:, None] * nonzero.any(axis=1), axis=0, initial=0)
+    degree = np.max(np.arange(c.shape[1])[:, None] * nonzero.any(axis=0), axis=0, initial=0)
+    check_slice_degree(2 * (level + degree), Q.n)
+    unit = qarray.from_quaternion(Q.unit)[1:]
+    return slice_values(c, Q.z, unit).transpose(1, 0, 2)
+
+
+def norm_sq_slice(f, Q: SliceQuadrature):
+    """|f|^2 over C_unit as a float; for a coeff_stack tensor, the (m,)
+    squared norms of its functions, the diagonal of gram_slice without the
+    pairs off it."""
+    if isinstance(f, np.ndarray):
+        # a block of functions at a time: the values held grow with the block, not with m
+        return np.concatenate([qarray.norm_sq(_stack_values(f[:, :, a:a + _NORM_BLOCK], Q)) @ Q.weights
+                               for a in range(0, max(f.shape[2], 1), _NORM_BLOCK)])
     _check_slice_degree(f, f, Q.n)
     fv = values_on(f, Q.points)
     return float(qarray.norm_sq(fv) @ Q.weights)
@@ -193,15 +216,18 @@ def norm_sq_slice(f, Q: SliceQuadrature) -> float:
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
     """Pairwise slice inner products, returned as an (m, m, 4) array.
 
-    A list of PolySliceSeries is evaluated on the slice of the rule from
-    one coefficient stack and one vander table as real quaternions; other
-    functions go through values_on."""
-    for f in funcs:
-        _check_slice_degree(f, f, Q.n)
-    if all(isinstance(f, PolySliceSeries) for f in funcs):
-        unit = qarray.from_quaternion(Q.unit)[1:]
-        vals = slice_values(coeff_stack(funcs), Q.z, unit).transpose(1, 0, 2)
+    funcs is a list of functions or a coeff_stack tensor.  A list of
+    PolySliceSeries is stacked into that tensor, whose functions are
+    evaluated on the slice of the rule as real quaternions from one vander
+    table; the degree check reads each function's coefficients from the
+    tensor.  Other functions go through values_on."""
+    if not isinstance(funcs, np.ndarray) and all(isinstance(f, PolySliceSeries) for f in funcs):
+        funcs = coeff_stack(funcs)
+    if isinstance(funcs, np.ndarray):
+        vals = _stack_values(funcs, Q)
     else:
+        for f in funcs:
+            _check_slice_degree(f, f, Q.n)
         vals = np.stack([values_on(f, Q.points) for f in funcs])
     return qarray.gram(vals, vals, Q.weights)
 

@@ -29,7 +29,7 @@ from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, gram_slic
                    sphere_rule)
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
-from .series import (PolySliceSeries, SliceSeries, exp_star, hermite_series,
+from .series import (PolySliceSeries, SliceSeries, coeff_stack, exp_star, hermite_series,
                      laguerre_star, s_k_series)
 from .spectral import (Eigenfunction, SpectralConfig, box_fd, box_symbolic,
                        psi_norm_sq, spectrum_probe)
@@ -84,7 +84,7 @@ def verify_orthogonality(config: Config,
     idx = [(j, k) for j in range(index_max + 1) for k in range(index_max + 1)]
     # |H_{j,k} a|^2 has degree 2(j + k): refuse a large index_max before any work
     check_slice_degree((2 * (j + k) for j, k in idx), config.slice_nodes)
-    basis = [hermite_series(j, k) for j, k in idx]
+    basis = coeff_stack([hermite_series(j, k) for j, k in idx])
     scale = np.array([math.sqrt(math.pi * math.factorial(j) * math.factorial(k))
                       for j, k in idx])
     rng = _rng(config, 1)
@@ -93,8 +93,9 @@ def verify_orthogonality(config: Config,
     for unit in units:
         Q = SliceQuadrature(config.slice_nodes, unit)
         right = [random_quaternion(rng) for _ in idx]
-        funcs = [h.rmul(a * (1.0 / abs(a))) for h, a in zip(basis, right)]
-        G = gram_slice(funcs, Q) / (scale[:, None, None] * scale[None, :, None])
+        right = _batch([a * (1.0 / abs(a)) for a in right])
+        # H a has the coefficients of H times a: one product over the stack
+        G = gram_slice(qarray.qmul(basis, right), Q) / (scale[:, None, None] * scale[None, :, None])
         dev = np.sqrt(np.maximum(
             np.sum(G * G, axis=2) - 2.0 * eye * G[:, :, 0] + eye, 0.0))
         worst = int(np.argmax(dev))

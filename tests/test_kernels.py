@@ -7,6 +7,8 @@ import pytest
 
 from spolyreg import (
     KernelSpec,
+    PolySliceSeries,
+    QuadratureDegreeError,
     SliceQuadrature,
     exp_star,
     hermite_series,
@@ -364,7 +366,7 @@ def star_reference(kind: str, level: int, p, q, terms: int):
         1.0 / math.pi).eval_left(p)
 
 
-def test_star_coeffs_match_scalar_star_assembly():
+def test_star_kernel_matches_scalar_star_assembly():
     rng = np.random.default_rng(9)
 
     def ball():
@@ -570,3 +572,48 @@ def test_project_batch_matches_project_and_kernel_pairing():
     ref = level2.eval_many(ps)
     assert np.max(np.abs(project_batch(2, f, ps, Q) - ref)) < 1e-9
     assert project_batch(1, f, ps[:0], Q).shape == (0, 4)
+
+
+def _recording_ladder(monkeypatch):
+    """Record the truncation of every kernels._ladder call."""
+    seen, ladder = [], kernels._ladder
+
+    def record(z, k_max, terms):
+        seen.append(terms)
+        return ladder(z, k_max, terms)
+
+    monkeypatch.setattr(kernels, "_ladder", record)
+    return seen
+
+
+def test_project_batch_stops_at_the_degree(monkeypatch):
+    rng = np.random.default_rng(17)
+    Q = SliceQuadrature(24, quat(0.0, 0.48, 0.6, -0.64))
+    f = PolySliceSeries([[quat(*rng.standard_normal(4)) for _ in range(5)] for _ in range(3)])
+    ps = rng.uniform(-1.0, 1.0, size=(6, 4))
+    seen = _recording_ladder(monkeypatch)
+    for k in (0, 1, 2, 3):
+        # c_j = <A_{j,k}, f> is 0 past the degree 4, so the cap changes nothing
+        assert np.array_equal(project_batch(k, f, ps, Q), project_batch(k, f, ps, Q, terms=f.degree))
+    assert set(seen) == {f.degree}
+    seen.clear()
+    project_batch(1, f, ps, Q, terms=2)      # a cap below the degree still binds
+    assert seen == [2, 2]
+
+    # a function that is not a PolySliceSeries runs both ladders to the cap
+    class Values:
+        eval_many = staticmethod(f.eval_many)
+
+    seen.clear()
+    got = project_batch(1, Values(), ps, Q)
+    assert seen == [kernels.SERIES_TERMS] * 2
+    assert np.max(np.abs(got - project_batch(1, f, ps, Q))) < 1e-12
+    assert np.array_equal(project_batch(2, PolySliceSeries(), ps, Q), np.zeros((6, 4)))
+
+
+def test_project_batch_refuses_an_inexact_rule_before_any_work(monkeypatch):
+    # conj(A_{j,1}) f with f of degree 3 and level 1 has degree 2*3 + 1 + 1 = 8
+    f = hermite_series(3, 1)
+    monkeypatch.setattr(kernels, "values_on", None)      # any evaluation would raise TypeError
+    with pytest.raises(QuadratureDegreeError, match="exact only through degree 7, integrand has degree 8"):
+        project_batch(1, f, np.zeros((1, 4)), SliceQuadrature(4))

@@ -19,7 +19,8 @@ from spolyreg import (
     quat,
     sphere_rule,
 )
-from spolyreg import qarray
+from spolyreg import qarray, quad
+from spolyreg.series import coeff_stack
 
 J_UNIT = quat(0, 0, 1, 0)
 
@@ -85,6 +86,12 @@ def test_degree_guard():
         norm_sq_slice(f, Q)
     with pytest.raises(QuadratureDegreeError):
         gram_slice([hermite_series(0, 0), f], Q)
+    with pytest.raises(QuadratureDegreeError):
+        gram_slice(coeff_stack([hermite_series(0, 0), f]), Q)
+    with pytest.raises(QuadratureDegreeError):
+        norm_sq_slice(coeff_stack([hermite_series(0, 0), f]), Q)
+    # each function is checked as itself, not as the stack's level + degree
+    assert gram_slice(coeff_stack([hermite_series(2, 0), hermite_series(0, 2)]), Q).shape == (2, 2, 4)
     assert issubclass(QuadratureDegreeError, ValueError)
 
 
@@ -180,7 +187,7 @@ def test_from_slice_broadcasts():
     assert np.array_equal(qarray.from_slice(1j, unit)[:, 1:], unit)
 
 
-def test_gram_slice_matches_pairwise_inner_slice():
+def test_gram_slice_matches_pairwise_inner_slice(monkeypatch):
     # stacked series evaluation, and the values_on path for other callables
     unit = quat(0.0, 0.36, -0.48, 0.8)
     Q = SliceQuadrature(12, unit)
@@ -189,6 +196,13 @@ def test_gram_slice_matches_pairwise_inner_slice():
     plain = mixed[:3] + [lambda q: q * quat(0.1, -0.3, 0.0, 0.7) * q.conj()]
     for funcs in (real, mixed, plain):
         G = gram_slice(funcs, Q)
+        if funcs is not plain:
+            # a list of series goes through its coefficient stack
+            assert np.array_equal(gram_slice(coeff_stack(funcs), Q), G)
+            diag = G[np.arange(len(funcs)), np.arange(len(funcs)), 0]
+            for block in (64, 2):
+                monkeypatch.setattr(quad, "_NORM_BLOCK", block)
+                assert np.allclose(norm_sq_slice(coeff_stack(funcs), Q), diag, rtol=1e-13, atol=0.0)
         for a, f in enumerate(funcs):
             for b, g in enumerate(funcs):
                 ref = inner_slice(f, g, Q).as_tuple()
