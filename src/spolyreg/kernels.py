@@ -28,11 +28,10 @@ n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
 polynomial (the Laguerre summation identity).
 
 A KernelSpec names the kind, level, method and truncation, and is the one
-place a truncation is checked.  kernel_value evaluates it and kernel_tail
-estimates the truncation error of its series or star path, both for one p
-or a p batch paired with q; kernel_value_tail gives both.  A series
-truncation is a cap: each (level, row) stops at its own last useful term
-(_series_stops), and the value and the tail share that stop.
+place a truncation is checked.  kernel_value, kernel_tail (the geometric
+tail bound of the dropped terms) and kernel_value_tail are views of one
+batch route.  A series truncation is a cap: each (level, row) stops at its
+own last useful term (_series_stops), shared by its value and its tail.
 
 project_batch pairs K_{2,k}(p, .) with f over a slice rule, with `terms`
 again a cap: the H_{j,k} are orthogonal, so for a polynomial f every term
@@ -63,15 +62,11 @@ __all__ = [
 
 SERIES_TERMS = 200
 STAR_TERMS = 40
-SERIES_TAIL_WINDOW = 120      # bound terms past the series cap that a row's tail sums
-STAR_TAIL_WINDOW = 60         # dropped rows kernel_tail sums for the star path
 _GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
 _EPS = np.finfo(float).eps
 _SAME_SLICE = 4 * _EPS        # |U x V| up to which two units share a slice
-_LOG_TINY, _LOG_HUGE = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
-_LOG_DROP = -700.0            # log of the ratio below which a bound term counts as 0
 _STOP_BLOCK = 1 << 17         # (level, row, term) cells of one block of the stop search
-_LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + SERIES_TAIL_WINDOW + 1)])
+_LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + 2)])
 
 
 @dataclass(frozen=True)
@@ -98,21 +93,8 @@ class KernelSpec:
             raise ValueError(f"star truncation {self.terms} outside 0..{EXP_STAR_CAP}")
 
 
-def _levels(spec: KernelSpec) -> range:
-    """The second-kind levels whose kernels spec's kind adds up."""
-    return range(spec.level + 1) if spec.kind == "first" else range(spec.level, spec.level + 1)
-
-
-def _log_factorial(n: int) -> np.ndarray:
-    """log j! for j = 0..n, from the module table while it reaches."""
-    if n < len(_LOG_FACTORIAL):
-        return _LOG_FACTORIAL[:n + 1]
-    return np.array([math.lgamma(j + 1) for j in range(n + 1)])
-
-
-def _log_radius(p2: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """log(|p||q|), -inf where p or q is 0."""
-    r = np.sqrt(p2) * np.sqrt(q2)
+def _log_radius(r: np.ndarray) -> np.ndarray:
+    """log r for r = |p||q|, -inf where p or q is 0."""
     return np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0)
 
 
@@ -121,65 +103,60 @@ def _series_stops(levels, zeta: np.ndarray, w: np.ndarray, terms: int):
     the bound on the terms it drops, both shape (L, N), from the slice
     coordinates zeta of p (N or 1 of them) and w of q (N).
 
-    b_i = i!/(kappa! ((i-kappa)!)^2) (|p||q|)^(i-kappa) e^((|p|^2+|q|^2)/2)/pi
-    bounds the i-th term of K_{2,kappa}(p, q) through
-    |H_{i,kappa}(q)| <= (i!/(i-kappa)!) |q|^(i-kappa) e^(|q|^2/2).  T is the
-    first j >= kappa, at most `terms`, where the dropped-tail bound
-    sum_{i>j} b_i (through i = terms + SERIES_TAIL_WINDOW) is at most
-    eps |K_{2,kappa}(p, q)|, and the tail is that sum at j = T.  |K| is bounded
-    below by min(|s(zeta)|, |s(zetabar)|), the closed form's two same-slice
-    values, since |K|^2 = c |s(zeta)|^2 + (1-c) |s(zetabar)|^2 with
-    0 <= c <= 1; a row whose bound is 0 or leaves double range keeps
-    T = terms.  The rows are searched in blocks of at most _STOP_BLOCK
-    (level, row, term) cells, so memory grows with levels x rows and not
-    with the cap; within a block every step is elementwise or along the
-    term axis, so each row depends on its own p and q alone."""
+    C(i,s) s! <= i^s in the closed sum of H_{i,kappa} gives |H_{i,kappa}(q)|
+    <= |q|^(i-kappa) (|q|^2+i)^kappa for i >= kappa, so the i-th term of
+    K_{2,kappa}(p, q) is at most b_i = r^(i-kappa) ((|p|^2+i)(|q|^2+i))^kappa
+    / (pi kappa! i!), r = |p||q|.  Its ratio
+    rho_i = b_{i+1}/b_i falls with i, so the terms past j add up to at most
+    b_{j+1}/(1 - rho_{j+1}): the tail at j = T, inf where rho_{T+1} >= 1.
+    T is the first j >= kappa, at most `terms`, with rho_{j+1} <= 1/2 and
+    2 b_{j+1} <= eps |K|, where |K| >= min(|s(zeta)|, |s(zetabar)|), the
+    closed form's two same-slice values, since |K|^2 = c |s(zeta)|^2 +
+    (1-c) |s(zetabar)|^2 with 0 <= c <= 1.  The rows are searched in blocks
+    of at most _STOP_BLOCK (level, row, term) cells, so memory grows with
+    levels x rows and not with the cap; each step is elementwise or along
+    the term axis, so each row depends on its own p and q alone."""
     lev = np.asarray(levels)[:, None]
-    i = np.arange(terms + SERIES_TAIL_WINDOW, 0, -1)     # descending: the tail sums run forward
-    lf = _log_factorial(max(terms + SERIES_TAIL_WINDOW, int(lev.max(initial=0))))
-    d = np.maximum(i - lev, 1)         # i <= kappa is no dropped term: masked to -inf
-    coef = np.where(i > lev, lf[i] - lf[lev] - 2 * lf[d], -np.inf)
     zeta = np.broadcast_to(zeta, w.shape)
     stops, tail = np.empty((len(lev), len(w)), int), np.empty((len(lev), len(w)))
-    step = max(1, _STOP_BLOCK // coef.size)
+    step = max(1, _STOP_BLOCK // (len(lev) * (terms + 1)))
     for a in range(0, len(w), step):
         rows = slice(a, a + step)
-        stops[:, rows], tail[:, rows] = _stop_block(lev, d.astype(float), coef, zeta[rows],
-                                                    w[rows], terms)
+        stops[:, rows], tail[:, rows] = _stop_block(lev, zeta[rows], w[rows], terms)
     return stops, tail
 
 
-def _stop_block(lev, d, coef, zeta, w, terms: int):
-    """_series_stops on one block of rows, on one (L, rows, term) grid
-    with the terms i in descending order, worked in place.  The bound sums
-    run in log space, shifted by each row's largest term; a tail past
-    double range reads inf."""
+def _stop_block(lev, zeta, w, terms: int):
+    """_series_stops on one block of rows, in log space on one
+    (L, rows, j) grid, j = 0..terms; its logarithms are taken per
+    (row, j), and the tail's exponentials at T alone."""
     p2, q2 = np.square(zeta.real) + np.square(zeta.imag), np.square(w.real) + np.square(w.imag)
-    b = d[:, None, :] * _log_radius(p2, q2)[:, None]    # log b_i, then b_i / max_i b_i
-    b += coef[:, None, :]
-    b += ((p2 + q2) / 2.0 - math.log(math.pi))[:, None]
-    top = np.max(b, axis=-1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    b -= top[..., None]
-    # terms below e^-700 of the row's largest count as 0: exp is slow to underflow
-    np.putmask(b, b < _LOG_DROP, -np.inf)
-    np.exp(b, out=b)
-    np.cumsum(b, axis=-1, out=b)      # sum over i >= the term at that place
-    past = b[..., SERIES_TAIL_WINDOW - 1:][..., ::-1]        # [j]: sum over i > j, j <= terms
+    i = np.arange(1, terms + 3)                       # i = j + 1, and one more for rho
+    n = max(terms + 2, int(lev.max(initial=0)) + 1)              # log j! for j < n
+    lf = _LOG_FACTORIAL if n <= len(_LOG_FACTORIAL) else np.array(
+        [math.lgamma(j + 1) for j in range(n)])
+    log_r = _log_radius(np.sqrt(p2) * np.sqrt(q2))[:, None]
+    grow = np.log(p2[:, None] + i) + np.log(q2[:, None] + i)     # log((|p|^2+i)(|q|^2+i))
+    kap = lev[:, :, None]
+    log_b = kap * grow[:, :-1]
+    # j < kappa is no stop: masked below, so (i - kappa) log r never meets 0 x -inf
+    log_b += np.maximum(i[:-1] - lev, 1)[:, None, :] * log_r
+    log_b -= (lf[1:terms + 2] + lf[lev] + math.log(math.pi))[:, None, :]
+    log_rho = kap * np.diff(grow, axis=1)
+    log_rho += log_r - np.log(i[1:])
     z = np.array([zeta, np.conj(zeta)])
     x = np.abs(z - np.conj(w)) ** 2
     lag = np.abs([laguerre(int(kappa), 0, x) for kappa in lev[:, 0]])
     log_s = (w * z).real + np.log(lag, out=np.full(lag.shape, -np.inf), where=lag > 0.0)
     log_k = np.min(log_s, axis=1) - math.log(math.pi)
-    useful = (log_k > _LOG_TINY) & (log_k < _LOG_HUGE)
-    with np.errstate(over="ignore"):      # past double range: a stop at once, or a tail of inf
-        floor = np.exp(np.where(useful, log_k + math.log(_EPS), -np.inf) - top)
-        done = past <= floor[..., None]
-        stops = np.where(useful & done.any(axis=-1), np.maximum(np.argmax(done, axis=-1), lev),
-                         terms)
-        stops = np.minimum(stops, terms)
-        left = np.take_along_axis(past, stops[..., None], axis=-1)[..., 0]
-        tail = np.exp(top + np.log(left, out=np.full(left.shape, -np.inf), where=left > 0.0))
+    done = (log_b <= (log_k + math.log(_EPS / 2.0))[..., None]) & (log_rho <= -math.log(2.0))
+    done &= np.arange(terms + 1) >= kap
+    stops = np.where(done.any(axis=-1), np.argmax(done, axis=-1), terms)
+    log_b, log_rho = (np.take_along_axis(g, stops[..., None], axis=-1)[..., 0]
+                      for g in (log_b, log_rho))
+    rho = np.exp(log_rho)
+    with np.errstate(over="ignore"):      # a tail past double range reads inf
+        tail = np.divide(np.exp(log_b), 1.0 - rho, out=np.full(rho.shape, np.inf), where=rho < 1.0)
     return stops, tail
 
 
@@ -252,16 +229,6 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     return _k2_series(levels, w, zeta, unit_q, unit_p, _series_stops(levels, zeta, w, terms)[0])
 
 
-def _series_value_tail(spec: KernelSpec, p: np.ndarray, q: np.ndarray):
-    """kernel_value and kernel_tail of a series spec on (N or 1, 4) p and
-    (N, 4) q batches, from one stop search."""
-    w, zeta, unit_q, unit_p = _slice_pair(p, q)
-    levels = _levels(spec)
-    stops, tails = _series_stops(levels, zeta, w, spec.terms)
-    k2 = _k2_series(levels, w, zeta, unit_q, unit_p, stops)
-    return (k2[0] if spec.kind == "second" else k2.sum(axis=0)), sum(tails)
-
-
 # -- star path -----------------------------------------------------------
 
 
@@ -279,6 +246,49 @@ def clear_star_cache() -> None:
     """A no-op kept for callers that reset state: the star path caches nothing."""
 
 
+def _star(spec: KernelSpec, w, zeta, unit_q, unit_p) -> np.ndarray:
+    """The star or closed value from the slice coordinates and units of
+    _slice_pair, as kernel_value describes it."""
+    z = np.array([zeta, np.conj(zeta)])
+    e = np.exp(w * z) if spec.method == "closed" else _exp_truncated(w * z, spec.terms)
+    s = e / math.pi * laguerre(spec.level, _GAMMA[spec.kind], np.abs(z - np.conj(w)) ** 2)
+    out = qarray.lift_conj_product(s[0], s[1], unit_q, unit_p)
+    common = np.sum(np.square(np.cross(unit_q, unit_p)), axis=-1) <= _SAME_SLICE ** 2
+    if common.any():
+        term = np.where(np.sum(unit_q * unit_p, axis=-1) < 0, s[0], s[1])
+        out[common] = qarray.from_slice(term, np.where(w.imag[:, None] > 0, unit_q, unit_p))[common]
+    return out
+
+
+def _value_tail(spec: KernelSpec, p, q, value: bool, tail: bool):
+    """(kernel_value, kernel_tail) of spec with their arguments, each None
+    unless asked for: the one place a Quaternion p or q is unwrapped, and
+    one stop search for a series spec's value and tail."""
+    if tail and spec.method == "closed":
+        raise ValueError("the closed form has no truncation tail")
+    if isinstance(q, Quaternion):
+        v, t = _value_tail(spec, p, qarray.from_quaternion(q)[None, :], value, tail)
+        return qarray.to_quaternion(v[0]) if value else None, float(t[0]) if tail else None
+    p = qarray.from_quaternion(p) if isinstance(p, Quaternion) else p
+    w, zeta, unit_q, unit_p = _slice_pair(p, q)
+    levels = range(0 if spec.kind == "first" else spec.level, spec.level + 1)
+    if spec.method == "series":
+        stops, tails = _series_stops(levels, zeta, w, spec.terms)
+        v = _k2_series(levels, w, zeta, unit_q, unit_p, stops).sum(axis=0) if value else None
+        return v, sum(tails) if tail else None
+    v = _star(spec, w, zeta, unit_q, unit_p) if value else None
+    if not tail:
+        return v, None
+    # E_T drops sum_{a > T} r^a/a! <= r^(T+1)/(T+1)!/(1 - r/(T+2)), inf once r >= T + 2
+    size_p, size_q, t = np.abs(zeta), np.abs(w), spec.terms
+    rest = 1.0 - size_p * size_q / (t + 2)
+    with np.errstate(over="ignore"):
+        dropped = np.divide(np.exp(_log_radius(size_p * size_q) * (t + 1) - math.lgamma(t + 2)),
+                            rest, out=np.full(rest.shape, np.inf), where=rest > 0.0)
+    x = -np.square(size_p + size_q)
+    return v, sum(dropped * laguerre(k, 0, x) / math.pi for k in levels)
+
+
 def kernel_value(spec: KernelSpec, p, q):
     """K(p, q) for one Quaternion q, or K(p_n, q_n) as an (N, 4) array for an
     (N, 4) batch of q, with p one Quaternion or an (N, 4) batch paired with q.
@@ -290,65 +300,26 @@ def kernel_value(spec: KernelSpec, p, q):
     or opposite units, or a real point) the value is the one term s(zetabar)
     or s(zeta) at the common unit, which the lift's (s1 + s2)/2 +- (s2 - s1)/2
     would cancel away."""
-    if isinstance(q, Quaternion):
-        return qarray.to_quaternion(kernel_value(spec, p, qarray.from_quaternion(q)[None, :])[0])
-    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
-    if spec.method == "series":
-        return _series_value_tail(spec, p, q)[0]
-    w, unit = qarray.to_slice(q)
-    zp, up = qarray.to_slice(p)
-    z = np.array([zp, np.conj(zp)])
-    e = np.exp(w * z) if spec.method == "closed" else _exp_truncated(w * z, spec.terms)
-    s = e / math.pi * laguerre(spec.level, _GAMMA[spec.kind], np.abs(z - np.conj(w)) ** 2)
-    out = qarray.lift_conj_product(s[0], s[1], unit, up)
-    common = np.sum(np.square(np.cross(unit, up)), axis=-1) <= _SAME_SLICE ** 2
-    if common.any():
-        term = np.where(np.sum(unit * up, axis=-1) < 0, s[0], s[1])
-        out[common] = qarray.from_slice(term, np.where(w.imag[:, None] > 0, unit, up))[common]
-    return out
-
-
-# -- truncation estimate -------------------------------------------------
+    return _value_tail(spec, p, q, value=True, tail=False)[0]
 
 
 def kernel_tail(spec: KernelSpec, p, q):
-    """Truncation estimate of kernel_value(spec, p, q), with the same
+    """Truncation bound of kernel_value(spec, p, q), with the same
     arguments: a float for one Quaternion q, an (N,) array for an (N, 4)
     batch of q, with p one Quaternion or an (N, 4) batch paired with q.
 
-    Each level the kernel's kind adds up contributes its dropped terms.  The
-    series bound is the growth bound b_i of _series_stops summed past each
-    row's own stop, through terms + SERIES_TAIL_WINDOW; the star estimate is
-    the dropped rows of e*^[pbar,q] times L_k(-(|p|+|q|)^2), which bounds
-    the Laguerre factor.  Either reads 0 where p or q is 0, and inf where it
-    leaves double range."""
-    if isinstance(q, Quaternion):
-        return float(kernel_tail(spec, p, qarray.from_quaternion(q)[None, :])[0])
-    if spec.method == "closed":
-        raise ValueError("the closed form has no truncation tail")
-    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
-    levels = _levels(spec)
-    if spec.method == "series":
-        w, zeta = _slice_pair(p, q)[:2]
-        return sum(_series_stops(levels, zeta, w, spec.terms)[1])
-    p2, q2 = qarray.norm_sq(p), qarray.norm_sq(q)
-    a = np.arange(spec.terms + 1, spec.terms + 1 + STAR_TAIL_WINDOW)
-    with np.errstate(over="ignore"):
-        tail = np.sum(np.exp(_log_radius(p2, q2)[:, None] * a - _log_factorial(a[-1])[a]), axis=-1)
-    x = -np.square(np.sqrt(p2) + np.sqrt(q2))
-    return sum(tail * laguerre(k, 0, x) / math.pi for k in levels)
+    Each level the kind adds up contributes a geometric bound on its dropped
+    terms: the series b_{T+1}/(1 - rho_{T+1}) at each row's own stop T
+    (_series_stops), the star one E_T's dropped terms at r = |p||q| times
+    L_k(-(|p|+|q|)^2), a bound on the Laguerre factor.  Either reads 0 where
+    p or q is 0, and inf where its terms still grow at T."""
+    return _value_tail(spec, p, q, value=False, tail=True)[1]
 
 
 def kernel_value_tail(spec: KernelSpec, p, q):
     """(kernel_value(spec, p, q), kernel_tail(spec, p, q)), with the same
     arguments; a series spec searches its rows' stops once for both."""
-    if isinstance(q, Quaternion):
-        value, tail = kernel_value_tail(spec, p, qarray.from_quaternion(q)[None, :])
-        return qarray.to_quaternion(value[0]), float(tail[0])
-    if spec.method != "series":
-        return kernel_value(spec, p, q), kernel_tail(spec, p, q)
-    p = np.reshape(qarray.from_quaternion(p) if isinstance(p, Quaternion) else p, (-1, 4))
-    return _series_value_tail(spec, p, q)
+    return _value_tail(spec, p, q, value=True, tail=True)
 
 
 # -- projection ----------------------------------------------------------

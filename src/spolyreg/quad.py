@@ -177,40 +177,52 @@ def _check_slice_degree(f, g, n: int) -> None:
     check_slice_degree((deg,), n)
 
 
-def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:
-    """<f, g> over C_unit: integral of conj(f) g e^(-|q|^2) dA."""
-    _check_slice_degree(f, g, Q.n)
-    fv = values_on(f, Q.points)
-    gv = values_on(g, Q.points)
-    return qarray.to_quaternion(qarray.gram(fv[None], gv[None], Q.weights)[0, 0])
+def _check_stack_degree(c: np.ndarray, n: int) -> None:
+    """Refuse a function of the coeff_stack tensor c whose |f|^2, of degree
+    2 (level + degree), the n-node slice rule does not integrate exactly.
+    Each function's level and degree are its last nonzero row and column,
+    so a short function padded to the stack's shape is checked as itself."""
+    nonzero = np.any(c != 0, axis=-1)
+    level = np.max(np.arange(c.shape[0])[:, None] * nonzero.any(axis=1), axis=0, initial=0)
+    degree = np.max(np.arange(c.shape[1])[:, None] * nonzero.any(axis=0), axis=0, initial=0)
+    check_slice_degree(2 * (level + degree), n)
 
 
 def _stack_values(c: np.ndarray, Q: SliceQuadrature) -> np.ndarray:
     """Values of the functions of a coeff_stack tensor c on the points of
-    the slice rule, (m, N, 4) real quaternions from one vander table, after
-    refusing a function whose |f|^2, of degree 2 (level + degree), the rule
-    does not integrate exactly.  Each function's level and degree are its
-    last nonzero row and column, so a short function padded to the stack's
-    shape is checked as itself."""
-    nonzero = np.any(c != 0, axis=-1)
-    level = np.max(np.arange(c.shape[0])[:, None] * nonzero.any(axis=1), axis=0, initial=0)
-    degree = np.max(np.arange(c.shape[1])[:, None] * nonzero.any(axis=0), axis=0, initial=0)
-    check_slice_degree(2 * (level + degree), Q.n)
+    the slice rule, (m, N, 4) real quaternions from one vander table."""
     unit = qarray.from_quaternion(Q.unit)[1:]
     return slice_values(c, Q.z, unit).transpose(1, 0, 2)
+
+
+def _stacked(f, Q) -> bool:
+    """Whether f is evaluated on Q through its coefficient stack: a
+    PolySliceSeries on the one slice of a SliceQuadrature."""
+    return isinstance(f, PolySliceSeries) and isinstance(Q, SliceQuadrature)
+
+
+def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:
+    """<f, g> over C_unit: integral of conj(f) g e^(-|q|^2) dA.  A
+    PolySliceSeries goes through its coefficient stack, as in gram_slice."""
+    _check_slice_degree(f, g, Q.n)
+    fv, gv = (_stack_values(coeff_stack([h]), Q)[0] if _stacked(h, Q) else values_on(h, Q.points)
+              for h in (f, g))
+    return qarray.to_quaternion(qarray.gram(fv[None], gv[None], Q.weights)[0, 0])
 
 
 def norm_sq_slice(f, Q: SliceQuadrature):
     """|f|^2 over C_unit as a float; for a coeff_stack tensor, the (m,)
     squared norms of its functions, the diagonal of gram_slice without the
-    pairs off it."""
+    pairs off it.  A PolySliceSeries is the one-function stack."""
     if isinstance(f, np.ndarray):
+        _check_stack_degree(f, Q.n)
         # a block of functions at a time: the values held grow with the block, not with m
         return np.concatenate([qarray.norm_sq(_stack_values(f[:, :, a:a + _NORM_BLOCK], Q)) @ Q.weights
                                for a in range(0, max(f.shape[2], 1), _NORM_BLOCK)])
     _check_slice_degree(f, f, Q.n)
-    fv = values_on(f, Q.points)
-    return float(qarray.norm_sq(fv) @ Q.weights)
+    if _stacked(f, Q):
+        return float(norm_sq_slice(coeff_stack([f]), Q)[0])
+    return float(qarray.norm_sq(values_on(f, Q.points)) @ Q.weights)
 
 
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
@@ -224,6 +236,7 @@ def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
     if not isinstance(funcs, np.ndarray) and all(isinstance(f, PolySliceSeries) for f in funcs):
         funcs = coeff_stack(funcs)
     if isinstance(funcs, np.ndarray):
+        _check_stack_degree(funcs, Q.n)
         vals = _stack_values(funcs, Q)
     else:
         for f in funcs:

@@ -111,6 +111,19 @@ def test_eval_kernel_refuses_rows_past_double_range(tmp_path, capsys):
     assert r.returncode == 0 and len(r.stdout.splitlines()) == 2
 
 
+def test_eval_kernel_refuses_rows_whose_terms_still_grow(capsys):
+    # e^49/pi = 6.07e20 and e^210.25/pi = 6.51e90 are in double range, but
+    # the star (40 terms) and series (200 terms) truncations stop while
+    # their terms still grow: the tail reads inf and the row is refused
+    for method, x in (("star", "7"), ("series", "14.5")):
+        r = run_main(capsys, "eval", "kernel", "--level", "0", "--method", method,
+                     "--p", x, "--q", x)
+        assert r.returncode == 2 and r.stdout == "", method
+        assert r.stderr.startswith(f"error: kernel row 1 (q = {float(x)!r}) leaves double range: "
+                                   f"{method} value ")
+        assert r.stderr.endswith(", tail inf\n")
+
+
 def test_eval_psi_constant_case(capsys):
     r = run_main(capsys, "eval", "psi", "--mu", "0", "--j", "2", "--q", "1+0i+0j+0k")
     assert r.returncode == 0

@@ -200,6 +200,24 @@ def test_star_tail_bound_positive_and_decreasing():
     b30 = kernel_tail(KernelSpec("second", 2, "star", 30), p, q)
     b40 = kernel_tail(KernelSpec("second", 2, "star", 40), p, q)
     assert 0 < b40 < b30
+    # at r = |p||q| from 20 to 35 the 40-term star value is within its tail
+    # (plus rounding) of the closed form, for general, same-slice and
+    # antipodal pairs
+    rng = np.random.default_rng(37)
+    for r in (20.0, 25.0, 30.0, 35.0):
+        v = rng.standard_normal((6, 4))
+        ps = math.sqrt(r) * v / np.linalg.norm(v, axis=1)[:, None]
+        v = rng.standard_normal((2, 4))
+        same = np.hstack([rng.uniform(-1.0, 1.0, (2, 1)), ps[2:4, 1:]])
+        same *= math.sqrt(r) / np.linalg.norm(same, axis=1)[:, None]
+        qs = np.vstack([math.sqrt(r) * v / np.linalg.norm(v, axis=1)[:, None], same, -ps[4:6]])
+        for kind in ("second", "first"):
+            for level in range(4):
+                got, tail = kernel_value_tail(KernelSpec(kind, level, "star", 40), ps, qs)
+                want = kernel_value(KernelSpec(kind, level, "closed"), ps, qs)
+                size = np.linalg.norm(want, axis=1)
+                err = np.linalg.norm(got - want, axis=1)
+                assert np.all(err <= tail + 1e-13 * size), (r, kind, level)
 
 
 def test_star_rows_match_one_row_calls():
@@ -300,17 +318,19 @@ def series_reference(k_max: int, p: np.ndarray, q: np.ndarray, terms: int = 200)
 def test_series_stop_is_honest():
     # the stopped value is within its reported tail plus rounding,
     # 16 eps sum_j |t_j|, of the full 200-term sum, for pairs on a common
-    # slice, antipodes and general pairs
+    # slice, antipodes and general pairs, of equal and of unequal radii
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps
-    for radius in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
-        def sphere(n):
+    radii = [(r, r) for r in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)]
+    for radius, q_radius in radii + [(3.0, 0.3), (0.3, 3.0), (4.0, 1.0), (1.0, 4.0), (6.0, 0.2)]:
+        def sphere(n, radius):
             v = rng.standard_normal((n, 4))
             return radius * v / np.linalg.norm(v, axis=1)[:, None]
-        ps = sphere(12)
-        common = ps[8:12] * rng.choice([-1.0, 1.0], size=(4, 1))   # p's unit or its opposite
-        common[:, 0] = rng.uniform(-radius, radius, size=4)
-        qs = np.vstack([sphere(4), -ps[4:8], common])
+        ps = sphere(12, radius)
+        # p's unit or its opposite
+        common = ps[8:12] * (q_radius / radius) * rng.choice([-1.0, 1.0], size=(4, 1))
+        common[:, 0] = rng.uniform(-q_radius, q_radius, size=4)
+        qs = np.vstack([sphere(4, q_radius), -ps[4:8] * (q_radius / radius), common])
         ref, mag = series_reference(5, ps, qs)
         levels = k2_series_levels(5, ps, qs)
         for kind in ("second", "first"):
@@ -326,6 +346,36 @@ def test_series_stop_is_honest():
                     want, size = ref[:level + 1].sum(axis=0), mag[:level + 1].sum(axis=0)
                 err = np.linalg.norm(got - want, axis=1)
                 assert np.all(err <= tail + 16 * eps * size), (radius, kind, level)
+
+
+def test_series_rows_of_unequal_radius_stop_early():
+    # K_{2,0}(30, 0.5) = e^15/pi: the terms 15^j/j! pass below eps |K| near
+    # term 50, so the row stops there with a tail of about eps |K|, whatever the cap
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = float(Decimal(15).exp() / Decimal("3.141592653589793238462643383279502884197"))
+    spec, p, q = series("second", 0), quat(30), quat(0.5)
+    value, tail = kernel_value_tail(spec, p, q)
+    w, zeta = kernels._slice_pair(p.as_tuple(), q.as_tuple())[:2]
+    assert kernels._series_stops(range(1), zeta, w, spec.terms)[0][0, 0] <= 60
+    assert kernel_value(series("second", 0, 60), p, q) == value
+    assert 0.0 < tail <= 1e-15 * exact
+    assert abs(value.w - exact) <= tail + 4 * math.ulp(exact) and value.imag_norm() == 0.0
+
+
+def test_series_rows_at_radius_eight_stop_before_the_cap():
+    # K_{2,k}(8, 8) = e^64/pi at every level: the rows stop near term 140 to
+    # 160, where a term bound with a factor e^((|p|^2+|q|^2)/2) runs them to the cap
+    p = np.array([[8.0, 0, 0, 0], [-8.0, 0, 0, 0]])
+    w, zeta = kernels._slice_pair(p, p)[:2]
+    stops = kernels._series_stops(range(4), zeta, w, kernels.SERIES_TERMS)[0]
+    assert stops.max() < kernels.SERIES_TERMS
+    exact = math.exp(64.0) / math.pi
+    for k in range(4):
+        value, tail = kernel_value_tail(series("second", k), p, p)
+        assert np.all(tail <= np.finfo(float).eps * exact)
+        assert np.all(np.abs(value[:, 0] - exact) <= 1e-13 * exact) and np.all(value[:, 1:] == 0.0)
 
 
 def test_kernel_tail_paired_rows_match_one_row_calls():

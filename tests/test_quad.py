@@ -90,6 +90,8 @@ def test_degree_guard():
         gram_slice(coeff_stack([hermite_series(0, 0), f]), Q)
     with pytest.raises(QuadratureDegreeError):
         norm_sq_slice(coeff_stack([hermite_series(0, 0), f]), Q)
+    # inner_slice checks the pair's summed degree, 4 + 0 here
+    assert inner_slice(hermite_series(4, 0), hermite_series(0, 0), Q).norm() < 1e-12
     # each function is checked as itself, not as the stack's level + degree
     assert gram_slice(coeff_stack([hermite_series(2, 0), hermite_series(0, 2)]), Q).shape == (2, 2, 4)
     assert issubclass(QuadratureDegreeError, ValueError)
@@ -203,6 +205,9 @@ def test_gram_slice_matches_pairwise_inner_slice(monkeypatch):
             for block in (64, 2):
                 monkeypatch.setattr(quad, "_NORM_BLOCK", block)
                 assert np.allclose(norm_sq_slice(coeff_stack(funcs), Q), diag, rtol=1e-13, atol=0.0)
+            # one series is evaluated through its one-function stack
+            for f in funcs:
+                assert norm_sq_slice(f, Q) == norm_sq_slice(coeff_stack([f]), Q)[0]
         for a, f in enumerate(funcs):
             for b, g in enumerate(funcs):
                 ref = inner_slice(f, g, Q).as_tuple()
