@@ -5,8 +5,9 @@ The level-k coherent state kernel
     B_{2,k}(t; q) = (1/pi)^(3/4) (2^k k!)^(-1/2)
                     exp(-(t^2 + qbar^2)/2 + sqrt(2) qbar t) H_k(sqrt(2) Re q - t)
 
-lives in the slice of q for each real t.  The transform pairs it against
-a line function on the Gauss-Hermite rule,
+lives in the slice of q for each real t: one complex number.  The
+transform pairs it against a line function on the Gauss-Hermite rule in
+one complex matrix product, lifted along the unit of q,
 
     [B_{2,k} phi](q) = <B_{2,k}(.; q), phi>_R,
 
@@ -83,17 +84,28 @@ def _scale(k: int) -> float:
     return PREFACTOR / math.sqrt(2.0 ** k * math.factorial(k))
 
 
-def b2_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
-    """B_{2,k}(t; q) for a batch of q, shape (N, T, 4); N may be 0.
-
-    The value lies in the slice of q: one complex exponential in the
-    slice coordinate z of q, carried back along the unit of q."""
+def _b2_slice(k: int, ts, qpts) -> tuple[np.ndarray, np.ndarray]:
+    """B_{2,k}(t; q) as complex (N, T) values in the slice of q, and the (N, 3)
+    units of q.  H_k comes first, so its temporaries never meet the exponential."""
     z, unit = qarray.to_slice(np.asarray(qpts, dtype=float).reshape(-1, 4))
     ts = np.asarray(ts, dtype=float)[None, :]
     zb = np.conj(z)[:, None]
-    w = (np.exp(-(ts * ts + zb * zb) / 2.0 + math.sqrt(2.0) * zb * ts)
-         * hermite_H(k, math.sqrt(2.0) * zb.real - ts) * _scale(k))
+    w = (hermite_H(k, math.sqrt(2.0) * zb.real - ts)
+         * np.exp(-(ts * ts + zb * zb) / 2.0 + math.sqrt(2.0) * zb * ts) * _scale(k))
+    return w, unit
+
+
+def b2_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
+    """B_{2,k}(t; q) for a batch of q, shape (N, T, 4); N may be 0."""
+    w, unit = _b2_slice(k, ts, qpts)
     return qarray.from_slice(w, unit[:, None, :])
+
+
+def _paired(k: int, rule: Rule1D, qpts, vals) -> tuple[np.ndarray, np.ndarray]:
+    """sum_t w_t conj(B_{2,k}(t; q)) v(t) for real (T, M) columns v: one complex
+    product, (N, M) values in the slice of q, with the (N, 3) units of q."""
+    w, unit = _b2_slice(k, rule.nodes, qpts)
+    return np.conj(w) @ (vals * rule.line_weights[:, None]), unit
 
 
 DEFAULT_LINE_NODES = 80
@@ -119,18 +131,16 @@ def transform_batch(k: int, phi, qpts: np.ndarray,
 
     Any q is accepted.  The integrand grows like e^(|Im q|^2/2) and
     oscillates, so the rounding error is about eps e^(|Im q|^2/2) relative
-    (2e-10 at |Im q| = 5, 3e2 at 9); the CLI refuses |Im q| > IMAG_LIMIT.
-    The coherent state is centred at t = sqrt(2) Re q, so a large |Re q|
-    leaves the rule's nodes: over h_0..h_6, levels 0..6 and |Im q| <= 5.5
-    the worst relative error is 4e-9 at |Re q| = 8 and 5e-7 at 9 with 80
-    nodes, and 4e-8 at 8 with LINE_NODES_MIN = 75 nodes (1e-7 with 74);
-    the CLI refuses |Re q| > REAL_LIMIT.
+    (4e-10 at |Im q| = 5, 1.3e-7 at 6 for |Re q| <= 8); the CLI refuses
+    |Im q| > IMAG_LIMIT.  The coherent state is centred at t = sqrt(2) Re q,
+    so a large |Re q| leaves the rule's nodes: over h_0..h_6, levels 0..6
+    and |Im q| <= 5.5 the worst relative error is 6e-9 at |Re q| = 8 and
+    5e-7 at 9 with 80 nodes, and 4e-8 at 8 with LINE_NODES_MIN = 75 nodes
+    (1.1e-7 with 74); the CLI refuses |Re q| > REAL_LIMIT.
     Slice pairings of the values, as in isometry_grams, stay accurate at
     larger |Im q| because the e^(-|q|^2) weights damp the error."""
     rule = _line_rule(rule, k, phi)
-    bv = b2_grid(k, rule.nodes, qpts)
-    pv = values_on(phi, rule.nodes)[None]
-    return qarray.gram(bv, pv, rule.line_weights)[:, 0]
+    return qarray.lift(*_paired(k, rule, qpts, values_on(phi, rule.nodes)))
 
 
 def basis_image_scale(j: int, k: int) -> float:
@@ -149,11 +159,11 @@ def isometry_grams(k: int, j_max: int, qquad, rule: Rule1D | None = None):
     pairing next to the Gram matrix of the basis itself on the line.
 
     Returns (gram_images, gram_line) as (J+1, J+1, 4) arrays; the scaled
-    isometry makes them equal.  One b2_grid over the slice points serves
-    every line: its pairing with the stacked lines is one qarray.gram."""
+    isometry makes them equal.  The Hermite lines are real, so all their
+    images are one complex product; their Gram is one qarray.gram."""
     rule = _line_rule(rule, k, HermiteLine(j_max))
     lines = np.stack([HermiteLine(j).eval_many(rule.nodes) for j in range(j_max + 1)])
-    bv = b2_grid(k, rule.nodes, qquad.points)
-    images = qarray.gram(bv, lines, rule.line_weights).transpose(1, 0, 2)
+    s, unit = _paired(k, rule, qquad.points, lines[..., 0].T)
+    images = qarray.from_slice(s.T, unit)
     return (qarray.gram(images, images, qquad.weights),
             qarray.gram(lines, lines, rule.line_weights))

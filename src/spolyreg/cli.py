@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from . import qarray
 from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid,
                        transform_batch)
 from .config import Config, load_config
-from .kernels import KernelSpec, kernel_value_tail
+from .kernels import KernelSpec, kernel_value, kernel_value_tail
 from .poly import DEGREE_CAP, KummerConvergenceError, laguerre
 from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_slice,
                    sphere_rule)
@@ -148,10 +149,15 @@ def cmd_eval(args, config: Config) -> int:
         finite = np.isfinite(values).all(axis=1) & np.isfinite(tails)
         if not finite.all():
             n = int(np.argmin(finite))
-            raise ValueError(
-                f"kernel row {n + 1} (q = {format_quaternion(qarray.to_quaternion(batch[n]))}) "
-                f"leaves double range: {spec.method} value {_csv_rows(values[n:n + 1])[0]}, "
-                f"tail {float(tails[n])!r}")
+            row = f"kernel row {n + 1} (q = {format_quaternion(qarray.to_quaternion(batch[n]))})"
+            # where the value and the closed form are in range, the truncation fails
+            with np.errstate(over="ignore", invalid="ignore"):
+                closed = kernel_value(replace(spec, method="closed", terms=None), p, batch[n:n + 1])
+            cause = (" leaves double range" if not np.isfinite([values[n], closed[0]]).all() else
+                     f": {spec.method} sum not converged, its terms still grow at the "
+                     f"truncation terms = {spec.terms}")
+            raise ValueError(f"{row}{cause}: {spec.method} value "
+                             f"{_csv_rows(values[n:n + 1])[0]}, tail {float(tails[n])!r}")
         block = np.hstack([np.broadcast_to(qarray.from_quaternion(p), batch.shape), batch, values])
         rows = [f"{row},{spec.method},{tail!r}"
                 for row, tail in zip(_csv_rows(block), tails.tolist())]

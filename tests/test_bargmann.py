@@ -132,3 +132,47 @@ def test_isometry_grams_match_per_line_transforms():
                 assert np.max(np.abs(ref_i[..., 1:])) > 1e-3 * np.max(np.abs(ref_i))
             assert np.max(np.abs(gi - ref_i)) < 1e-12 * np.max(np.abs(ref_i))
             assert np.array_equal(gl, qarray.gram(lines, lines, RULE.line_weights))
+
+
+def _grid_transform(k, phi, pts, rule):
+    """The transform as the quaternion pairing of the full (N, T, 4) grid."""
+    from spolyreg.quad import values_on
+    return qarray.gram(b2_grid(k, rule.nodes, pts), values_on(phi, rule.nodes)[None],
+                       rule.line_weights)[:, 0]
+
+
+def test_transform_batch_matches_quaternion_grid_pairing():
+    rng = np.random.default_rng(19)
+    units = rng.normal(size=(4, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    # points on four slices (both signs of each unit) and on the real axis
+    z = rng.uniform(-2.0, 2.0, size=(4, 6)) + 1j * rng.uniform(-2.0, 2.0, size=(4, 6))
+    pts = np.concatenate([qarray.from_slice(z, units[:, None, :]).reshape(-1, 4),
+                          [[0.0, 0, 0, 0], [1.3, 0, 0, 0], [-0.7, 0, 0, 0]]])
+    quaternion_line = SampledLine(RULE.nodes, HermiteLine(2)(RULE.nodes)[:, None]
+                                  * rng.normal(size=(1, 4)) + rng.normal(size=(80, 4)) * 1e-2)
+    for k in (0, 2, 5):
+        for phi in (HermiteLine(3), quaternion_line):
+            got = transform_batch(k, phi, pts, RULE)
+            want = _grid_transform(k, phi, pts, RULE)
+            # relative on max(1, |value|): h_3 vanishes at q = 0
+            err = np.linalg.norm(got - want, axis=1)
+            assert np.all(err <= 1e-13 * np.maximum(np.linalg.norm(want, axis=1), 1.0)), (k, phi)
+            # real points stay real for a real line
+            if isinstance(phi, HermiteLine):
+                assert np.all(got[-3:, 1:] == 0.0)
+        empty = transform_batch(k, quaternion_line, np.zeros((0, 4)), RULE)
+        assert empty.shape == (0, 4)
+
+
+def test_transform_and_isometry_grams_build_no_quaternion_grid(monkeypatch):
+    from spolyreg import bargmann
+
+    def refuse(*args):
+        raise AssertionError("b2_grid called")
+
+    monkeypatch.setattr(bargmann, "b2_grid", refuse)
+    pts = np.array([[0.4, -0.7, 0.3, 0.5], [0.9, 0.0, 0.0, 0.0]])
+    assert bargmann.transform_batch(1, HermiteLine(2), pts, RULE).shape == (2, 4)
+    gi, gl = bargmann.isometry_grams(1, 2, SliceQuadrature(16), RULE)
+    assert gi.shape == gl.shape == (3, 3, 4)

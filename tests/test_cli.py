@@ -114,13 +114,15 @@ def test_eval_kernel_refuses_rows_past_double_range(tmp_path, capsys):
 def test_eval_kernel_refuses_rows_whose_terms_still_grow(capsys):
     # e^49/pi = 6.07e20 and e^210.25/pi = 6.51e90 are in double range, but
     # the star (40 terms) and series (200 terms) truncations stop while
-    # their terms still grow: the tail reads inf and the row is refused
-    for method, x in (("star", "7"), ("series", "14.5")):
+    # their terms still grow: the tail reads inf and the row is refused as
+    # a truncation that has not converged, not as one past double range
+    for method, x, terms in (("star", "7", 40), ("series", "14.5", 200)):
         r = run_main(capsys, "eval", "kernel", "--level", "0", "--method", method,
                      "--p", x, "--q", x)
         assert r.returncode == 2 and r.stdout == "", method
-        assert r.stderr.startswith(f"error: kernel row 1 (q = {float(x)!r}) leaves double range: "
-                                   f"{method} value ")
+        assert r.stderr.startswith(
+            f"error: kernel row 1 (q = {float(x)!r}): {method} sum not converged, its terms "
+            f"still grow at the truncation terms = {terms}: {method} value ")
         assert r.stderr.endswith(", tail inf\n")
 
 
