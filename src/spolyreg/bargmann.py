@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 PREFACTOR = (1.0 / math.pi) ** 0.75
+_ALIGN_TOL = 1e-10   # largest node offset at which a SampledLine is read
 
 
 class HermiteLine:
@@ -61,9 +62,9 @@ class HermiteLine:
 
 
 class SampledLine:
-    """A line function given by samples on quadrature nodes."""
+    """A line function given by samples on quadrature nodes, read on nodes within _ALIGN_TOL = 1e-10."""
 
-    def __init__(self, nodes, values, tol: float = 1e-10):
+    def __init__(self, nodes, values):
         self.nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.shape == self.nodes.shape:
@@ -71,11 +72,10 @@ class SampledLine:
         if values.shape != self.nodes.shape + (4,):
             raise ValueError("samples must be real or quaternion quadruples per node")
         self.values = values
-        self.tol = tol
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if ts.shape != self.nodes.shape or np.max(np.abs(ts - self.nodes)) > self.tol:
+        if ts.shape != self.nodes.shape or np.max(np.abs(ts - self.nodes)) > _ALIGN_TOL:
             raise ValueError("sample grid not aligned with quadrature nodes")
         return self.values
 

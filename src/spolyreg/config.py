@@ -88,7 +88,9 @@ class Config:
         object.__setattr__(self, "tolerances", {**DEFAULT_TOLERANCES, **self.tolerances})
 
     def tolerance(self, suite: str) -> float:
-        return float(self.tolerances.get(suite, 1e-9))
+        if suite not in self.tolerances:
+            raise ValueError(f"no tolerance for unknown suite {suite!r}")
+        return float(self.tolerances[suite])
 
 
 def load_config(path: str | None = None) -> Config:

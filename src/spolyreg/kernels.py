@@ -220,10 +220,10 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
     The summand is (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)), with
     both factors in the slice of their point: qarray.lift_conj_product
     forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  `terms` is a
-    cap: each (level, row) adds its terms through its own _series_stops
-    stop."""
-    if terms < 0:
-        raise ValueError(f"series truncation {terms} is negative")
+    cap, refused below k_max as in KernelSpec: each (level, row) adds its
+    terms through its own _series_stops stop."""
+    if terms < k_max:
+        raise ValueError(f"series truncation {terms} is below the level {k_max}")
     w, zeta, unit_q, unit_p = _slice_pair(ppts, qpts)
     levels = range(k_max + 1)
     return _k2_series(levels, w, zeta, unit_q, unit_p, _series_stops(levels, zeta, w, terms)[0])
@@ -328,7 +328,8 @@ def kernel_value_tail(spec: KernelSpec, p, q):
 def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> np.ndarray:
     """Orthogonal projection onto the level-k space on a (P, 4) batch:
     P_k f(p) = <K_{2,k}(p, .), f>_{C_I} = (1/(pi k!)) sum_j A_{j,k}(p) c_j
-    with c_j = sum_n w_n conj(A_{j,k}(q_n)) f(q_n) over the slice rule.
+    with c_j = sum_n w_n conj(A_{j,k}(q_n)) f(q_n) over the slice rule, the
+    f(q_n) read by values_on(f, Q) as in the slice pairings.
 
     The rule's points q_n = Re z_n + I Im z_n share the unit I, so
     conj(A(q_n)) f = Re A f - Im A (I f) and c_j = Re(A_{j,k}(z) @ (wf + i wIf)),
@@ -345,7 +346,7 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
         check_slice_degree((2 * f.degree + f.level + k,), Q.n)
         terms = min(terms, max(f.degree, 0))
     ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
-    fv = values_on(f, Q.points) * Q.weights[:, None]
+    fv = values_on(f, Q) * Q.weights[:, None]
     unit = qarray.from_quaternion(Q.unit)
     wf = fv + 1j * qarray.qmul(unit, fv)
     c = np.array([(row[k] @ wf).real for row in _ladder(Q.z, k, terms)])

@@ -9,7 +9,9 @@ Three pairings, matching the three function spaces in play:
 All pairings are built on qarray.gram, conjugate the first argument and
 are right-linear in the second (the right vector space structure).  The
 full pairing is the sphere integral of slice pairings; constants get
-<1,1> = pi on a slice and 4*pi^2 over the sphere of slices.
+<1,1> = pi on a slice and 4*pi^2 over the sphere of slices.  Every pairing,
+and kernels.project_batch, reads values through values_on, which reads a
+PolySliceSeries on a slice rule from its coefficient stack.
 """
 from __future__ import annotations
 
@@ -147,9 +149,17 @@ def sphere_rule(order: int = 6) -> SphereRule:
     return SphereRule(tuple(units), np.array(weights), order)
 
 
-def values_on(f, pts: np.ndarray) -> np.ndarray:
-    """Values of f as (N, 4) quaternions on an (N, 4) batch of points or
-    on (N,) line nodes: f.eval_many when f has it, else point by point."""
+def values_on(f, pts) -> np.ndarray:
+    """Values of f as (N, 4) quaternions at an (N, 4) batch, (N,) line nodes
+    or the points of a rule: the one route from a function to its values.
+    On a SliceQuadrature a PolySliceSeries is read as its coeff_stack tensor,
+    whose (m, N, 4) values come from one vander table on the rule's slice;
+    anything else goes through f.eval_many if f has it, else point by point."""
+    if isinstance(f, PolySliceSeries) and isinstance(pts, SliceQuadrature):
+        return values_on(coeff_stack([f]), pts)[0]
+    if isinstance(f, np.ndarray):
+        return slice_values(f, pts.z, qarray.from_quaternion(pts.unit)[1:]).transpose(1, 0, 2)
+    pts = getattr(pts, "points", pts)
     if hasattr(f, "eval_many"):
         return np.asarray(f.eval_many(pts), dtype=float)
     point = float if pts.ndim == 1 else qarray.to_quaternion
@@ -167,81 +177,58 @@ def check_slice_degree(degrees, n: int) -> None:
                 f"integrand has degree {deg}")
 
 
-def _check_slice_degree(f, g, n: int) -> None:
-    deg = 0
-    for h in (f, g):
-        d = getattr(h, "degree", None)
-        if d is None:
-            return
-        deg += max(d, 0) + max(getattr(h, "level", 0), 0)
-    check_slice_degree((deg,), n)
-
-
-def _check_stack_degree(c: np.ndarray, n: int) -> None:
-    """Refuse a function of the coeff_stack tensor c whose |f|^2, of degree
-    2 (level + degree), the n-node slice rule does not integrate exactly.
-    Each function's level and degree are its last nonzero row and column,
-    so a short function padded to the stack's shape is checked as itself."""
-    nonzero = np.any(c != 0, axis=-1)
-    level = np.max(np.arange(c.shape[0])[:, None] * nonzero.any(axis=1), axis=0, initial=0)
-    degree = np.max(np.arange(c.shape[1])[:, None] * nonzero.any(axis=0), axis=0, initial=0)
-    check_slice_degree(2 * (level + degree), n)
-
-
-def _stack_values(c: np.ndarray, Q: SliceQuadrature) -> np.ndarray:
-    """Values of the functions of a coeff_stack tensor c on the points of
-    the slice rule, (m, N, 4) real quaternions from one vander table."""
-    unit = qarray.from_quaternion(Q.unit)[1:]
-    return slice_values(c, Q.z, unit).transpose(1, 0, 2)
-
-
-def _stacked(f, Q) -> bool:
-    """Whether f is evaluated on Q through its coefficient stack: a
-    PolySliceSeries on the one slice of a SliceQuadrature."""
-    return isinstance(f, PolySliceSeries) and isinstance(Q, SliceQuadrature)
+def _check_degrees(funcs, n: int, pair: bool = False) -> None:
+    """check_slice_degree of |f|^2, of degree 2 (level + degree), for each
+    function in order, or with pair of the one integrand conj(f) g of two.
+    Level and degree are a function's attributes or, in a coeff_stack tensor,
+    its last nonzero row and column, so a padded function reads as itself.
+    A function without a degree is not checked, nor a pair that holds one."""
+    if isinstance(funcs, np.ndarray):
+        nonzero = np.any(funcs != 0, axis=-1)
+        spans = (np.max(np.arange(funcs.shape[0])[:, None] * nonzero.any(axis=1), axis=0, initial=0)
+                 + np.max(np.arange(funcs.shape[1])[:, None] * nonzero.any(axis=0), axis=0, initial=0))
+    else:
+        spans = [None if getattr(f, "degree", None) is None
+                 else max(f.degree, 0) + max(getattr(f, "level", 0), 0) for f in funcs]
+    if pair:
+        check_slice_degree(() if None in spans else (sum(spans),), n)
+    else:
+        check_slice_degree((2 * s for s in spans if s is not None), n)
 
 
 def inner_slice(f, g, Q: SliceQuadrature) -> Quaternion:
-    """<f, g> over C_unit: integral of conj(f) g e^(-|q|^2) dA.  A
-    PolySliceSeries goes through its coefficient stack, as in gram_slice."""
-    _check_slice_degree(f, g, Q.n)
-    fv, gv = (_stack_values(coeff_stack([h]), Q)[0] if _stacked(h, Q) else values_on(h, Q.points)
-              for h in (f, g))
+    """<f, g> over C_unit: integral of conj(f) g e^(-|q|^2) dA."""
+    _check_degrees((f, g), Q.n, pair=True)
+    fv, gv = values_on(f, Q), values_on(g, Q)
     return qarray.to_quaternion(qarray.gram(fv[None], gv[None], Q.weights)[0, 0])
 
 
 def norm_sq_slice(f, Q: SliceQuadrature):
     """|f|^2 over C_unit as a float; for a coeff_stack tensor, the (m,)
     squared norms of its functions, the diagonal of gram_slice without the
-    pairs off it.  A PolySliceSeries is the one-function stack."""
+    pairs off it."""
     if isinstance(f, np.ndarray):
-        _check_stack_degree(f, Q.n)
+        _check_degrees(f, Q.n)
         # a block of functions at a time: the values held grow with the block, not with m
-        return np.concatenate([qarray.norm_sq(_stack_values(f[:, :, a:a + _NORM_BLOCK], Q)) @ Q.weights
+        return np.concatenate([qarray.norm_sq(values_on(f[:, :, a:a + _NORM_BLOCK], Q)) @ Q.weights
                                for a in range(0, max(f.shape[2], 1), _NORM_BLOCK)])
-    _check_slice_degree(f, f, Q.n)
-    if _stacked(f, Q):
-        return float(norm_sq_slice(coeff_stack([f]), Q)[0])
-    return float(qarray.norm_sq(values_on(f, Q.points)) @ Q.weights)
+    _check_degrees((f,), Q.n)
+    return float(qarray.norm_sq(values_on(f, Q)) @ Q.weights)
 
 
 def gram_slice(funcs, Q: SliceQuadrature) -> np.ndarray:
     """Pairwise slice inner products, returned as an (m, m, 4) array.
 
     funcs is a list of functions or a coeff_stack tensor.  A list of
-    PolySliceSeries is stacked into that tensor, whose functions are
-    evaluated on the slice of the rule as real quaternions from one vander
-    table; the degree check reads each function's coefficients from the
-    tensor.  Other functions go through values_on."""
+    PolySliceSeries is stacked into that tensor, whose values values_on
+    reads from one vander table."""
     if not isinstance(funcs, np.ndarray) and all(isinstance(f, PolySliceSeries) for f in funcs):
         funcs = coeff_stack(funcs)
+    _check_degrees(funcs, Q.n)
     if isinstance(funcs, np.ndarray):
-        _check_stack_degree(funcs, Q.n)
-        vals = _stack_values(funcs, Q)
+        vals = values_on(funcs, Q)
     else:
-        for f in funcs:
-            _check_slice_degree(f, f, Q.n)
-        vals = np.stack([values_on(f, Q.points) for f in funcs])
+        vals = np.stack([values_on(f, Q) for f in funcs])
     return qarray.gram(vals, vals, Q.weights)
 
 

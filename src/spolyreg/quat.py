@@ -212,6 +212,8 @@ ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
+_DIRECTION_MIN = 1e-12   # shortest direction imaginary_unit normalises
+_PERP_TOL = 1e-10        # largest |<I, J>| split accepts as perpendicular
 
 
 def quat(w=0, x=0, y=0, z=0) -> Quaternion:
@@ -221,10 +223,10 @@ def quat(w=0, x=0, y=0, z=0) -> Quaternion:
     return Quaternion(w, x, y, z)
 
 
-def imaginary_unit(x, y, z, tol: float = 1e-12) -> Quaternion:
-    """Normalise a direction vector to a unit imaginary quaternion."""
+def imaginary_unit(x, y, z) -> Quaternion:
+    """Normalise a direction longer than _DIRECTION_MIN = 1e-12 to a unit imaginary quaternion."""
     n = math.sqrt(float(x * x + y * y + z * z))
-    if n <= tol:
+    if n <= _DIRECTION_MIN:
         raise ValueError("imaginary unit needs a nonzero direction vector")
     return Quaternion(0, float(x) / n, float(y) / n, float(z) / n)
 
@@ -247,14 +249,13 @@ def _imag_dot(p: Quaternion, q: Quaternion):
     return p.x * q.x + p.y * q.y + p.z * q.z
 
 
-def split(q: Quaternion, unit_i: Quaternion, unit_j: Quaternion,
-          tol: float = 1e-10) -> tuple[Quaternion, Quaternion]:
+def split(q: Quaternion, unit_i: Quaternion, unit_j: Quaternion) -> tuple[Quaternion, Quaternion]:
     """Symmetry split q = c1 + c2 * J with c1, c2 in the slice C_I.
 
-    Requires J perpendicular to I.  Writing q in the orthogonal basis
-    {1, I, J, I*J} gives c1 = a + b*I and c2 = c + d*I.
+    Requires J perpendicular to I, |<I, J>| <= _PERP_TOL = 1e-10.  Writing q
+    in the orthogonal basis {1, I, J, I*J} gives c1 = a + b*I and c2 = c + d*I.
     """
-    if abs(float(_imag_dot(unit_i, unit_j))) > tol:
+    if abs(float(_imag_dot(unit_i, unit_j))) > _PERP_TOL:
         raise ValueError("split needs perpendicular imaginary units")
     unit_k = unit_i * unit_j
     a = q.w

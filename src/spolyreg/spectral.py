@@ -71,6 +71,7 @@ class SpectralConfig:
 
 
 DEFAULT_SPECTRAL = SpectralConfig()
+_PROBE_POLICY = TruncationPolicy(max_terms=800, abs_tol=1e-12)   # spectrum_probe's Kummer stop
 
 
 def box_symbolic(f: PolySliceSeries) -> PolySliceSeries:
@@ -253,8 +254,7 @@ class ProbeResult:
         }
 
 
-def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
-                   policy: TruncationPolicy | None = None) -> ProbeResult:
+def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16) -> ProbeResult:
     """Measure the radial e^(-r^2) mass of psi_{mu,j} on annuli.
 
     The slice integrand is r^(2|j|+1) |M|^2 e^(-r^2) = r |psi(r) e^(-r^2/2)|^2,
@@ -263,8 +263,8 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
     otherwise M grows like e^(r^2) and the masses blow up.  converged
     requires the last two annulus ratios to fall below 1.
 
-    Domain: a non-terminating series must converge within the probe's
-    800-term policy, r_max up to about 17 (KummerConvergenceError beyond).
+    Domain: a non-terminating series must converge within _PROBE_POLICY
+    (800 terms, abs_tol 1e-12), r_max up to about 17 (KummerConvergenceError beyond).
     For a terminating one e^(-r^2) underflows past r_max = 27: a mass that
     is not finite, or 0 where a ratio divides by it, is refused with
     ValueError rather than read as a ratio.
@@ -274,12 +274,10 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16,
     if windows < 3:
         raise ValueError(f"{windows} windows give fewer than two tail ratios; need >= 3")
     mu = quat(mu)
-    if policy is None:
-        policy = TruncationPolicy(max_terms=800, abs_tol=1e-12)
     edges = np.linspace(0.0, r_max, windows + 1)
     rules = [gauss_legendre(24, float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     r = np.array([rule.nodes for rule in rules])
-    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3)), policy) * np.exp(-r * r / 2)[..., None]
+    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3)), _PROBE_POLICY) * np.exp(-r * r / 2)[..., None]
     masses = np.sum(np.array([rule.weights for rule in rules]) * r * qarray.norm_sq(decayed),
                     axis=1)
     for i, mass in enumerate(masses):

@@ -510,6 +510,24 @@ def test_config_tolerance_overrides_keep_defaults():
             assert cfg.tolerance(suite) == tol
 
 
+def test_kernel_dual_refuses_series_terms_below_its_top_level(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"series_terms": 3}))
+    r = run_main(capsys, "verify", "--suite", "kernel-dual", "--config", str(cfg))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "series truncation 3 is below the level 4" in r.stderr
+
+
+def test_config_tolerance_refuses_an_unknown_suite():
+    from spolyreg.config import Config
+    from spolyreg.verify import SUITES
+    cfg = Config()
+    for suite in SUITES:
+        assert cfg.tolerance(suite) >= 0.0
+    with pytest.raises(ValueError, match="unknown suite 'orthogonalty'"):
+        cfg.tolerance("orthogonalty")
+
+
 def test_eval_kernel_series_rows_match_single_points(tmp_path, capsys):
     from spolyreg.cli import main
     qs = ["0.5+0.3i-0.2j", "-0.7+0.1k", "1.1", "0.2-0.4i+0.6j+0.3k"]

@@ -454,6 +454,17 @@ def test_series_truncation_below_level_refused():
     assert KernelSpec("second", 5, "star", 2).terms == 2
 
 
+def test_k2_series_levels_refuses_a_cap_below_k_max():
+    # a cap of 2 would cut every level above it short: w reads 0.0032 at level 4, not 0.127
+    p = qarray.from_quaternion(quat(0.3, 0.2, 0.1, 0.0))
+    q = qarray.from_quaternion(quat(0.5, -0.1, 0.2, 0.3))[None, :]
+    with pytest.raises(ValueError, match="series truncation 2 is below the level 4"):
+        k2_series_levels(4, p, q, 2)
+    assert k2_series_levels(4, p, q, 4).shape == (5, 1, 4)
+    closed = kernel_value(KernelSpec("second", 4, "closed"), p, q)
+    assert np.max(np.abs(k2_series_levels(4, p, q)[4] - closed)) < 1e-13
+
+
 def test_lift_conj_product_matches_qmul():
     rng = np.random.default_rng(21)
     n = 12
@@ -605,17 +616,22 @@ def test_project_batch_matches_project_and_kernel_pairing():
         f = f + hermite_series(j, k).rmul(quat(*rng.standard_normal(4)))
     ps = rng.uniform(-1.0, 1.0, size=(6, 4))
     ps[0, 1:] = 0.0
-    for k in (0, 1, 2):
-        got = project_batch(k, f, ps, Q)
-        assert got.shape == (6, 4)
-        fv = values_on(f, Q.points)
-        for v, pv in zip(got, ps):
-            p = qarray.to_quaternion(pv)
-            # each row is the projection at its own point, batched or alone
-            assert np.max(np.abs(v - project_batch(k, f, pv, Q)[0])) < 1e-13
-            kp = kernel_value(series("second", k), p, Q.points)
-            ref = qarray.gram(kp[None], fv[None], Q.weights)[0, 0]
-            assert np.max(np.abs(v - ref)) < 1e-11
+
+    class ByPoints:      # f read through eval_many at the rule's points, to the cap
+        eval_many = staticmethod(f.eval_many)
+
+    for h in (f, ByPoints()):
+        for k in (0, 1, 2):
+            got = project_batch(k, h, ps, Q)
+            assert got.shape == (6, 4)
+            fv = values_on(f, Q.points)
+            for v, pv in zip(got, ps):
+                p = qarray.to_quaternion(pv)
+                # each row is the projection at its own point, batched or alone
+                assert np.max(np.abs(v - project_batch(k, h, pv, Q)[0])) < 1e-13
+                kp = kernel_value(series("second", k), p, Q.points)
+                ref = qarray.gram(kp[None], fv[None], Q.weights)[0, 0]
+                assert np.max(np.abs(v - ref)) < 1e-11
     # P_2 keeps the level-2 part of f and drops the rest
     level2 = hermite_series(0, 2).rmul(f.coeff(2, 0)) + hermite_series(3, 2).rmul(
         f.coeff(2, 3))
@@ -659,6 +675,22 @@ def test_project_batch_stops_at_the_degree(monkeypatch):
     assert seen == [kernels.SERIES_TERMS] * 2
     assert np.max(np.abs(got - project_batch(1, f, ps, Q))) < 1e-12
     assert np.array_equal(project_batch(2, PolySliceSeries(), ps, Q), np.zeros((6, 4)))
+
+
+def test_project_batch_reads_a_series_from_its_stack(monkeypatch):
+    # the slice-rule side of a projection takes the pairings' route, not eval_many
+    rng = np.random.default_rng(31)
+    Q = SliceQuadrature(16, quat(0.0, 0.48, 0.6, -0.64))
+    f = PolySliceSeries([[quat(*rng.standard_normal(4)) for _ in range(5)] for _ in range(3)])
+    ps = rng.uniform(-1.0, 1.0, size=(5, 4))
+    before = [project_batch(k, f, ps, Q) for k in range(3)]
+
+    def refuse(self, pts):
+        raise AssertionError("eval_many on a slice rule")
+
+    monkeypatch.setattr(PolySliceSeries, "eval_many", refuse)
+    for k, ref in enumerate(before):
+        assert np.array_equal(project_batch(k, f, ps, Q), ref)
 
 
 def test_project_batch_refuses_an_inexact_rule_before_any_work(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from spolyreg import (
     HermiteLine,
+    PolySliceSeries,
     QuadratureDegreeError,
     SliceQuadrature,
     gauss_hermite,
@@ -212,3 +213,44 @@ def test_gram_slice_matches_pairwise_inner_slice(monkeypatch):
             for b, g in enumerate(funcs):
                 ref = inner_slice(f, g, Q).as_tuple()
                 assert np.max(np.abs(G[a, b] - ref)) < 1e-11 * max(1.0, abs(G[a, a, 0]))
+
+
+def _random_series(rng, level, degree):
+    return PolySliceSeries([[quat(*rng.standard_normal(4)) for _ in range(degree + 1)]
+                            for _ in range(level + 1)])
+
+
+def test_slice_rule_pairings_read_series_from_their_stack(monkeypatch):
+    # a PolySliceSeries on a slice rule has one route to its values; eval_many is not it
+    rng = np.random.default_rng(29)
+    Q = SliceQuadrature(12, quat(0.0, 0.36, -0.48, 0.8))
+    funcs = [_random_series(rng, k, 5 - k) for k in range(4)]
+
+    def pairings():
+        return (inner_slice(funcs[0], funcs[3], Q).as_tuple(), norm_sq_slice(funcs[1], Q),
+                gram_slice(funcs, Q), gram_slice(coeff_stack(funcs), Q))
+
+    before = pairings()
+
+    def refuse(self, pts):
+        raise AssertionError("eval_many on a slice rule")
+
+    monkeypatch.setattr(PolySliceSeries, "eval_many", refuse)
+    for got, ref in zip(pairings(), before):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [12, 41])
+@pytest.mark.parametrize("unit", [quat(0, 1, 0, 0), quat(0.0, 0.48, 0.6, -0.64)])
+def test_values_on_slice_rule_matches_values_at_its_points(n, unit):
+    # odd n puts a node on the real axis, where the point's own unit is 0
+    rng = np.random.default_rng(n)
+    Q = SliceQuadrature(n, unit)
+    eps = np.finfo(float).eps
+    for level in range(4):
+        for degree in range(7):
+            f = _random_series(rng, level, degree)
+            ref = quad.values_on(f, Q.points)
+            got = quad.values_on(f, Q)
+            assert got.shape == ref.shape == (n * n, 4)
+            assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
