@@ -243,12 +243,15 @@ def cmd_transform(args, config: Config) -> int:
 
 def cmd_table(args, config: Config) -> int:
     if args.table == "norms":
-        print("n,j,closed,quadrature,residual")
+        funcs = [Eigenfunction(args.n, j) for j in range(args.jmax + 1)]
+        # |psi_{n,j}|^2 has degree 2(level + degree): refuse a large --n or --jmax before any work
+        check_slice_degree((2 * (f.level + f.degree) for f in funcs), config.slice_nodes)
         sphere = sphere_rule(config.sphere_order)
-        for j in range(args.jmax + 1):
-            closed = psi_norm_sq(args.n, j)
-            num = norm_sq_full(Eigenfunction(args.n, j), config.slice_nodes, sphere)
-            print(f"{args.n},{j},{_fmt(closed)},{_fmt(num)},"
+        print("n,j,closed,quadrature,residual")
+        for f in funcs:
+            closed = psi_norm_sq(args.n, f.j)
+            num = norm_sq_full(f, config.slice_nodes, sphere)
+            print(f"{args.n},{f.j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":
         idx = [(m, n) for m in range(args.max + 1) for n in range(args.max + 1)]

@@ -4,20 +4,21 @@ Three pairings, matching the three function spaces in play:
 
 * ``inner_real``  on the line, plain dt on Gauss-Hermite nodes (Hermite functions)
 * ``inner_slice`` on a slice plane C_I, weight e^(-|q|^2) (tensor Gauss-Hermite)
-* ``inner_full``  sphere average of slice pairings, total sphere weight 4*pi
+* ``inner_full``  sphere average of slice pairings (total sphere weight 4*pi),
+                  from slice forms read once on one slice
 
 All pairings are built on qarray.gram, conjugate the first argument and
 are right-linear in the second (the right vector space structure).  The
 full pairing is the sphere integral of slice pairings; constants get
-<1,1> = pi on a slice and 4*pi^2 over the sphere of slices.  Every pairing,
-and kernels.project_batch, reads values through values_on, which reads a
-PolySliceSeries on a slice rule from its coefficient stack.
+<1,1> = pi on a slice and 4*pi^2 over the sphere of slices.  The other
+pairings, kernels.project_batch and a function without a slice_form on the
+sphere read values through values_on, which reads a PolySliceSeries on a
+slice rule from its coefficient stack.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -239,22 +240,62 @@ def inner_real(f, g, rule: Rule1D) -> Quaternion:
     return qarray.to_quaternion(qarray.gram(fv[None], gv[None], rule.line_weights)[0, 0])
 
 
-def _sphere_of_slices(n_slice: int, sphere: SphereRule | None) -> SimpleNamespace:
-    """The slice rule rotated onto every sphere unit by one broadcast
-    from_slice and weighted by outer(sphere weights, slice weights): a rule
-    with the n, points and weights of a SliceQuadrature."""
-    if sphere is None:
-        sphere = sphere_rule()
-    z, w = _slice_nodes(n_slice)
-    units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units]).reshape(-1, 1, 3)
-    return SimpleNamespace(n=n_slice, points=qarray.from_slice(z, units).reshape(-1, 4),
-                           weights=np.outer(sphere.weights, w).ravel())
+class _SphereOfSlices:
+    """The slice rule on every unit of a sphere rule: nodes z, (S, 3) units and
+    both weights; the (S*N, 4) points, for values_on, are built only when read."""
+
+    def __init__(self, n: int, sphere: SphereRule | None):
+        sphere = sphere_rule() if sphere is None else sphere
+        self.n, self.sphere_weights = n, sphere.weights
+        self.z, self.slice_weights = _slice_nodes(n)
+        self.units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units])
+
+    @property
+    def points(self) -> np.ndarray:
+        return qarray.from_slice(self.z, self.units[:, None]).reshape(-1, 4)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.outer(self.sphere_weights, self.slice_weights).ravel()
+
+    def pair(self, fw, gw):
+        """Stacks x, y and weights [w_z; w_z] whose slice sum of w conj(x) y is the
+        sphere sum of conj(f) g, for slice forms fw = a + i a', gw = b + i b' (N, ..., 4).
+        conj(f) g = conj(a) b + conj(a') b' + sum_i U_i (conj(a) e_i b' - conj(a') e_i b)
+        is affine in U, so with the moments M0 = sum w_s, m = sum w_s U_s (not 0 on
+        every rule) x = [a; a'] and y = M0 [b; b'] + m [b'; -b]."""
+        moments = self.sphere_weights @ np.hstack([np.ones((len(self.units), 1)), self.units])
+        y = (moments[0] * np.concatenate([gw.real, gw.imag])
+             + qarray.qmul(moments * [0.0, 1.0, 1.0, 1.0], np.concatenate([gw.imag, -gw.real])))
+        return np.concatenate([fw.real, fw.imag]), y, np.tile(self.slice_weights, 2)
+
+    def norm_sq(self, w) -> np.ndarray:
+        x, y, weights = self.pair(w, w)
+        return weights @ np.sum(x * y, axis=-1)
 
 
 def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Quaternion:
-    """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I}."""
-    return inner_slice(f, g, _sphere_of_slices(n_slice, sphere))
+    """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I},
+    on sphere_rule() if sphere is None.  Two functions with a slice_form are
+    read once, on the slice; else both are read at every point of every slice."""
+    S = _SphereOfSlices(n_slice, sphere)
+    if not (hasattr(f, "slice_form") and hasattr(g, "slice_form")):
+        return inner_slice(f, g, S)
+    _check_degrees((f, g), n_slice, pair=True)
+    x, y, w = S.pair(f.slice_form(S.z), g.slice_form(S.z))
+    return qarray.to_quaternion(qarray.gram(x[None], y[None], w)[0, 0])
 
 
-def norm_sq_full(f, n_slice: int = 40, sphere: SphereRule | None = None) -> float:
-    return norm_sq_slice(f, _sphere_of_slices(n_slice, sphere))
+def norm_sq_full(f, n_slice: int = 40, sphere: SphereRule | None = None):
+    """|f|^2 over the sphere of slices as a float, read as inner_full reads it;
+    for a coeff_stack tensor the (m,) norms, from slice_values a block at a time."""
+    S = _SphereOfSlices(n_slice, sphere)
+    if isinstance(f, np.ndarray):
+        _check_degrees(f, n_slice)
+        blocks = (slice_values(f[:, :, a:a + _NORM_BLOCK], S.z)
+                  for a in range(0, max(f.shape[2], 1), _NORM_BLOCK))
+        return np.concatenate([S.norm_sq(w) for w in blocks])
+    if not hasattr(f, "slice_form"):
+        return norm_sq_slice(f, S)
+    _check_degrees((f,), n_slice)
+    return float(S.norm_sq(f.slice_form(S.z)))

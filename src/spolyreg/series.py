@@ -316,11 +316,15 @@ class PolySliceSeries(_Grid):
         coefficients lie in the parameter's slice."""
         return _eval(self.coeffs, q, left=True)
 
+    def slice_form(self, z: np.ndarray) -> np.ndarray:
+        """Complex (N, 4) W with f(Re z + U Im z) = qarray.lift(W, U) for every unit U."""
+        return slice_values(coeff_stack([self]), z)[:, 0]
+
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Values on an (N, 4) batch: slice_values at each point's own slice
-        coordinate z = x + i|Im q|, lifted onto its unit U by qarray.lift."""
+        """Values on an (N, 4) batch: the slice form at each point's own
+        slice coordinate z = x + i|Im q|, lifted onto its unit U."""
         z, unit = qarray.to_slice(pts)
-        return qarray.lift(slice_values(coeff_stack([self]), z)[:, 0], unit)
+        return qarray.lift(self.slice_form(z), unit)
 
     # -- serialization ---------------------------------------------------
 

@@ -23,14 +23,15 @@ The radial eigenfunction family is confluent hypergeometric:
     psi_{mu,j}(q) = qbar^(|j|)    M(-(mu+j); |j|+1| |q|^2)   for j < 0,
 
 with box psi = mu psi; it is square integrable against e^(-|q|^2) exactly
-when the series terminates, i.e. mu in {0,1,2,...} with j >= -mu.  psi is
-the one evaluation route, for one point or a batch: z^|j| in the slice of q
-times M, which is real for real mu and lies in the slice of a quaternion mu.
+when the series terminates, i.e. mu in {0,1,2,...} with j >= -mu.  One
+slice form, z^|j| times M (real for real mu, in the slice of a quaternion
+mu), gives psi at one point or a batch and Eigenfunction on a slice.
 spectrum_probe measures the tail behaviour numerically through psi.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,45 +136,47 @@ def box_fd(f, q: Quaternion, cfg: SpectralConfig = DEFAULT_SPECTRAL) -> Quaterni
 # -- hypergeometric eigenfunctions ---------------------------------------
 
 
-def _psi_params(mu, j: int):
-    """Kummer parameters (a, c, power, conjugated) for psi_{mu,j}; a is a
-    float for real mu (a Quaternion with zero imaginary part counts)."""
-    if not isinstance(mu, Quaternion) or mu.imag_norm() == 0:
-        mu = float(quat(mu).w)
-    if j >= 0:
-        return -mu, j + 1, j, False
-    return -(mu + j), -j + 1, -j, True
+def _psi_form(mu, j: int, z, policy: TruncationPolicy):
+    """Slice form of psi_{mu,j}: complex (..., 4) W with psi(Re z + U Im z) =
+    qarray.lift(W, U) for every unit U, z^|j| (conj(z) for j < 0) times M(|z|^2),
+    real for real mu (a Quaternion with zero imaginary part counts) and for
+    quaternion mu in the slice of mu, multiplying from the right."""
+    s = mu if isinstance(mu, Quaternion) and mu.imag_norm() != 0 else float(quat(mu).w)
+    m = kummer_M(-s if j >= 0 else -(s + j), abs(j) + 1, z.real ** 2 + z.imag ** 2, policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = ((z if j >= 0 else np.conj(z)) ** abs(j))[..., None] * (
+            m if isinstance(s, Quaternion) else m[..., None] * [1.0, 0.0, 0.0, 0.0])
+    if not np.isfinite(w).all():
+        raise ValueError(f"psi_{{{mu},{j}}} leaves double range on this batch")
+    return w
 
 
 def psi(mu, j: int, q, policy: TruncationPolicy = DEFAULT_POLICY):
     """Eigenfunction psi_{mu,j} of the slice operator, box psi = mu psi, at
-    one Quaternion q (a Quaternion) or an (..., 4) batch (an (..., 4) array).
-
-    z^|j| is taken in the slice of each point and multiplied by the Kummer
-    factor M: for real mu M is real, for quaternion mu it lies in the slice
-    of mu and multiplies from the right."""
+    one Quaternion q (a Quaternion) or an (..., 4) batch (an (..., 4) array):
+    its slice form at each point's slice coordinate, lifted onto its unit."""
     if isinstance(q, Quaternion):
         return qarray.to_quaternion(psi(mu, j, qarray.from_quaternion(q)[None, :], policy)[0])
-    a, c, power, conjugated = _psi_params(mu, j)
     z, unit = qarray.to_slice(q)
-    m = kummer_M(a, c, qarray.norm_sq(q), policy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = (np.conj(z) if conjugated else z) ** power
-        out = (qarray.qmul(qarray.from_slice(base, unit), m) if isinstance(a, Quaternion)
-               else qarray.from_slice(base * m, unit))
-    if not np.isfinite(out).all():
-        raise ValueError(f"psi_{{{mu},{j}}} leaves double range on this batch")
-    return out
+    return qarray.lift(_psi_form(mu, j, z, policy), unit)
 
 
 class Eigenfunction:
-    """psi_{n,j} as a quadrature integrand: evaluates through psi."""
+    """psi_{n,j} as a quadrature integrand, read through psi or its slice
+    form.  For integer n >= 0 and j >= -n it has level n and degree n + j,
+    which the slice rules' degree guard reads; else both are None."""
 
     def __init__(self, n: int, j: int):
         self.n, self.j = n, j
+        r = n.w if isinstance(n, Quaternion) and n.imag_norm() == 0 else n  # psi reads it as real
+        polynomial = isinstance(r, numbers.Real) and float(r).is_integer() and 0 <= r and j >= -r
+        self.level, self.degree = (int(r), int(r) + j) if polynomial else (None, None)
 
     def eval_many(self, pts):
         return psi(self.n, self.j, pts)
+
+    def slice_form(self, z):
+        return _psi_form(self.n, self.j, z, DEFAULT_POLICY)
 
 
 def psi_norm_sq(n: int, j: int) -> float:

@@ -292,6 +292,17 @@ def test_bad_quaternion_literal_exit_two(capsys):
         assert "exact only through degree 79" in r.stderr and r.stdout == ""
 
 
+def test_table_norms_refuses_degrees_past_the_slice_rule(capsys):
+    # |psi_{n,j}|^2 has degree 2(2n + j); every row is checked before the header,
+    # so --n 19 --jmax 3 prints nothing though its rows j = 0, 1 fit the 40-node rule
+    for argv, degree in ((("--n", "40", "--jmax", "40"), 160), (("--n", "19", "--jmax", "3"), 80)):
+        r = run_main(capsys, "table", "norms", *argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == ""
+        assert r.stderr == ("error: slice rule with n=40 is exact only through degree 79, "
+                            f"integrand has degree {degree}\n")
+
+
 @pytest.mark.parametrize("method", ["series", "star"])
 def test_negative_terms_exit_two(method, capsys):
     from spolyreg.cli import main

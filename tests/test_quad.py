@@ -21,7 +21,7 @@ from spolyreg import (
     sphere_rule,
 )
 from spolyreg import qarray, quad
-from spolyreg.series import coeff_stack
+from spolyreg.series import coeff_stack, slice_values
 
 J_UNIT = quat(0, 0, 1, 0)
 
@@ -254,3 +254,110 @@ def test_values_on_slice_rule_matches_values_at_its_points(n, unit):
             got = quad.values_on(f, Q)
             assert got.shape == ref.shape == (n * n, 4)
             assert np.max(np.abs(got - ref)) <= 4 * eps * np.max(np.abs(ref))
+
+
+def _sphere_functions(rng):
+    """psi of both signs of j and random quaternion-coefficient series, each
+    with |f|^2 of degree <= 10, inside the 10 x 10 slice rule."""
+    from spolyreg.spectral import Eigenfunction
+    return ([Eigenfunction(n, j) for n, j in ((1, -1), (2, 0), (1, 3), (3, -2))]
+            + [_random_series(rng, 2, 3), _random_series(rng, 1, 2)])
+
+
+def test_slice_forms_lift_to_eval_many():
+    # f(Re z + U Im z) = lift(W(z), U), read at the (z, U) of random points,
+    # every seventh one real (U = 0)
+    from spolyreg.spectral import Eigenfunction
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        q = _mixed_batch(60, seed)
+        z, unit = qarray.to_slice(q)
+        funcs = ([Eigenfunction(2, j) for j in (-2, 0, 3)]
+                 + [Eigenfunction(quat(2, 0.5, -0.25, 0.1), 1), _random_series(rng, 2, 3)])
+        for f in funcs:
+            w = f.slice_form(z)
+            assert w.shape == (60, 4) and np.iscomplexobj(w)
+            ref = f.eval_many(q)
+            assert np.max(np.abs(qarray.lift(w, unit) - ref)) <= 4 * eps * np.max(np.abs(ref))
+        stack = slice_values(coeff_stack(funcs[-1:]), z)
+        assert stack.shape == (60, 1, 4) and np.array_equal(stack[:, 0], funcs[-1].slice_form(z))
+
+
+@pytest.mark.parametrize("n_slice", [10, 40])
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_sphere_pairings_match_pointwise_reference(n_slice, order):
+    # the slice-form pairing against qarray.gram of eval_many at every point
+    # of every slice; order 0 and 1 rules have sum_s w_s U_s != 0.  Worst seen
+    # 14 eps of sqrt(|f|^2 |g|^2), from a psi pair at n_slice = 40, order 6
+    eps = np.finfo(float).eps
+    sphere = sphere_rule(order)
+    funcs = _sphere_functions(np.random.default_rng(order))
+    z, w = quad._slice_nodes(n_slice)
+    units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units])
+    pts = qarray.from_slice(z, units[:, None]).reshape(-1, 4)
+    vals = np.stack([f.eval_many(pts) for f in funcs])
+    ref = qarray.gram(vals, vals, np.outer(sphere.weights, w).ravel())
+    norms = ref[np.arange(len(funcs)), np.arange(len(funcs)), 0]
+    for a, f in enumerate(funcs):
+        assert abs(quad.norm_sq_full(f, n_slice, sphere) - norms[a]) <= 64 * eps * norms[a]
+        for b, g in enumerate(funcs):
+            got = qarray.from_quaternion(inner_full(f, g, n_slice, sphere))
+            assert np.max(np.abs(got - ref[a, b])) <= 64 * eps * math.sqrt(norms[a] * norms[b])
+
+
+def test_sphere_pairings_read_slice_forms_only(monkeypatch):
+    # declared slice functions and coefficient stacks never reach eval_many
+    from spolyreg.spectral import Eigenfunction
+    funcs = _sphere_functions(np.random.default_rng(3))
+    stack = coeff_stack(funcs[4:])
+
+    def pairings():
+        return ([inner_full(f, g, 10).as_tuple() for f in funcs for g in funcs],
+                [quad.norm_sq_full(f, 10) for f in funcs], quad.norm_sq_full(stack, 10))
+
+    before = pairings()
+
+    def refuse(self, pts):
+        raise AssertionError("eval_many on the sphere of slices")
+
+    monkeypatch.setattr(PolySliceSeries, "eval_many", refuse)
+    monkeypatch.setattr(Eigenfunction, "eval_many", refuse)
+    for got, ref in zip(pairings(), before):
+        assert np.array_equal(got, ref)
+
+
+def test_norm_sq_full_of_a_coefficient_stack(monkeypatch):
+    # the stack pads each function to its shape, which reorders the sums:
+    # worst seen 5.5 eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    funcs = [_random_series(rng, k, 4 - k) for k in range(4)] + [hermite_series(3, 2)]
+    each = np.array([quad.norm_sq_full(f, 12) for f in funcs])
+    for block in (64, 2):
+        monkeypatch.setattr(quad, "_NORM_BLOCK", block)
+        got = quad.norm_sq_full(coeff_stack(funcs), 12)
+        assert got.shape == (5,)
+        assert np.all(np.abs(got - each) <= 16 * eps * each)
+    # its degree guard reads the stack's last nonzero row and column
+    with pytest.raises(QuadratureDegreeError, match="integrand has degree 10"):
+        quad.norm_sq_full(coeff_stack(funcs), 5)
+
+
+def test_functions_without_a_slice_form_pair_on_every_slice():
+    # a plain callable, or an object with eval_many alone, is read at the
+    # points of every slice; it pairs as its series does
+    c = quat(0.2, -0.5, 1.0, 0.3)
+    series = PolySliceSeries([[quat(0), c]])
+
+    class ValuesOnly:
+        def eval_many(self, pts):
+            return series.eval_many(pts)
+
+    sphere = sphere_rule(1)
+    want = inner_full(series, series, 4, sphere).as_tuple()
+    for f in (lambda q: q * c, ValuesOnly()):
+        for g in (f, series):
+            assert np.allclose(inner_full(f, g, 4, sphere).as_tuple(), want, rtol=0, atol=1e-13)
+        assert quad.norm_sq_full(f, 4, sphere) == pytest.approx(want[0], rel=1e-14)
+    assert want[0] == pytest.approx(4 * math.pi ** 2 * c.norm_sq(), rel=1e-14)

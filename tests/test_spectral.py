@@ -170,6 +170,22 @@ def test_psi_norm_matches_quadrature(n, j):
     assert num == pytest.approx(psi_norm_sq(n, j), rel=1e-10)
 
 
+def test_full_pairings_refuse_psi_past_the_slice_rule():
+    # psi_{n,j} has level n and degree n + j, so |psi|^2 has degree 2(2n + j)
+    from spolyreg import QuadratureDegreeError, inner_full
+    f = Eigenfunction(3, -2)
+    assert (f.level, f.degree) == (3, 1)
+    for n in (40, 40.0, np.int64(40), quat(40)):
+        with pytest.raises(QuadratureDegreeError,
+                           match="exact only through degree 79, integrand has degree 160"):
+            norm_sq_full(Eigenfunction(n, 0), n_slice=40)
+    with pytest.raises(QuadratureDegreeError, match="integrand has degree 40"):
+        inner_full(Eigenfunction(10, 0), Eigenfunction(10, 0), n_slice=20)
+    # a psi whose series does not terminate has no degree to check
+    for g in (Eigenfunction(quat(2, 0.5, 0, 0), 1), Eigenfunction(2.5, 0), Eigenfunction(2, -3)):
+        assert g.level is None and g.degree is None
+
+
 def test_expand_eigen_roundtrip():
     n = 2
     c = {0: quat(2, -1, 0, 3), 1: quat(0.5), -2: quat(0, 1, 1, 0)}
