@@ -266,12 +266,14 @@ def cmd_table(args, config: Config) -> int:
             print(f"{m},{n},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     else:  # laguerre-sum
-        print("x,sum_L0,L1_closed,residual")
+        # every row before the header, so a refused --n prints nothing
+        rows = []
         for i in range(1, 11):
             x = 0.5 * i
             lhs = sum(laguerre(k, 0, x) for k in range(args.n + 1))
             rhs = laguerre(args.n, 1, x)
-            print(f"{_fmt(x)},{_fmt(lhs)},{_fmt(rhs)},{_fmt(abs(lhs - rhs))}")
+            rows.append(f"{_fmt(x)},{_fmt(lhs)},{_fmt(rhs)},{_fmt(abs(lhs - rhs))}")
+        _write_lines(["x,sum_L0,L1_closed,residual"] + rows)
     return 0
 
 
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("transform", parents=[common],
                         help="apply the level-k Bargmann transform")
-    pt.add_argument("--level", type=int, required=True)
+    pt.add_argument("--level", type=_nonnegative_int, required=True)
     pt.add_argument("--phi", required=True,
                     help="h:<j> or a CSV file of t,value samples on the nodes")
     pt.add_argument("--q", help="quaternion literal")

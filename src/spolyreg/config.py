@@ -16,9 +16,9 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .bargmann import LINE_NODES_MIN
+from .bargmann import DEFAULT_LINE_NODES, LINE_NODES_MIN
 from .kernels import SERIES_TERMS, STAR_TERMS
-from .quad import NODE_CAP
+from .quad import DEFAULT_SLICE_NODES, DEFAULT_SPHERE_ORDER, NODE_CAP
 from .series import EXP_STAR_CAP
 
 __all__ = ["Config", "DEFAULT_TOLERANCES", "load_config"]
@@ -58,9 +58,9 @@ def _check_real(name: str, v, positive: bool) -> None:
 
 @dataclass(frozen=True)
 class Config:
-    line_nodes: int = 80        # Gauss-Hermite points for the real-line pairing
-    slice_nodes: int = 40       # per-axis Gauss-Hermite points on a slice
-    sphere_order: int = 6       # exactness order of the unit-sphere rule
+    line_nodes: int = DEFAULT_LINE_NODES       # Gauss-Hermite points for the real-line pairing
+    slice_nodes: int = DEFAULT_SLICE_NODES     # per-axis Gauss-Hermite points on a slice
+    sphere_order: int = DEFAULT_SPHERE_ORDER   # exactness order of the unit-sphere rule
     series_terms: int = SERIES_TERMS   # truncation of the kernel ladder series
     star_terms: int = STAR_TERMS       # truncation of the star-product kernel path
     fd_step: float = 1e-3       # finite-difference step for the slice operator

@@ -28,10 +28,11 @@ n+1 second-kind kernels; its star path uses the gamma = 1 star Laguerre
 polynomial (the Laguerre summation identity).
 
 A KernelSpec names the kind, level, method and truncation, and is the one
-place a truncation is checked.  kernel_value, kernel_tail (the geometric
-tail bound of the dropped terms) and kernel_value_tail are views of one
-batch route.  A series truncation is a cap: each (level, row) stops at its
-own last useful term (_series_stops), shared by its value and its tail.
+place a level and a truncation are checked.  kernel_value, kernel_tail
+(the geometric tail bound of the dropped terms) and kernel_value_tail are
+views of one batch route.  A series truncation is a cap: each (level, row)
+stops at its own last useful term (_series_stops), shared by its value
+and its tail.
 
 project_batch pairs K_{2,k}(p, .) with f over a slice rule, with `terms`
 again a cap: the H_{j,k} are orthogonal, so for a polynomial f every term
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qarray
-from .poly import laguerre
+from .poly import DEGREE_CAP, laguerre
 from .quad import check_slice_degree, values_on
 from .quat import Quaternion
 from .series import EXP_STAR_CAP, PolySliceSeries
@@ -69,9 +70,18 @@ _STOP_BLOCK = 1 << 17         # (level, row, term) cells of one block of the sto
 _LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + 2)])
 
 
+def _check_level(level: int) -> None:
+    """A kernel level lies in 0..DEGREE_CAP, the cap of the Laguerre factor
+    that the stop bound and the star and closed forms read."""
+    if level < 0:
+        raise ValueError("kernel level must be nonnegative")
+    if level > DEGREE_CAP:
+        raise ValueError(f"kernel level {level} exceeds cap {DEGREE_CAP}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to compute and how; the one place a truncation is checked."""
+    """Which kernel to compute and how; the one place a level and a truncation are checked."""
 
     kind: str = "second"          # "second" (fixed level) or "first" (sum)
     level: int = 0
@@ -83,8 +93,7 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be 'first' or 'second', got {self.kind!r}")
         if self.method not in ("series", "star", "closed"):
             raise ValueError(f"kernel method must be 'series', 'star' or 'closed', got {self.method!r}")
-        if self.level < 0:
-            raise ValueError("kernel level must be nonnegative")
+        _check_level(self.level)
         if self.terms is None:   # the closed form has no truncation
             object.__setattr__(self, "terms", {"series": SERIES_TERMS, "star": STAR_TERMS}.get(self.method))
         if self.method == "series" and self.terms < self.level:
@@ -219,9 +228,11 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
 
     The summand is (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)), with
     both factors in the slice of their point: qarray.lift_conj_product
-    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  `terms` is a
-    cap, refused below k_max as in KernelSpec: each (level, row) adds its
-    terms through its own _series_stops stop."""
+    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  k_max is
+    checked as a KernelSpec level.  `terms` is a cap, refused below k_max as
+    in KernelSpec: each (level, row) adds its terms through its own
+    _series_stops stop."""
+    _check_level(k_max)
     if terms < k_max:
         raise ValueError(f"series truncation {terms} is below the level {k_max}")
     w, zeta, unit_q, unit_p = _slice_pair(ppts, qpts)

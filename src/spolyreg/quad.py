@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 NODE_CAP = 200
+DEFAULT_SLICE_NODES = 40   # per-axis Gauss-Hermite points of a slice rule
+DEFAULT_SPHERE_ORDER = 6   # exactness order of the unit-sphere rule
 _NORM_BLOCK = 64         # functions per block of norm_sq_slice on a coefficient stack
 
 
@@ -112,7 +114,7 @@ class SliceQuadrature:
     in the slice coordinates exactly.
     """
 
-    def __init__(self, n: int = 40, unit: Quaternion = UNIT_I):
+    def __init__(self, n: int = DEFAULT_SLICE_NODES, unit: Quaternion = UNIT_I):
         self.z, self.weights = _slice_nodes(n)
         self.n = n
         self.unit = unit
@@ -133,7 +135,7 @@ class SphereRule:
     order: int
 
 
-def sphere_rule(order: int = 6) -> SphereRule:
+def sphere_rule(order: int = DEFAULT_SPHERE_ORDER) -> SphereRule:
     if order < 0:
         raise ValueError("sphere rule order must be nonnegative")
     n_u = order // 2 + 1
@@ -274,7 +276,7 @@ class _SphereOfSlices:
         return weights @ np.sum(x * y, axis=-1)
 
 
-def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Quaternion:
+def inner_full(f, g, n_slice: int = DEFAULT_SLICE_NODES, sphere: SphereRule | None = None) -> Quaternion:
     """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I},
     on sphere_rule() if sphere is None.  Two functions with a slice_form are
     read once, on the slice; else both are read at every point of every slice."""
@@ -286,7 +288,7 @@ def inner_full(f, g, n_slice: int = 40, sphere: SphereRule | None = None) -> Qua
     return qarray.to_quaternion(qarray.gram(x[None], y[None], w)[0, 0])
 
 
-def norm_sq_full(f, n_slice: int = 40, sphere: SphereRule | None = None):
+def norm_sq_full(f, n_slice: int = DEFAULT_SLICE_NODES, sphere: SphereRule | None = None):
     """|f|^2 over the sphere of slices as a float, read as inner_full reads it;
     for a coeff_stack tensor the (m,) norms, from slice_values a block at a time."""
     S = _SphereOfSlices(n_slice, sphere)

@@ -21,7 +21,6 @@ __all__ = [
     "Quaternion",
     "SliceForm",
     "PolarForm",
-    "ZERO",
     "ONE",
     "I",
     "J",
@@ -149,10 +148,6 @@ class Quaternion:
 
     # -- structure -------------------------------------------------------
 
-    @property
-    def re(self):
-        return self.w
-
     def imag(self) -> "Quaternion":
         return Quaternion(0, self.x, self.y, self.z)
 
@@ -191,9 +186,6 @@ class SliceForm:
     y: float
     unit: Quaternion
 
-    def to_quaternion(self) -> Quaternion:
-        return self.x + self.unit * self.y
-
 
 @dataclass(frozen=True, slots=True)
 class PolarForm:
@@ -203,11 +195,7 @@ class PolarForm:
     theta: float
     unit: Quaternion
 
-    def to_quaternion(self) -> Quaternion:
-        return (math.cos(self.theta) + self.unit * math.sin(self.theta)) * self.r
 
-
-ZERO = Quaternion(0, 0, 0, 0)
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)

@@ -7,11 +7,12 @@ the q power) read in three forms:
 * ``PolySliceSeries``  f(q) = sum_{k,j} qbar^k q^j c_kj  (left form)
 * ``RightPolySeries``  f(q) = sum_{k,j} c_kj q^j qbar^k  (right form)
 
-All three share one storage rule, one star convolution (c_kj d_xy at
-(k+x, j+y), multiplied in that order, so noncommutative unless all
-coefficients share a slice) and one evaluation loop.  The left form is
-the canonical one; conjugation maps it onto the right form and exchanges
-the two star products.
+All three share one grid class (storage, linear structure, comparison),
+whose one-row case is the slice-regular form; one star convolution
+(c_kj d_xy at (k+x, j+y), multiplied in that order, so noncommutative
+unless all coefficients share a slice) and one evaluation loop.  The
+left form is the canonical one; conjugation maps it onto the right form
+and exchanges the two star products.
 
 Coefficients may be exact (int / Fraction components); every operation
 here preserves exactness, which is what the identity-level tests run on.
@@ -125,76 +126,87 @@ def _allclose(a, b, tol: float) -> bool:
 
 
 class _Grid:
-    """The grid, shape, entries and comparison of the left and right forms;
-    equality needs the same type, so a left form never equals a right one."""
+    """The grid of the three forms with its shape, entries, linear structure
+    and comparison.  Each result has its operand's type; equality needs the
+    same type, so no two forms ever compare equal."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_rows",)
 
     def __init__(self, rows=()):
-        self.coeffs = _grid(rows)
+        self._rows = _grid(rows)
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """A cls on the grid `rows`, whatever row shape cls's constructor reads."""
+        out = object.__new__(cls)
+        out._rows = _grid(rows)
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._rows
 
     @property
     def level(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._rows) - 1
 
     @property
     def degree(self) -> int:
-        return max(map(len, self.coeffs), default=0) - 1
+        return max(map(len, self._rows), default=0) - 1
 
     def coeff(self, k: int, j: int) -> Quaternion:
-        return _entry(self.coeffs, k, j)
+        return _entry(self._rows, k, j)
+
+    # -- linear structure ------------------------------------------------
+
+    def __add__(self, other):
+        return self._from_rows(_zip(self._rows, other._rows, operator.add))
+
+    def __sub__(self, other):
+        return self._from_rows(_zip(self._rows, other._rows, operator.sub))
+
+    def __neg__(self):
+        return self._from_rows([[-c for c in row] for row in self._rows])
+
+    def scale(self, s):
+        """Multiply by a real scalar (Fraction-safe)."""
+        return self._from_rows([[c * s for c in row] for row in self._rows])
+
+    def rmul(self, c):
+        """Right module action f * c (coefficients c_kj * c)."""
+        c = _lift(c)
+        return self._from_rows([[a * c for a in row] for row in self._rows])
+
+    # -- comparison ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._rows)
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
-        return _allclose(self.coeffs, other.coeffs, tol)
+        return _allclose(self._rows, other._rows, tol)
 
     def __repr__(self):
         return f"{type(self).__name__}(level={self.level}, degree={self.degree})"
 
 
-class SliceSeries:
+class SliceSeries(_Grid):
     """Polynomial slice series sum_j q^j a_j with right coefficients: the
-    one-row grid, kept as the flat tuple of its row."""
+    one-row grid, whose coeffs are the flat tuple of its row."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        grid = _grid([coeffs])
-        self.coeffs = grid[0] if grid else ()
+        self._rows = _grid([coeffs])
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        return self._rows[0] if self._rows else ()
 
     def coeff(self, j: int) -> Quaternion:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else _Z
-
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other: "SliceSeries") -> "SliceSeries":
-        return SliceSeries(*_zip([self.coeffs], [other.coeffs], operator.add))
-
-    def __sub__(self, other: "SliceSeries") -> "SliceSeries":
-        return SliceSeries(*_zip([self.coeffs], [other.coeffs], operator.sub))
-
-    def __neg__(self) -> "SliceSeries":
-        return SliceSeries([-c for c in self.coeffs])
-
-    def scale(self, s) -> "SliceSeries":
-        """Multiply by a real scalar (Fraction-safe)."""
-        return SliceSeries([c * s for c in self.coeffs])
-
-    def rmul(self, c) -> "SliceSeries":
-        """Right module action f * c (coefficients a_j * c)."""
-        c = _lift(c)
-        return SliceSeries([a * c for a in self.coeffs])
-
-    # -- analysis --------------------------------------------------------
+        return _entry(self._rows, 0, j)
 
     def deriv(self, order: int = 1) -> "SliceSeries":
         """Slice derivative (d/dq)^order applied termwise."""
@@ -206,7 +218,7 @@ class SliceSeries:
     def star(self, other: "SliceSeries") -> "SliceSeries":
         """Left slice star product: Cauchy convolution with ordered
         coefficient products a_k b_{n-k}."""
-        return SliceSeries(*_convolve([self.coeffs], [other.coeffs]))
+        return self._from_rows(_convolve(self._rows, other._rows))
 
     def star_pow(self, k: int) -> "SliceSeries":
         out = SliceSeries([1])
@@ -214,22 +226,13 @@ class SliceSeries:
             out = out.star(self)
         return out
 
-    # -- evaluation ------------------------------------------------------
-
     def eval(self, q: Quaternion) -> Quaternion:
-        return _eval([self.coeffs], q, left=False)
+        return _eval(self._rows, q, left=False)
 
     __call__ = eval
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return PolySliceSeries([self.coeffs]).eval_many(pts)
-
-    # -- comparison ------------------------------------------------------
-
-    __eq__, __hash__ = _Grid.__eq__, _Grid.__hash__
-
-    def allclose(self, other: "SliceSeries", tol: float = 1e-12) -> bool:
-        return _allclose([self.coeffs], [other.coeffs], tol)
+        return PolySliceSeries(self._rows).eval_many(pts)
 
     def __repr__(self):
         return f"SliceSeries(degree={self.degree})"
@@ -250,33 +253,14 @@ class PolySliceSeries(_Grid):
 
     def component(self, k: int) -> SliceSeries:
         """Slice-regular component of level k (row k)."""
-        if 0 <= k < len(self.coeffs):
-            return SliceSeries(self.coeffs[k])
+        if 0 <= k < len(self._rows):
+            return SliceSeries(self._rows[k])
         return SliceSeries()
-
-    # -- linear structure ------------------------------------------------
-
-    def __add__(self, other):
-        return PolySliceSeries(_zip(self.coeffs, other.coeffs, operator.add))
-
-    def __sub__(self, other):
-        return PolySliceSeries(_zip(self.coeffs, other.coeffs, operator.sub))
-
-    def __neg__(self):
-        return PolySliceSeries([[-c for c in row] for row in self.coeffs])
-
-    def scale(self, s) -> "PolySliceSeries":
-        return PolySliceSeries([[c * s for c in row] for row in self.coeffs])
-
-    def rmul(self, c) -> "PolySliceSeries":
-        """Right module action f * c."""
-        c = _lift(c)
-        return PolySliceSeries([[a * c for a in row] for row in self.coeffs])
 
     def mul_qbar(self, power: int = 1) -> "PolySliceSeries":
         """Multiply by qbar^power on the left (row shift)."""
         pad = [[_Z]] * power
-        return PolySliceSeries(pad + [list(r) for r in self.coeffs])
+        return PolySliceSeries(pad + [list(r) for r in self._rows])
 
     # -- analysis --------------------------------------------------------
 
@@ -284,27 +268,27 @@ class PolySliceSeries(_Grid):
         """Slice derivative d/dq: qbar^k q^j c -> j qbar^k q^(j-1) c."""
         return PolySliceSeries(
             [[row[j + 1] * (j + 1) for j in range(len(row) - 1)]
-             for row in self.coeffs])
+             for row in self._rows])
 
     def dbar(self) -> "PolySliceSeries":
         """Conjugate slice derivative: qbar^k q^j c -> k qbar^(k-1) q^j c."""
         return PolySliceSeries(
             [[c * k for c in row]
-             for k, row in enumerate(self.coeffs)][1:])
+             for k, row in enumerate(self._rows)][1:])
 
     def star(self, other: "PolySliceSeries") -> "PolySliceSeries":
         """Left polyanalytic star product:
         (qbar^k q^j c) * (qbar^x q^y d) = qbar^(k+x) q^(j+y) (c d)."""
-        return PolySliceSeries(_convolve(self.coeffs, other.coeffs))
+        return PolySliceSeries(_convolve(self._rows, other._rows))
 
     def conj(self) -> "RightPolySeries":
         """conj(qbar^k q^j c) = conj(c) q^k qbar^j: transpose + conjugate."""
-        return RightPolySeries([[c.conj() for c in col] for col in zip(*self.coeffs)])
+        return RightPolySeries([[c.conj() for c in col] for col in zip(*self._rows)])
 
     # -- evaluation ------------------------------------------------------
 
     def eval(self, q: Quaternion) -> Quaternion:
-        return _eval(self.coeffs, q, left=False)
+        return _eval(self._rows, q, left=False)
 
     __call__ = eval
 
@@ -314,7 +298,7 @@ class PolySliceSeries(_Grid):
         The exact scalar reference of the star-identities suite and of the
         tests for star Laguerre and star exponential series, whose
         coefficients lie in the parameter's slice."""
-        return _eval(self.coeffs, q, left=True)
+        return _eval(self._rows, q, left=True)
 
     def slice_form(self, z: np.ndarray) -> np.ndarray:
         """Complex (N, 4) W with f(Re z + U Im z) = qarray.lift(W, U) for every unit U."""
@@ -333,7 +317,7 @@ class PolySliceSeries(_Grid):
             "level": self.level,
             "degree": self.degree,
             "coeffs": [[[float(v) for v in c.as_tuple()] for c in row]
-                       for row in self.coeffs],
+                       for row in self._rows],
         }
 
     @classmethod
@@ -348,7 +332,7 @@ def coeff_stack(funcs) -> np.ndarray:
     degree = max((f.degree for f in funcs), default=-1)
     c = np.zeros((level + 1, degree + 1, len(funcs), 4))
     for a, f in enumerate(funcs):
-        for k, row in enumerate(f.coeffs):
+        for k, row in enumerate(f._rows):
             c[k, :len(row), a] = [v.as_tuple() for v in row]
     return c
 
@@ -386,16 +370,16 @@ class RightPolySeries(_Grid):
     def star(self, other: "RightPolySeries") -> "RightPolySeries":
         """Right polyanalytic star product:
         (c q^j qbar^k) * (d q^y qbar^x) = (c d) q^(j+y) qbar^(k+x)."""
-        return RightPolySeries(_convolve(self.coeffs, other.coeffs))
+        return RightPolySeries(_convolve(self._rows, other._rows))
 
     def conj(self) -> PolySliceSeries:
         """conj(c q^j qbar^k) = qbar^j q^k conj(c): transpose + conjugate."""
-        return PolySliceSeries([[c.conj() for c in col] for col in zip(*self.coeffs)])
+        return PolySliceSeries([[c.conj() for c in col] for col in zip(*self._rows)])
 
     def eval(self, q: Quaternion) -> Quaternion:
         """sum c_kj (qbar^k q^j): q^j and qbar^k commute, so this is the
         left-coefficient evaluation of the same grid."""
-        return _eval(self.coeffs, q, left=True)
+        return _eval(self._rows, q, left=True)
 
     __call__ = eval
 

@@ -185,6 +185,23 @@ def test_table_laguerre_sum(capsys):
         assert float(line.split(",")[-1]) < 1e-12
 
 
+def test_table_laguerre_sum_refuses_before_printing(capsys):
+    r = run_main(capsys, "table", "laguerre-sum", "--n", "31")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: degree 31 exceeds cap 30\n"
+
+
+def test_kernel_and_transform_levels_refused_with_their_own_names(capsys):
+    for method in ("series", "star"):
+        r = run_main(capsys, "eval", "kernel", "--level", "31", "--method", method,
+                     "--p", "1", "--q", "1")
+        assert r.returncode == 2 and r.stdout == "", method
+        assert r.stderr == "error: kernel level 31 exceeds cap 30\n"
+    r = run_main(capsys, "transform", "--level", "-1", "--phi", "h:3", "--q", "1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "argument --level: '-1' is negative" in r.stderr
+
+
 def test_eval_psi_overflow_exit_two(capsys):
     # e^(|q|^2) leaves double range: refused, not printed as nan with exit 0
     for mu in ("0.5", "0.5+0.25i"):

@@ -465,6 +465,20 @@ def test_k2_series_levels_refuses_a_cap_below_k_max():
     assert np.max(np.abs(k2_series_levels(4, p, q)[4] - closed)) < 1e-13
 
 
+def test_kernel_level_is_refused_past_the_laguerre_cap():
+    # one domain for every method: the stop bound and the star and closed forms read L_level
+    p = qarray.from_quaternion(quat(0.3, 0.2, 0.1, 0.0))
+    q = qarray.from_quaternion(quat(0.5, -0.1, 0.2, 0.3))[None, :]
+    for kind in ("first", "second"):
+        for method in ("series", "star", "closed"):
+            with pytest.raises(ValueError, match="kernel level 31 exceeds cap 30"):
+                KernelSpec(kind, 31, method)
+            assert kernel_value(KernelSpec(kind, 30, method), p, q).shape == (1, 4)
+    with pytest.raises(ValueError, match="kernel level 31 exceeds cap 30"):
+        k2_series_levels(31, p, q)
+    assert k2_series_levels(30, p, q).shape == (31, 1, 4)
+
+
 def test_lift_conj_product_matches_qmul():
     rng = np.random.default_rng(21)
     n = 12

@@ -134,6 +134,32 @@ def test_slice_star_is_level_zero_grid_star():
     assert SliceSeries(c).star(SliceSeries()).coeffs == ()
 
 
+def test_slice_series_is_level_zero_grid():
+    # each operation on sum_j q^j a_j is row 0 of the same operation on its one-row grid
+    c, d = _frac_grid(11, 1, 4)[0], _frac_grid(12, 1, 3)[0]
+    f, g, F, G = SliceSeries(c), SliceSeries(d), PolySliceSeries([c]), PolySliceSeries([d])
+    s, u = Fraction(-5, 3), _frac_grid(13, 1, 1)[0][0]
+    for got, want in ((f + g, F + G), (f - g, F - G), (f - f, F - F), (-f, -F),
+                      (f.scale(s), F.scale(s)), (f.rmul(u), F.rmul(u)),
+                      (f.star(g), F.star(G)), (f.star_pow(3), F.star(F).star(F)),
+                      (f.deriv(2), F.d().d())):
+        assert type(got) is SliceSeries
+        assert got.coeffs == (want.coeffs[0] if want.coeffs else ())
+    h, H = f + SliceSeries([quat(Fraction(1, 10 ** 9))]), F + PolySliceSeries([[quat(Fraction(1, 10 ** 9))]])
+    assert f == SliceSeries(list(c)) and F == PolySliceSeries([list(c)])
+    assert hash(f) == hash(SliceSeries(list(c))) and hash(F) == hash(PolySliceSeries([list(c)]))
+    assert f != g and F != G and f != F
+    for tol in (0, 1e-12, 1e-6):
+        assert f.allclose(h, tol) == F.allclose(H, tol)
+        assert f.allclose(f, tol) and F.allclose(F, tol)
+    assert not f.allclose(h, 1e-12) and f.allclose(h, 1e-6)
+    rng = np.random.default_rng(14)
+    for p in _frac_grid(15, 1, 5)[0]:
+        assert f.eval(p) == F.eval(p) and f(p) == F(p)
+    pts = rng.uniform(-1.5, 1.5, size=(20, 4))
+    assert np.array_equal(f.eval_many(pts), F.eval_many(pts))
+
+
 def test_left_and_right_forms_never_equal():
     grid = _frac_grid(3, 2, 3)
     left, right = PolySliceSeries(grid), RightPolySeries(grid)
