@@ -20,8 +20,8 @@ from .bargmann import (HermiteLine, SampledLine, b2_grid, b2_norm_closed,
                        basis_image_scale, transform_batch)
 from .config import Config, load_config
 from .kernels import KernelSpec, kernel_tail, kernel_value, project_batch
-from .poly import (KummerConvergenceError, TruncationPolicy, hermite_H,
-                   hermite_fn, hermite_quat, kummer_M, laguerre, pochhammer)
+from .poly import (KummerConvergenceError, hermite_H, hermite_fn, hermite_quat,
+                   kummer_M, laguerre, pochhammer)
 from .quad import (QuadratureDegreeError, Rule1D, SliceQuadrature, SphereRule,
                    gauss_hermite, gauss_legendre, gram_slice, inner_full,
                    inner_real, inner_slice, norm_sq_full, norm_sq_slice,
@@ -33,9 +33,8 @@ from .series import (PolySliceSeries, RightPolySeries, SliceSeries, exp_star,
                      extract_components, from_hermite_basis, hermite_op,
                      hermite_series, laguerre_star, poly_monomial, s_k_series,
                      slice_monomial, to_hermite_basis)
-from .spectral import (EigenExpansion, ProbeResult, SpectralConfig, box_fd,
-                       box_symbolic, expand_eigen, psi, psi_norm_sq,
-                       spectrum_probe)
+from .spectral import (EigenExpansion, ProbeResult, box_fd, box_symbolic,
+                       expand_eigen, psi, psi_norm_sq, spectrum_probe)
 from .verify import SUITES, run_all, run_suite
 
 __version__ = "0.1.0"
@@ -44,7 +43,7 @@ __all__ = [
     "Quaternion", "quat", "qexp", "split", "imaginary_unit",
     "parse_quaternion", "format_quaternion",
     "hermite_H", "hermite_fn", "laguerre", "pochhammer", "kummer_M",
-    "hermite_quat", "TruncationPolicy", "KummerConvergenceError",
+    "hermite_quat", "KummerConvergenceError",
     "SliceSeries", "PolySliceSeries", "RightPolySeries", "slice_monomial",
     "poly_monomial", "hermite_series", "hermite_op", "extract_components",
     "to_hermite_basis", "from_hermite_basis", "s_k_series", "laguerre_star",
@@ -55,7 +54,7 @@ __all__ = [
     "KernelSpec", "kernel_value", "kernel_tail", "project_batch",
     "HermiteLine", "SampledLine", "b2_grid", "transform_batch",
     "basis_image_scale", "b2_norm_closed",
-    "SpectralConfig", "box_symbolic", "box_fd", "psi", "psi_norm_sq",
+    "box_symbolic", "box_fd", "psi", "psi_norm_sq",
     "EigenExpansion", "expand_eigen", "ProbeResult", "spectrum_probe",
     "Config", "load_config", "Case", "VerificationReport",
     "SUITES", "run_suite", "run_all",

@@ -47,7 +47,8 @@ from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_s
 from .quad import norm_sq_full
 from .quat import format_quaternion, parse_quaternion
 from .series import coeff_stack, hermite_series
-from .spectral import Eigenfunction, psi, psi_norm_sq, spectrum_probe
+from .spectral import (PROBE_R_MAX, PROBE_WINDOWS, Eigenfunction, psi, psi_norm_sq,
+                       spectrum_probe)
 from .verify import SUITE_ORDER, run_all, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -361,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="radial mass probe of an eigenvalue candidate")
     ps.add_argument("--mu", required=True, help="quaternion literal")
     ps.add_argument("--j", type=int, default=0)
-    ps.add_argument("--rmax", type=_finite_float, default=8.0)
-    ps.add_argument("--windows", type=int, default=16)
+    ps.add_argument("--rmax", type=_finite_float, default=PROBE_R_MAX)
+    ps.add_argument("--windows", type=int, default=PROBE_WINDOWS)
 
     return parser
 

@@ -17,9 +17,10 @@ import os
 from dataclasses import dataclass, field
 
 from .bargmann import DEFAULT_LINE_NODES, LINE_NODES_MIN
-from .kernels import SERIES_TERMS, STAR_TERMS
+from .kernels import SERIES_TERMS
 from .quad import DEFAULT_SLICE_NODES, DEFAULT_SPHERE_ORDER, NODE_CAP
-from .series import EXP_STAR_CAP
+from .series import EXP_STAR_CAP, STAR_TERMS
+from .spectral import FD_ORDER, FD_STEP
 
 __all__ = ["Config", "DEFAULT_TOLERANCES", "load_config"]
 
@@ -63,8 +64,8 @@ class Config:
     sphere_order: int = DEFAULT_SPHERE_ORDER   # exactness order of the unit-sphere rule
     series_terms: int = SERIES_TERMS   # truncation of the kernel ladder series
     star_terms: int = STAR_TERMS       # truncation of the star-product kernel path
-    fd_step: float = 1e-3       # finite-difference step for the slice operator
-    fd_order: int = 4           # central-stencil order (2 or 4)
+    fd_step: float = FD_STEP    # finite-difference step for the slice operator
+    fd_order: int = FD_ORDER    # central-stencil order (2 or 4)
     seed: int = 20240 + 1       # base seed for randomised verification suites
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 

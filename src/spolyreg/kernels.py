@@ -49,7 +49,7 @@ from . import qarray
 from .poly import DEGREE_CAP, laguerre
 from .quad import check_slice_degree, values_on
 from .quat import Quaternion
-from .series import EXP_STAR_CAP, PolySliceSeries
+from .series import EXP_STAR_CAP, STAR_TERMS, PolySliceSeries
 
 __all__ = [
     "KernelSpec",
@@ -62,21 +62,11 @@ __all__ = [
 ]
 
 SERIES_TERMS = 200
-STAR_TERMS = 40
 _GAMMA = {"second": 0, "first": 1}   # Laguerre parameter of each kind's closed form
 _EPS = np.finfo(float).eps
 _SAME_SLICE = 4 * _EPS        # |U x V| up to which two units share a slice
 _STOP_BLOCK = 1 << 17         # (level, row, term) cells of one block of the stop search
 _LOG_FACTORIAL = np.array([math.lgamma(j + 1) for j in range(SERIES_TERMS + 2)])
-
-
-def _check_level(level: int) -> None:
-    """A kernel level lies in 0..DEGREE_CAP, the cap of the Laguerre factor
-    that the stop bound and the star and closed forms read."""
-    if level < 0:
-        raise ValueError("kernel level must be nonnegative")
-    if level > DEGREE_CAP:
-        raise ValueError(f"kernel level {level} exceeds cap {DEGREE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,10 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be 'first' or 'second', got {self.kind!r}")
         if self.method not in ("series", "star", "closed"):
             raise ValueError(f"kernel method must be 'series', 'star' or 'closed', got {self.method!r}")
-        _check_level(self.level)
+        if self.level < 0:   # DEGREE_CAP: the Laguerre factor the stop bound and closed forms read
+            raise ValueError("kernel level must be nonnegative")
+        if self.level > DEGREE_CAP:
+            raise ValueError(f"kernel level {self.level} exceeds cap {DEGREE_CAP}")
         if self.terms is None:   # the closed form has no truncation
             object.__setattr__(self, "terms", {"series": SERIES_TERMS, "star": STAR_TERMS}.get(self.method))
         if self.method == "series" and self.terms < self.level:
@@ -228,13 +221,10 @@ def k2_series_levels(k_max: int, ppts: np.ndarray, qpts: np.ndarray,
 
     The summand is (1/(pi kappa!)) A_{j,kappa}(q) conj(A_{j,kappa}(p)), with
     both factors in the slice of their point: qarray.lift_conj_product
-    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  k_max is
-    checked as a KernelSpec level.  `terms` is a cap, refused below k_max as
-    in KernelSpec: each (level, row) adds its terms through its own
-    _series_stops stop."""
-    _check_level(k_max)
-    if terms < k_max:
-        raise ValueError(f"series truncation {terms} is below the level {k_max}")
+    forms its sum from sum A(q) A(p) and sum A(q) conj(A(p)).  k_max and
+    `terms` are checked as a KernelSpec's level and truncation; `terms` is a
+    cap: each (level, row) adds its terms through its own _series_stops stop."""
+    KernelSpec("second", k_max, "series", terms)
     w, zeta, unit_q, unit_p = _slice_pair(ppts, qpts)
     levels = range(k_max + 1)
     return _k2_series(levels, w, zeta, unit_q, unit_p, _series_stops(levels, zeta, w, terms)[0])

@@ -2,8 +2,8 @@
 
 Hermite and generalized Laguerre polynomials go through their three-term
 recurrences (exact when fed Fraction arguments), the confluent
-hypergeometric function through its power series with an explicit
-truncation policy, and the quaternionic Hermite polynomials
+hypergeometric function through its power series with one stop
+(KUMMER_TOL, KUMMER_TERMS), and the quaternionic Hermite polynomials
 
     H_{m,n}(q, qbar) = m! n! sum_j (-1)^j/j! q^(m-j)/(m-j)! qbar^(n-j)/(n-j)!
 
@@ -13,7 +13,6 @@ keep the factorials inside double range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .quat import Quaternion, quat
 
 __all__ = [
     "DEGREE_CAP",
-    "TruncationPolicy",
     "KummerConvergenceError",
     "hermite_H",
     "hermite_fn",
@@ -33,6 +31,8 @@ __all__ = [
 ]
 
 DEGREE_CAP = 30
+KUMMER_TOL = 1e-14    # a non-terminating Kummer sum stops at its first term below this
+KUMMER_TERMS = 800    # ... and is refused if it reaches this many terms first
 
 
 def _check_degree(n: int) -> None:
@@ -96,27 +96,9 @@ def pochhammer(a, j: int):
     return out
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Series stop rule: quit when a term's modulus drops below abs_tol,
-    or at max_terms, whichever comes first."""
-
-    max_terms: int = 500
-    abs_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be nonnegative")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
 class KummerConvergenceError(RuntimeError):
-    """Raised when the Kummer series hits max_terms while terms are still
-    above the policy tolerance, or when a term is not finite; the message
+    """Raised when the Kummer series reaches KUMMER_TERMS while terms are still
+    at or above KUMMER_TOL, or when a term is not finite; the message
     names which of the two happened."""
 
     def __init__(self, terms_used: int, last_term: float):
@@ -138,7 +120,7 @@ def _as_nonpositive_int(a) -> int | None:
     return None
 
 
-def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
+def kummer_M(a, c, x):
     """Confluent hypergeometric M(a; c | x) = sum_j (a)_j/(c)_j x^j/j!.
 
     a is real or complex; a nonpositive integer makes the series terminate
@@ -147,8 +129,8 @@ def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
     slice: it is taken at s + i t and lifted back, to a Quaternion for scalar
     x and an (..., 4) array for array x; a real one keeps the real path,
     exact for Fraction x.  c is real, not zero or a negative integer.  Each
-    entry of an array x stops at its own first term below policy.abs_tol, as
-    its scalar call does.  A term that is not finite, or max_terms reached,
+    entry of an array x stops at its own first term below KUMMER_TOL, as
+    its scalar call does.  A term that is not finite, or KUMMER_TERMS reached,
     raises KummerConvergenceError.
     """
     if float(c) <= 0 and float(c).is_integer():
@@ -156,15 +138,15 @@ def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
     if isinstance(a, Quaternion):
         s = a.to_slice()
         if s.y == 0 and not isinstance(x, np.ndarray):
-            return quat(kummer_M(a.w, c, x, policy))
+            return quat(kummer_M(a.w, c, x))
         xs = np.asarray(x, dtype=float)  # a scalar x too: it then rounds as a batch entry
-        m = kummer_M(complex(s.x, s.y) if s.y else s.x, c, xs.reshape(-1), policy)
+        m = kummer_M(complex(s.x, s.y) if s.y else s.x, c, xs.reshape(-1))
         out = qarray.from_slice(m.reshape(xs.shape), qarray.from_quaternion(s.unit)[1:])
         return out if isinstance(x, np.ndarray) else qarray.to_quaternion(out)
     n_term = None if isinstance(a, complex) else _as_nonpositive_int(a)
-    stop = policy.max_terms if n_term is None else n_term
+    stop = KUMMER_TERMS if n_term is None else n_term
     total = term = x * 0 + 1
-    live = True  # entries whose last term is >= abs_tol; the others add zeros
+    live = True  # entries whose last term is >= KUMMER_TOL; the others add zeros
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(stop):
             # term_{j+1} = term_j * (a+j) * x / ((c+j)(j+1))
@@ -174,7 +156,7 @@ def kummer_M(a, c, x, policy: TruncationPolicy = DEFAULT_POLICY):
             if not np.all(mag < math.inf):
                 raise KummerConvergenceError(j + 1, float(np.max(mag)))
             if n_term is None:
-                live = mag >= policy.abs_tol
+                live = mag >= KUMMER_TOL
                 if not np.any(live):
                     return total
     if n_term is None:

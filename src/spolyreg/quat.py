@@ -148,9 +148,6 @@ class Quaternion:
 
     # -- structure -------------------------------------------------------
 
-    def imag(self) -> "Quaternion":
-        return Quaternion(0, self.x, self.y, self.z)
-
     def imag_norm(self) -> float:
         return math.sqrt(float(self.x * self.x + self.y * self.y + self.z * self.z))
 

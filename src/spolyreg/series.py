@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 EXP_STAR_CAP = 200
+STAR_TERMS = 40        # default star-exponential truncation (exp_star, the star kernel)
 
 _Z = quat(0)
 
@@ -509,7 +510,7 @@ def laguerre_star(n: int, gamma, q: Quaternion) -> PolySliceSeries:
     return out
 
 
-def exp_star(q: Quaternion, terms: int = 40) -> PolySliceSeries:
+def exp_star(q: Quaternion, terms: int = STAR_TERMS) -> PolySliceSeries:
     """Star exponential e*^[pbar, q] = sum_k pbar^k (q^k / k!) as a series
     in p.  Same-slice evaluation gives e^(pbar q)."""
     if not 0 <= terms <= EXP_STAR_CAP:

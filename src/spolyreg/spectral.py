@@ -38,13 +38,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import qarray
-from .poly import DEFAULT_POLICY, TruncationPolicy, kummer_M
+from .poly import kummer_M
 from .quat import Quaternion, quat
 from .quad import gauss_legendre
 from .series import PolySliceSeries, to_hermite_basis
 
 __all__ = [
-    "SpectralConfig",
     "box_symbolic",
     "box_fd",
     "psi",
@@ -56,23 +55,10 @@ __all__ = [
     "spectrum_probe",
 ]
 
-
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Finite-difference settings: step h and stencil order (2 or 4)."""
-
-    h: float = 1e-3
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ValueError("central stencil order must be 2 or 4")
-        if self.h <= 0:
-            raise ValueError("step must be positive")
-
-
-DEFAULT_SPECTRAL = SpectralConfig()
-_PROBE_POLICY = TruncationPolicy(max_terms=800, abs_tol=1e-12)   # spectrum_probe's Kummer stop
+FD_STEP = 1e-3       # box_fd's step h
+FD_ORDER = 4         # box_fd's central-stencil order (2 or 4)
+PROBE_R_MAX = 8.0    # spectrum_probe's outer radius
+PROBE_WINDOWS = 16   # spectrum_probe's number of annuli
 
 
 def box_symbolic(f: PolySliceSeries) -> PolySliceSeries:
@@ -97,16 +83,20 @@ def _stencil_1d(vals, h: float, order: int):
     return d1, d2
 
 
-def box_fd(f, q: Quaternion, cfg: SpectralConfig = DEFAULT_SPECTRAL) -> Quaternion:
-    """Finite-difference slice operator at q.
+def box_fd(f, q: Quaternion, h: float = FD_STEP, order: int = FD_ORDER) -> Quaternion:
+    """Finite-difference slice operator at q, central stencil of step h > 0
+    and order 2 or 4.
 
     Needs |Im q| > order * h to keep the stencil clear of the branch
     switch at the real axis; exactly real q uses the degenerate real
     form -f'' + x f'.
     """
+    if order not in (2, 4):
+        raise ValueError("central stencil order must be 2 or 4")
+    if h <= 0:
+        raise ValueError("step must be positive")
     q = quat(q)
     s = q.to_slice()
-    h, order = cfg.h, cfg.order
     offsets = (-1, 0, 1) if order == 2 else (-2, -1, 0, 1, 2)
 
     if s.y == 0.0:
@@ -136,13 +126,13 @@ def box_fd(f, q: Quaternion, cfg: SpectralConfig = DEFAULT_SPECTRAL) -> Quaterni
 # -- hypergeometric eigenfunctions ---------------------------------------
 
 
-def _psi_form(mu, j: int, z, policy: TruncationPolicy):
+def _psi_form(mu, j: int, z):
     """Slice form of psi_{mu,j}: complex (..., 4) W with psi(Re z + U Im z) =
     qarray.lift(W, U) for every unit U, z^|j| (conj(z) for j < 0) times M(|z|^2),
     real for real mu (a Quaternion with zero imaginary part counts) and for
     quaternion mu in the slice of mu, multiplying from the right."""
     s = mu if isinstance(mu, Quaternion) and mu.imag_norm() != 0 else float(quat(mu).w)
-    m = kummer_M(-s if j >= 0 else -(s + j), abs(j) + 1, z.real ** 2 + z.imag ** 2, policy)
+    m = kummer_M(-s if j >= 0 else -(s + j), abs(j) + 1, z.real ** 2 + z.imag ** 2)
     with np.errstate(over="ignore", invalid="ignore"):
         w = ((z if j >= 0 else np.conj(z)) ** abs(j))[..., None] * (
             m if isinstance(s, Quaternion) else m[..., None] * [1.0, 0.0, 0.0, 0.0])
@@ -151,14 +141,14 @@ def _psi_form(mu, j: int, z, policy: TruncationPolicy):
     return w
 
 
-def psi(mu, j: int, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def psi(mu, j: int, q):
     """Eigenfunction psi_{mu,j} of the slice operator, box psi = mu psi, at
     one Quaternion q (a Quaternion) or an (..., 4) batch (an (..., 4) array):
     its slice form at each point's slice coordinate, lifted onto its unit."""
     if isinstance(q, Quaternion):
-        return qarray.to_quaternion(psi(mu, j, qarray.from_quaternion(q)[None, :], policy)[0])
+        return qarray.to_quaternion(psi(mu, j, qarray.from_quaternion(q)[None, :])[0])
     z, unit = qarray.to_slice(q)
-    return qarray.lift(_psi_form(mu, j, z, policy), unit)
+    return qarray.lift(_psi_form(mu, j, z), unit)
 
 
 class Eigenfunction:
@@ -176,7 +166,7 @@ class Eigenfunction:
         return psi(self.n, self.j, pts)
 
     def slice_form(self, z):
-        return _psi_form(self.n, self.j, z, DEFAULT_POLICY)
+        return _psi_form(self.n, self.j, z)
 
 
 def psi_norm_sq(n: int, j: int) -> float:
@@ -257,7 +247,8 @@ class ProbeResult:
         }
 
 
-def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16) -> ProbeResult:
+def spectrum_probe(mu, j: int, r_max: float = PROBE_R_MAX,
+                   windows: int = PROBE_WINDOWS) -> ProbeResult:
     """Measure the radial e^(-r^2) mass of psi_{mu,j} on annuli.
 
     The slice integrand is r^(2|j|+1) |M|^2 e^(-r^2) = r |psi(r) e^(-r^2/2)|^2,
@@ -266,8 +257,9 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16) -> ProbeRe
     otherwise M grows like e^(r^2) and the masses blow up.  converged
     requires the last two annulus ratios to fall below 1.
 
-    Domain: a non-terminating series must converge within _PROBE_POLICY
-    (800 terms, abs_tol 1e-12), r_max up to about 17 (KummerConvergenceError beyond).
+    Domain: psi's one Kummer stop, so a non-terminating series must fall
+    below KUMMER_TOL within KUMMER_TERMS = 800 terms, r_max up to about 16.5
+    (KummerConvergenceError beyond).
     For a terminating one e^(-r^2) underflows past r_max = 27: a mass that
     is not finite, or 0 where a ratio divides by it, is refused with
     ValueError rather than read as a ratio.
@@ -280,7 +272,7 @@ def spectrum_probe(mu, j: int, r_max: float = 8.0, windows: int = 16) -> ProbeRe
     edges = np.linspace(0.0, r_max, windows + 1)
     rules = [gauss_legendre(24, float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     r = np.array([rule.nodes for rule in rules])
-    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3)), _PROBE_POLICY) * np.exp(-r * r / 2)[..., None]
+    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3))) * np.exp(-r * r / 2)[..., None]
     masses = np.sum(np.array([rule.weights for rule in rules]) * r * qarray.norm_sq(decayed),
                     axis=1)
     for i, mass in enumerate(masses):

@@ -31,8 +31,7 @@ from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, coeff_stack, exp_star, hermite_series,
                      laguerre_star, s_k_series)
-from .spectral import (Eigenfunction, SpectralConfig, box_fd, box_symbolic,
-                       psi_norm_sq, spectrum_probe)
+from .spectral import Eigenfunction, box_fd, box_symbolic, psi_norm_sq, spectrum_probe
 
 __all__ = ["SUITES", "SUITE_ORDER", "run_suite", "run_all"]
 
@@ -129,7 +128,6 @@ def verify_eigen(config: Config, j_max: int = 10,
             rep.add({"j": j, "k": k, "mode": "exact"}, "k*H", "box(H)", resid)
 
     rng = _rng(config, 2)
-    scfg = SpectralConfig(h=config.fd_step, order=config.fd_order)
     cap = min(fd_degree, j_max)
     pairs = [(j, k) for j in range(cap + 1)
              for k in range(min(cap - j, k_max) + 1)]
@@ -137,7 +135,7 @@ def verify_eigen(config: Config, j_max: int = 10,
         j, k = pairs[rng.integers(len(pairs))]
         H = hermite_series(j, k)
         q = _nonreal(rng, 1.5, 0.05)
-        got = box_fd(H, q, scfg)
+        got = box_fd(H, q, config.fd_step, config.fd_order)
         want = H(q) * k
         rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, _qdiff(got, want))
     return rep

@@ -9,7 +9,6 @@ from scipy.special import eval_genlaguerre, eval_hermite, hyp1f1
 from spolyreg import (
     KummerConvergenceError,
     Quaternion,
-    TruncationPolicy,
     hermite_H,
     hermite_fn,
     hermite_quat,
@@ -19,6 +18,7 @@ from spolyreg import (
     qarray,
     quat,
 )
+from spolyreg import poly
 
 XS = np.linspace(-3.0, 3.0, 13)
 
@@ -78,9 +78,11 @@ def test_kummer_terminates_for_nonpositive_integer_a():
 
 
 def test_kummer_truncation_policy():
-    tight = TruncationPolicy(max_terms=5, abs_tol=0.0)
-    with pytest.raises(KummerConvergenceError):
-        kummer_M(0.5, 1.5, 30.0, policy=tight)
+    # M(1/2; 3/2 | 600) reaches KUMMER_TERMS with finite terms still far above KUMMER_TOL
+    with pytest.raises(KummerConvergenceError) as info:
+        kummer_M(0.5, 1.5, 600.0)
+    assert info.value.terms_used == poly.KUMMER_TERMS
+    assert math.isfinite(info.value.last_term) and info.value.last_term >= poly.KUMMER_TOL
     assert issubclass(KummerConvergenceError, RuntimeError)
 
 
@@ -119,7 +121,7 @@ def test_kummer_refuses_overflowed_series():
             with pytest.raises(KummerConvergenceError) as info:
                 kummer_M(a, 1, x)
             assert not math.isfinite(info.value.last_term)
-            assert info.value.terms_used < TruncationPolicy().max_terms
+            assert info.value.terms_used < poly.KUMMER_TERMS
     # a terminating series that overflows is refused too
     with pytest.raises(KummerConvergenceError):
         kummer_M(-300, 1, 1e6)
@@ -133,10 +135,10 @@ def test_kummer_error_names_its_cause():
                                "(modulus inf), so the sum leaves double range")
     assert (info.value.terms_used, info.value.last_term) == (54, math.inf)
     with pytest.raises(KummerConvergenceError) as info:
-        kummer_M(0.5, 1.5, 30.0, policy=TruncationPolicy(max_terms=5, abs_tol=0.0))
-    assert str(info.value) == ("Kummer series not converged after 5 terms "
-                               "(last term modulus 1.841e+04)")
-    assert info.value.terms_used == 5 and math.isfinite(info.value.last_term)
+        kummer_M(0.5, 1.5, 600.0)
+    assert str(info.value) == ("Kummer series not converged after 800 terms "
+                               "(last term modulus 2.689e+242)")
+    assert info.value.terms_used == 800 and math.isfinite(info.value.last_term)
 
 
 def test_hermite_quat_frozen_values():
@@ -181,10 +183,3 @@ def test_degree_cap_enforced():
         hermite_H(40, 0.5)
     with pytest.raises(ValueError):
         laguerre(35, 0, 1.0)
-
-
-def test_truncation_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=0, abs_tol=1e-10)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=10, abs_tol=-1.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spolyreg import (
-    SpectralConfig,
     box_fd,
     box_symbolic,
     expand_eigen,
@@ -43,11 +42,10 @@ def test_box_kills_slice_regular():
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_box_fd_matches_eigenvalue(order):
-    cfg = SpectralConfig(h=1e-3, order=order)
     q = quat(0.4, 0.3, -0.6, 0.2)
     for j, k in ((1, 1), (3, 2), (2, 4)):
         f = hermite_series(j, k)
-        got = box_fd(f, q, cfg)
+        got = box_fd(f, q, h=1e-3, order=order)
         want = f.eval_left(q) * k
         tol = 1e-4 if order == 2 else 1e-7
         assert (got - want).norm() < tol * max(1.0, want.norm())
@@ -55,25 +53,21 @@ def test_box_fd_matches_eigenvalue(order):
 
 def test_box_fd_real_axis_branch():
     # on the real axis the unified form degenerates to -f'' + x f'
-    cfg = SpectralConfig(h=1e-3, order=4)
     f = hermite_series(2, 1)
     x = 0.7
-    got = box_fd(f, quat(x), cfg)
+    got = box_fd(f, quat(x), h=1e-3, order=4)
     # restriction to the axis is g(x) = x^3 - 2x, so -g'' + x g' = 3x^3 - 8x
     want = quat(3 * x ** 3 - 8 * x)
     assert (got - want).norm() < 1e-6
 
 
 def test_box_fd_near_axis_guard():
-    cfg = SpectralConfig(h=1e-3, order=4)
     f = hermite_series(1, 1)
     with pytest.raises(ValueError, match="real axis"):
-        box_fd(f, quat(0.5, 2e-3, 0, 0), cfg)
+        box_fd(f, quat(0.5, 2e-3, 0, 0), h=1e-3, order=4)
 
 
 def test_box_fd_annihilates_slice_regular_exp():
-    cfg = SpectralConfig(h=1e-3, order=4)
-
     class Exp:
         def eval_left(self, q):
             return qexp(q)
@@ -81,15 +75,16 @@ def test_box_fd_annihilates_slice_regular_exp():
         def __call__(self, q):
             return qexp(q)
 
-    v = box_fd(Exp(), quat(0.3, 0.8, 0.4, -0.2), cfg)
+    v = box_fd(Exp(), quat(0.3, 0.8, 0.4, -0.2), h=1e-3, order=4)
     assert v.norm() < 1e-7
 
 
 def test_spectral_config_validation():
-    with pytest.raises(ValueError):
-        SpectralConfig(h=0.0)
-    with pytest.raises(ValueError):
-        SpectralConfig(order=3)
+    f = hermite_series(1, 1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        box_fd(f, quat(0.5, 1, 0, 0), h=0.0)
+    with pytest.raises(ValueError, match="central stencil order must be 2 or 4"):
+        box_fd(f, quat(0.5, 1, 0, 0), order=3)
 
 
 def test_psi_closed_values():
@@ -238,6 +233,26 @@ def test_spectrum_probe_refuses_masses_outside_double_range():
     assert pr.converged and pr.annulus_masses[-1] == 0.0
     assert not spectrum_probe(2.5, 0, r_max=16.0).converged
     assert not spectrum_probe(quat(2, 0.5, 0, 0), 0).converged
+
+
+@pytest.mark.parametrize("mu,j", [(0.5, 0), (2.5, 1), (3.7, -1), (1.25, 2)])
+def test_spectrum_probe_reads_psi(mu, j):
+    # the probe's masses are those of the public psi on its own 16 x 24
+    # Gauss-Legendre nodes: one Kummer stop serves both
+    from spolyreg import gauss_legendre
+    edges = np.linspace(0.0, 8.0, 17)
+    rules = [gauss_legendre(24, float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    r = np.array([rule.nodes for rule in rules])
+    decayed = psi(mu, j, qarray.from_slice(r, np.zeros(3))) * np.exp(-r * r / 2)[..., None]
+    masses = np.sum(np.array([rule.weights for rule in rules]) * r * qarray.norm_sq(decayed),
+                    axis=1)
+    assert np.array_equal(masses, spectrum_probe(mu, j).annulus_masses)
+
+
+def test_psi_past_the_old_term_cap():
+    # M(-1/2; 1 | 196) needs more than 500 terms; 40-digit reference value
+    got = psi(0.5, 0, quat(14.0)).w
+    assert got == pytest.approx(-1.376470152341862324e81, rel=1e-14)
 
 
 def test_box_on_hermite_image_of_slice_regular():
