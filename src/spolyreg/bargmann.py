@@ -86,17 +86,25 @@ def _scale(k: int) -> float:
 
 def _b2_slice(k: int, ts, qpts) -> tuple[np.ndarray, np.ndarray]:
     """B_{2,k}(t; q) as complex (N, T) values in the slice of q, and the (N, 3)
-    units of q.  H_k comes first, so its temporaries never meet the exponential."""
+    units of q.  With z = x + iy, y = |Im q|, u = sqrt(2) x - t, the exponent is
+    (x^2 - u^2)/2 - i sqrt(2) y t + (y^2/2 + ixy): a real table H_k(u)
+    e^((x^2 - u^2)/2) per distinct x, a phase table per distinct y and a factor
+    per row, so a slice rule's tensor grid pays per coordinate, not per point.
+    Domain: a cell is finite while |H_k(u)| e^((x^2 - u^2 + y^2)/2) is; past
+    |Im q| = sqrt(2 * 709.78) = 37.7 the row factor overflows: inf or nan rows."""
     z, unit = qarray.to_slice(np.asarray(qpts, dtype=float).reshape(-1, 4))
-    ts = np.asarray(ts, dtype=float)[None, :]
-    zb = np.conj(z)[:, None]
-    w = (hermite_H(k, math.sqrt(2.0) * zb.real - ts)
-         * np.exp(-(ts * ts + zb * zb) / 2.0 + math.sqrt(2.0) * zb * ts) * _scale(k))
+    ts = np.asarray(ts, dtype=float)
+    xs, xi = np.unique(z.real, return_inverse=True)
+    ys, yi = np.unique(z.imag, return_inverse=True)
+    u = math.sqrt(2.0) * xs[:, None] - ts
+    real = hermite_H(k, u) * np.exp((xs[:, None] ** 2 - u * u) / 2.0)
+    w = real[xi] * np.exp(-1j * math.sqrt(2.0) * ys[:, None] * ts)[yi]
+    w *= (np.exp(z.imag ** 2 / 2.0 + 1j * z.real * z.imag) * _scale(k))[:, None]
     return w, unit
 
 
 def b2_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
-    """B_{2,k}(t; q) for a batch of q, shape (N, T, 4); N may be 0."""
+    """B_{2,k}(t; q) for a batch of q, shape (N, T, 4); N may be 0; domain as in _b2_slice."""
     w, unit = _b2_slice(k, ts, qpts)
     return qarray.from_slice(w, unit[:, None, :])
 
@@ -131,12 +139,12 @@ def transform_batch(k: int, phi, qpts: np.ndarray,
 
     Any q is accepted.  The integrand grows like e^(|Im q|^2/2) and
     oscillates, so the rounding error is about eps e^(|Im q|^2/2) relative
-    (4e-10 at |Im q| = 5, 1.3e-7 at 6 for |Re q| <= 8); the CLI refuses
-    |Im q| > IMAG_LIMIT.  The coherent state is centred at t = sqrt(2) Re q,
-    so a large |Re q| leaves the rule's nodes: over h_0..h_6, levels 0..6
-    and |Im q| <= 5.5 the worst relative error is 6e-9 at |Re q| = 8 and
-    5e-7 at 9 with 80 nodes, and 4e-8 at 8 with LINE_NODES_MIN = 75 nodes
-    (1.1e-7 with 74); the CLI refuses |Re q| > REAL_LIMIT.
+    (4.5e-10 at |Im q| = 5, 6.5e-9 at 5.5, 9.4e-8 at 6 for |Re q| <= 8); the
+    CLI refuses |Im q| > IMAG_LIMIT.  The coherent state is centred at
+    t = sqrt(2) Re q, so a large |Re q| leaves the rule's nodes: over h_0..h_6,
+    levels 0..6 and |Im q| <= 5.5 the worst relative error is 6.5e-9 at
+    |Re q| = 8 and 5.4e-7 at 9 with 80 nodes, and 3.7e-8 at 8 with
+    LINE_NODES_MIN = 75 nodes (1.1e-7 with 74); the CLI refuses |Re q| > REAL_LIMIT.
     Slice pairings of the values, as in isometry_grams, stay accurate at
     larger |Im q| because the e^(-|q|^2) weights damp the error."""
     rule = _line_rule(rule, k, phi)

@@ -136,8 +136,15 @@ def cmd_eval(args, config: Config) -> int:
         # B_{1,n} is the sum of the level kernels through n, added in level order
         levels = range(args.level + 1) if args.kind == 1 else (args.level,)
         total = 0.0
-        for k in levels:
-            total = total + b2_grid(k, [args.t], batch)[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in levels:
+                total = total + b2_grid(k, [args.t], batch)[:, 0]
+        bad = ~np.isfinite(total).all(axis=1)
+        if bad.any():
+            n = int(np.argmax(bad))
+            q = format_quaternion(qarray.to_quaternion(batch[n]))
+            raise ValueError(f"bargmann-kernel row {n + 1} (q = {q}) leaves double range "
+                             f"at t = {args.t!r}")
         rows = _csv_rows(total)
     else:  # kernel
         terms = args.terms

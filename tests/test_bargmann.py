@@ -12,6 +12,7 @@ from spolyreg import (
     b2_norm_closed,
     basis_image_scale,
     gauss_hermite,
+    hermite_H,
     hermite_quat,
     inner_real,
     qarray,
@@ -176,3 +177,52 @@ def test_transform_and_isometry_grams_build_no_quaternion_grid(monkeypatch):
     assert bargmann.transform_batch(1, HermiteLine(2), pts, RULE).shape == (2, 4)
     gi, gl = bargmann.isometry_grams(1, 2, SliceQuadrature(16), RULE)
     assert gi.shape == gl.shape == (3, 3, 4)
+
+
+def _b2_unfactored(k, ts, pts):
+    """B_{2,k}(t; q) from its defining formula, one complex exp per (q, t) cell."""
+    z, _ = qarray.to_slice(pts)
+    zb, t = np.conj(z)[:, None], np.asarray(ts, dtype=float)[None, :]
+    return (math.pi ** -0.75 / math.sqrt(2.0 ** k * math.factorial(k))
+            * np.exp(-(t * t + zb * zb) / 2.0 + math.sqrt(2.0) * zb * t)
+            * hermite_H(k, math.sqrt(2.0) * zb.real - t))
+
+
+def test_coherent_state_matches_unfactored_formula():
+    from spolyreg.bargmann import _b2_slice
+    rng = np.random.default_rng(25)
+    units = rng.normal(size=(60, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    # scattered points with |Re q| <= 8 and |Im q| up to 30, real points,
+    # q = 0 and signed zeros
+    scattered = np.concatenate([
+        np.hstack([rng.uniform(-8.0, 8.0, size=(60, 1)),
+                   rng.uniform(0.0, 30.0, size=(60, 1)) * units]),
+        [[0.0, 0, 0, 0], [-0.0, -0.0, 0.0, -0.0], [-0.0, 0.5, -0.0, 0.0], [0.0, 0, -0.0, 30.0],
+         [1.3, 0, 0, 0], [-7.5, 0, 0, 0], [-0.0, 0, 0, 0]]])
+    # a slice rule: a tensor grid with repeated coordinates and both signs of Im
+    for pts in (SliceQuadrature(40, quat(0.0, 0.6, 0.0, -0.8)).points, scattered):
+        for ts in (RULE.nodes, np.linspace(-30.0, 30.0, 121)):
+            for k in range(8):
+                got, unit = _b2_slice(k, ts, pts)
+                want = _b2_unfactored(k, ts, pts)
+                assert np.array_equal(unit, qarray.to_slice(pts)[1])
+                assert np.array_equal(np.isfinite(got), np.isfinite(want)), k
+                row_max = np.max(np.abs(want), axis=1, keepdims=True)
+                assert np.all(np.abs(got - want) <= 1e-13 * row_max), k
+
+
+def test_coherent_state_tables_are_built_per_distinct_coordinate(monkeypatch):
+    from spolyreg import bargmann
+    shapes = []
+
+    def recording(k, t):
+        shapes.append(np.shape(t))
+        return hermite_H(k, t)
+
+    monkeypatch.setattr(bargmann, "hermite_H", recording)
+    Q = SliceQuadrature(40)
+    assert Q.points.shape == (1600, 4)
+    bargmann.isometry_grams(6, 6, Q, RULE)
+    # one row per distinct Re q of the 40 x 40 rule, not one per point
+    assert shapes == [(40, len(RULE.nodes))]

@@ -71,6 +71,27 @@ def test_eval_hermite_batch_within_rounding_of_exact(tmp_path, capsys):
         assert r.stderr == "error: H_{30,30} leaves double range on this batch\n"
 
 
+def test_eval_bargmann_kernel_refuses_rows_past_double_range(tmp_path, capsys):
+    # e^(|Im q|^2/2) leaves double range past |Im q| = 37.7: the row is refused
+    # by number, not printed as nan, and no floating-point warning escapes
+    r = run_main(capsys, "eval", "bargmann-kernel", "--level", "2", "--t", "0.5", "--q", "38i")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: bargmann-kernel row 1 (q = 38.0i) leaves double range at t = 0.5\n"
+    pts = tmp_path / "q.csv"
+    pts.write_text("0.5,0,0,0\n0,0,38,0\n0,37,0,0\n")
+    r = run_main(capsys, "eval", "bargmann-kernel", "--kind", "1", "--level", "3",
+                 "--t", "-1", "--points", str(pts))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: bargmann-kernel row 2 (q = 38.0j) leaves double range at t = -1.0\n"
+    # the rows in range still print, |Im q| = 37 among them
+    pts.write_text("0.5,0,0,0\n0,37,0,0\n")
+    r = run_main(capsys, "eval", "bargmann-kernel", "--kind", "1", "--level", "3",
+                 "--t", "-1", "--points", str(pts))
+    assert r.returncode == 0
+    rows = [[float(c) for c in line.split(",")] for line in r.stdout.splitlines()]
+    assert len(rows) == 2 and np.all(np.isfinite(rows))
+
+
 def test_eval_kernel_star_at_origin():
     r = run("eval", "kernel", "--kind", "2", "--level", "0",
             "--p", "0", "--q", "0", "--method", "star")
