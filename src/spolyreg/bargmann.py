@@ -111,9 +111,10 @@ def b2_grid(k: int, ts: np.ndarray, qpts: np.ndarray) -> np.ndarray:
 
 def _paired(k: int, rule: Rule1D, qpts, vals) -> tuple[np.ndarray, np.ndarray]:
     """sum_t w_t conj(B_{2,k}(t; q)) v(t) for real (T, M) columns v: one complex
-    product, (N, M) values in the slice of q, with the (N, 3) units of q."""
+    product, (N, M) values in the slice of q, with the (N, 3) units of q.  v is
+    real, so the product is conjugated, not the (N, T) coherent state."""
     w, unit = _b2_slice(k, rule.nodes, qpts)
-    return np.conj(w) @ (vals * rule.line_weights[:, None]), unit
+    return np.conj(w @ (vals * rule.line_weights[:, None])), unit
 
 
 DEFAULT_LINE_NODES = 80

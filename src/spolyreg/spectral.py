@@ -257,9 +257,14 @@ def spectrum_probe(mu, j: int, r_max: float = PROBE_R_MAX,
     otherwise M grows like e^(r^2) and the masses blow up.  converged
     requires the last two annulus ratios to fall below 1.
 
-    Domain: psi's one Kummer stop, so a non-terminating series must fall
-    below KUMMER_TOL within KUMMER_TERMS = 800 terms, r_max up to about 16.5
-    (KummerConvergenceError beyond).
+    Domain: r_max^2 >= 5 Re mu + 6 + 2|j|, refused with ValueError below,
+    where the tail of a terminating sum has not begun.  Scanned over mu 0-11.5
+    (steps of 0.5, and 0.25, 1.25, 2.75, 3.7), j -3..3 and r_max in steps of
+    0.25 up to 16, every verdict is right once r_max^2 passes 5 mu by 1.81
+    (j <= 0), 4.0 (j = 1), 6.25 (j = 2) or 9.0 (j = 3); inside the bound every
+    verdict of mu 12-40 and -2.5..-0.5 is right too.  A non-terminating series
+    must fall below KUMMER_TOL within KUMMER_TERMS = 800 terms (psi's one Kummer
+    stop), r_max up to about 16.5 (KummerConvergenceError beyond).
     For a terminating one e^(-r^2) underflows past r_max = 27: a mass that
     is not finite, or 0 where a ratio divides by it, is refused with
     ValueError rather than read as a ratio.
@@ -269,6 +274,10 @@ def spectrum_probe(mu, j: int, r_max: float = PROBE_R_MAX,
     if windows < 3:
         raise ValueError(f"{windows} windows give fewer than two tail ratios; need >= 3")
     mu = quat(mu)
+    bound = 5.0 * float(mu.w) + 6.0 + 2.0 * abs(j)
+    if r_max * r_max < bound:
+        raise ValueError(f"probe radius r_max = {r_max:g} is below the domain bound "
+                         f"r_max^2 >= 5 Re mu + 6 + 2|j| = {bound:g}")
     edges = np.linspace(0.0, r_max, windows + 1)
     rules = [gauss_legendre(24, float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     r = np.array([rule.nodes for rule in rules])

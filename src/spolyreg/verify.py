@@ -24,13 +24,12 @@ from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
                        basis_image_scale, isometry_grams, transform_batch)
 from .config import Config
 from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
-from .poly import hermite_quat, laguerre
-from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, gram_slice, norm_sq_full,
-                   sphere_rule)
+from .poly import laguerre
+from .quad import SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_full, sphere_rule
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, coeff_stack, exp_star, hermite_series,
-                     laguerre_star, s_k_series)
+                     laguerre_star, s_k_series, slice_values)
 from .spectral import Eigenfunction, box_fd, box_symbolic, psi_norm_sq, spectrum_probe
 
 __all__ = ["SUITES", "SUITE_ORDER", "run_suite", "run_all"]
@@ -72,9 +71,10 @@ def verify_orthogonality(config: Config,
                          index_max: int = 8) -> VerificationReport:
     """Normalised slice Gram matrix of {H_{j,k} a_{j,k} : j,k <= index_max}
     vs the identity on 10 random slices, with fresh random unit quaternions
-    a_{j,k} on the right for every slice: <H a, H' a'> = conj(a) <H, H'> a',
-    so each slice pairs its own quaternion values.  Residual is the worst
-    entry."""
+    a_{j,k} on the right for every slice: <H a, H' a'> = conj(a) <H, H'> a'.
+    H_{j,k} has real coefficients, so on the slice of U, <H, H'> is the complex
+    slice Gram C = sum_n w_n conj(H(z_n)) H'(z_n) lifted onto U; C does not
+    depend on U and is computed once.  Residual is the worst entry."""
     n_slices = 10
     rep = VerificationReport("orthogonality", config.tolerance("orthogonality"),
                              {"index_max": index_max, "slices": n_slices,
@@ -84,17 +84,19 @@ def verify_orthogonality(config: Config,
     # |H_{j,k} a|^2 has degree 2(j + k): refuse a large index_max before any work
     check_slice_degree((2 * (j + k) for j, k in idx), config.slice_nodes)
     basis = coeff_stack([hermite_series(j, k) for j, k in idx])
-    scale = np.array([math.sqrt(math.pi * math.factorial(j) * math.factorial(k))
-                      for j, k in idx])
+    if np.any(basis[..., 1:]):
+        raise ValueError("a Hermite coefficient is not real: no lifted complex slice Gram")
+    scale = np.sqrt([math.pi * math.factorial(j) * math.factorial(k) for j, k in idx])
+    Q = SliceQuadrature(config.slice_nodes)
+    V = slice_values(basis[..., 0], Q.z)
+    C = (np.conj(V).T * Q.weights) @ V / np.outer(scale, scale)
     rng = _rng(config, 1)
     units = [random_unit(rng) for _ in range(n_slices)]
     eye = np.eye(len(idx))
     for unit in units:
-        Q = SliceQuadrature(config.slice_nodes, unit)
-        right = [random_quaternion(rng) for _ in idx]
-        right = _batch([a * (1.0 / abs(a)) for a in right])
-        # H a has the coefficients of H times a: one product over the stack
-        G = gram_slice(qarray.qmul(basis, right), Q) / (scale[:, None, None] * scale[None, :, None])
+        right = _batch([a * (1.0 / abs(a)) for a in (random_quaternion(rng) for _ in idx)])
+        lifted = qarray.from_slice(C, qarray.from_quaternion(unit)[1:])
+        G = qarray.qmul(qarray.qconj(right)[:, None], qarray.qmul(lifted, right))
         dev = np.sqrt(np.maximum(
             np.sum(G * G, axis=2) - 2.0 * eye * G[:, :, 0] + eye, 0.0))
         worst = int(np.argmax(dev))
@@ -229,8 +231,8 @@ def verify_reproduce(config: Config, level_max: int = 3,
 
 def verify_transform_basis(config: Config, j_max: int = 6,
                            k_max: int = 6) -> VerificationReport:
-    """B_{2,k} sends the Hermite function h_j to
-    (1/pi)^(1/4) sqrt(2^j/k!) H_{j,k}; worst of 20 random q per (j,k)."""
+    """B_{2,k} sends the Hermite function h_j to (1/pi)^(1/4) sqrt(2^j/k!) H_{j,k},
+    read as hermite_series(j, k).eval_many; worst of 20 random q per (j,k)."""
     rep = VerificationReport("transform-basis", config.tolerance("transform-basis"),
                              {"j_max": j_max, "k_max": k_max, "points": 20,
                               "line_nodes": config.line_nodes, "seed": config.seed})
@@ -238,15 +240,13 @@ def verify_transform_basis(config: Config, j_max: int = 6,
     rule = gauss_hermite(config.line_nodes)
     for j in range(j_max + 1):
         for k in range(k_max + 1):
-            scale = basis_image_scale(j, k)
-            phi = HermiteLine(j)
             qs = [_bounded(rng, 1.5) for _ in range(20)]
-            got = transform_batch(k, phi, _batch(qs), rule)
-            worst, worst_q = max(
-                ((_qdiff(qarray.to_quaternion(g), hermite_quat(j, k, q) * scale), q)
-                 for g, q in zip(got, qs)), key=lambda rq: rq[0])
-            rep.add({"j": j, "k": k, "worst_q": worst_q},
-                    "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", worst)
+            pts = _batch(qs)
+            ref = hermite_series(j, k).eval_many(pts) * basis_image_scale(j, k)
+            resid = np.linalg.norm(transform_batch(k, HermiteLine(j), pts, rule) - ref, axis=1)
+            worst = int(np.argmax(resid))
+            rep.add({"j": j, "k": k, "worst_q": qs[worst]},
+                    "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", float(resid[worst]))
     return rep
 
 

@@ -226,3 +226,28 @@ def test_coherent_state_tables_are_built_per_distinct_coordinate(monkeypatch):
     bargmann.isometry_grams(6, 6, Q, RULE)
     # one row per distinct Re q of the 40 x 40 rule, not one per point
     assert shapes == [(40, len(RULE.nodes))]
+
+
+def test_paired_conjugates_the_product_with_the_same_bits():
+    # sum_t w_t conj(B(t; q)) v(t) for real v: conj(B @ v) has the bits of
+    # conj(B) @ v, signs included, except that an exactly zero imaginary part
+    # (a real point, a zero column) is -0.0 for +0.0, which the lift drops
+    from spolyreg.bargmann import _b2_slice, _paired
+    Q = SliceQuadrature(40, quat(0.0, 0.6, 0.0, -0.8))
+    real = np.array([[0.0, 0, 0, 0], [1.3, 0, 0, 0], [-0.7, 0, 0, 0]])
+    # the isometry Grams' seven Hermite columns, and transform_batch's one quaternion line
+    columns = (np.stack([HermiteLine(j).eval_many(RULE.nodes)[:, 0] for j in range(7)], axis=1),
+               HermiteLine(3).eval_many(RULE.nodes))
+    for k in range(7):
+        for pts in (Q.points, real):
+            for vals in columns:
+                got, unit = _paired(k, RULE, pts, vals)
+                w, _ = _b2_slice(k, RULE.nodes, pts)
+                want = np.conj(w) @ (vals * RULE.line_weights[:, None])
+                assert np.array_equal(got, want)
+                nonzero = want.imag != 0
+                assert np.array_equal(np.signbit(got.imag[nonzero]), np.signbit(want.imag[nonzero]))
+                assert (pts is real) == (not nonzero.any())
+            lifted, want = qarray.lift(got, unit), qarray.lift(want, unit)
+            assert np.array_equal(lifted, want)
+            assert np.array_equal(np.signbit(lifted), np.signbit(want))

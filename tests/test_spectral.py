@@ -303,3 +303,13 @@ def test_psi_batch_matches_psi(n, j):
         for row, p in zip(got, pts):
             one = qarray.from_quaternion(psi(mu, j, qarray.to_quaternion(p)))
             assert np.array_equal(row, one), (mu, p)
+
+
+def test_spectrum_probe_refuses_radii_below_its_domain():
+    # below r_max^2 = 5 Re mu + 6 + 2|j| the verdict can be wrong: mu = 1.5 at
+    # r_max = 2 read converged, and the eigenvalue mu = 20 at r_max = 8 did not
+    for mu, j, r_max in ((1.5, 0, 2.0), (20.0, 0, 8.0), (quat(2, 0.5, 0, 0), -3, 4.5)):
+        with pytest.raises(ValueError, match=r"5 Re mu \+ 6 \+ 2\|j\|"):
+            spectrum_probe(mu, j, r_max=r_max)
+    assert spectrum_probe(20.0, 0, r_max=math.sqrt(106.0)).converged
+    assert not spectrum_probe(1.5, 0, r_max=math.sqrt(13.5)).converged
