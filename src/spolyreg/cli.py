@@ -210,7 +210,7 @@ def cmd_verify(args, config: Config) -> int:
             "schema": 1,
             "suites": [r.to_dict() for r in reports],
             "passed": all(r.passed for r in reports),
-            "max_residual": max(r.max_residual for r in reports),
+            "max_residual": float(np.max([r.max_residual for r in reports])),
         }
         print(json.dumps(doc, indent=2))
         return 0 if doc["passed"] else 1

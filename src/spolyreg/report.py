@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .quat import Quaternion
 
 SCHEMA_VERSION = 1
@@ -18,8 +20,8 @@ def _plain(v):
         return {str(k): _plain(x) for k, x in v.items()}
     if isinstance(v, float):
         return v
-    if hasattr(v, "item"):  # numpy scalars
-        return v.item()
+    if hasattr(v, "tolist"):  # numpy scalars and arrays: a (4,) row as a Quaternion's list
+        return v.tolist()
     return v
 
 
@@ -55,7 +57,8 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.cases), default=0.0)
+        """The worst residual; NaN if any is NaN, whatever the case order."""
+        return float(np.max([c.residual for c in self.cases], initial=0.0))
 
     @property
     def passed(self) -> bool:

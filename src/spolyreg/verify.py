@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import qarray
-from .bargmann import (HermiteLine, b2_grid, b2_norm_closed,
-                       basis_image_scale, isometry_grams, transform_batch)
+from .bargmann import (HermiteLine, b2_grid, basis_image_scale, isometry_grams,
+                       transform_batch)
 from .config import Config
 from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
 from .poly import laguerre
@@ -39,29 +39,21 @@ def _rng(config: Config, salt: int):
     return np.random.default_rng([config.seed, salt])
 
 
-def _bounded(rng, radius: float) -> Quaternion:
-    """Random quaternion with |q| <= radius (rescaled tail)."""
-    q = random_quaternion(rng, radius / 2.0)
-    r = abs(q)
-    if r > radius:
-        q = q * (radius / r)
+def _bounded(rng, radius: float, n: int) -> np.ndarray:
+    """n random points with |q| <= radius as an (n, 4) batch (rescaled tail);
+    the same draws, to the bit, as n scalar quaternions of scale radius/2."""
+    q = rng.normal(size=(n, 4)) * (radius / 2.0)
+    r = np.sqrt(qarray.norm_sq(q))
+    far = r > radius
+    q[far] *= (radius / r[far])[:, None]
     return q
 
 
 def _nonreal(rng, radius: float, min_imag: float) -> Quaternion:
     while True:
-        q = _bounded(rng, radius)
+        q = qarray.to_quaternion(_bounded(rng, radius, 1)[0])
         if q.imag_norm() > min_imag:
             return q
-
-
-def _qdiff(a: Quaternion, b: Quaternion) -> float:
-    return abs(a - b)
-
-
-def _batch(qs) -> np.ndarray:
-    """A list of quaternions as an (N, 4) batch."""
-    return np.array([qarray.from_quaternion(q) for q in qs]).reshape(-1, 4)
 
 
 # -- 1. orthogonality ----------------------------------------------------
@@ -94,7 +86,8 @@ def verify_orthogonality(config: Config,
     units = [random_unit(rng) for _ in range(n_slices)]
     eye = np.eye(len(idx))
     for unit in units:
-        right = _batch([a * (1.0 / abs(a)) for a in (random_quaternion(rng) for _ in idx)])
+        right = rng.normal(size=(len(idx), 4))
+        right *= (1.0 / np.sqrt(qarray.norm_sq(right)))[:, None]
         lifted = qarray.from_slice(C, qarray.from_quaternion(unit)[1:])
         G = qarray.qmul(qarray.qconj(right)[:, None], qarray.qmul(lifted, right))
         dev = np.sqrt(np.maximum(
@@ -124,7 +117,7 @@ def verify_eigen(config: Config, j_max: int = 10,
             lhs = box_symbolic(H)
             rhs = H.scale(k)
             resid = 0.0 if lhs == rhs else max(
-                _qdiff(lhs.coeff(a, b), rhs.coeff(a, b))
+                abs(lhs.coeff(a, b) - rhs.coeff(a, b))
                 for a in range(max(lhs.level, rhs.level) + 1)
                 for b in range(max(lhs.degree, rhs.degree) + 1))
             rep.add({"j": j, "k": k, "mode": "exact"}, "k*H", "box(H)", resid)
@@ -139,7 +132,7 @@ def verify_eigen(config: Config, j_max: int = 10,
         q = _nonreal(rng, 1.5, 0.05)
         got = box_fd(H, q, config.fd_step, config.fd_order)
         want = H(q) * k
-        rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, _qdiff(got, want))
+        rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, abs(got - want))
     return rep
 
 
@@ -163,41 +156,41 @@ def verify_kernel_dual(config: Config,
         k2 = k2_series_levels(level_max, ps, qs, config.series_terms)
         return k2, np.cumsum(k2, axis=0)
 
-    pairs = [(_bounded(rng, 1.5), _bounded(rng, 1.5)) for _ in range(25)]
-    ps, qs = _batch(p for p, _ in pairs), _batch(q for _, q in pairs)
+    pq = _bounded(rng, 1.5, 50)
+    ps, qs = pq[0::2], pq[1::2]
     k2, _ = series_levels(ps, qs)
-    star = [kernel_value(KernelSpec("second", k, "star", config.star_terms), ps, qs)
-            for k in levels]
-    for n, (p, q) in enumerate(pairs):
+    star = np.array([kernel_value(KernelSpec("second", k, "star", config.star_terms), ps, qs)
+                     for k in levels])
+    resid = np.linalg.norm(k2 - star, axis=-1)
+    for n in range(len(ps)):
         for k in levels:
-            a, b = qarray.to_quaternion(k2[k, n]), qarray.to_quaternion(star[k][n])
-            rep.add({"p": p, "q": q, "k": k, "check": "dual"}, a, b, _qdiff(a, b))
-    closed = []
+            rep.add({"p": ps[n], "q": qs[n], "k": k, "check": "dual"},
+                    k2[k, n], star[k, n], resid[k, n])
+    closed, ks = [], []
     for _ in range(25):
-        unit = random_unit(rng)
-        p = quat(rng.normal()) + unit * rng.normal()
-        q = quat(rng.normal()) + unit * rng.normal()
-        closed.append((p, q, int(rng.integers(level_max + 1))))
-    ps, qs = _batch(c[0] for c in closed), _batch(c[1] for c in closed)
+        unit = qarray.from_quaternion(random_unit(rng))   # p, then q: a + unit b, a drawn first
+        closed += [[rng.normal(), 0.0, 0.0, 0.0] + unit * rng.normal() for _ in range(2)]
+        ks.append(int(rng.integers(level_max + 1)))
+    ps, qs = np.array(closed[0::2]), np.array(closed[1::2])
     k2, k1 = series_levels(ps, qs)
-    c2, c1 = ([kernel_value(KernelSpec(kind, k, "closed"), ps, qs) for k in levels]
-              for kind in ("second", "first"))
-    for n, (p, q, k) in enumerate(closed):
-        a, b = qarray.to_quaternion(k2[k, n]), qarray.to_quaternion(c2[k][n])
-        rep.add({"p": p, "q": q, "k": k, "check": "closed-2"}, b, a, _qdiff(a, b))
-        a1, b1 = qarray.to_quaternion(k1[k, n]), qarray.to_quaternion(c1[k][n])
-        rep.add({"p": p, "q": q, "n": k, "check": "closed-1"}, b1, a1, _qdiff(a1, b1))
-    diag = [_bounded(rng, 2.0) for _ in range(4)]
-    k2, k1 = series_levels(_batch(diag), _batch(diag))
+    rows = np.arange(len(ks))
+    got2, got1 = k2[ks, rows], k1[ks, rows]
+    want2, want1 = (np.array([kernel_value(KernelSpec(kind, k, "closed"), ps, qs)
+                              for k in levels])[ks, rows] for kind in ("second", "first"))
+    r2, r1 = (np.linalg.norm(g - w, axis=-1) for g, w in ((got2, want2), (got1, want1)))
+    for n, k in enumerate(ks):
+        rep.add({"p": ps[n], "q": qs[n], "k": k, "check": "closed-2"}, want2[n], got2[n], r2[n])
+        rep.add({"p": ps[n], "q": qs[n], "n": k, "check": "closed-1"}, want1[n], got1[n], r1[n])
+    diag = _bounded(rng, 2.0, 4)
+    k2, k1 = series_levels(diag, diag)
+    base = np.array([math.exp(n2) for n2 in qarray.norm_sq(diag)]) / math.pi
+    base1 = np.arange(1, level_max + 2)[:, None] * base   # K_1 is (k + 1) times K_2 here
+    r2 = np.linalg.norm(k2 - base[:, None] * (1, 0, 0, 0), axis=-1) / base
+    r1 = np.linalg.norm(k1 - base1[..., None] * (1, 0, 0, 0), axis=-1) / base1
     for n, q in enumerate(diag):
-        base = math.exp(float(q.norm_sq())) / math.pi
         for k in levels:
-            d2 = qarray.to_quaternion(k2[k, n])
-            rep.add({"q": q, "k": k, "check": "diagonal-2"}, base, d2,
-                    _qdiff(d2, quat(base)) / base)
-            d1 = qarray.to_quaternion(k1[k, n])
-            rep.add({"q": q, "n": k, "check": "diagonal-1"}, (k + 1) * base, d1,
-                    _qdiff(d1, quat((k + 1) * base)) / ((k + 1) * base))
+            rep.add({"q": q, "k": k, "check": "diagonal-2"}, base[n], k2[k, n], r2[k, n])
+            rep.add({"q": q, "n": k, "check": "diagonal-1"}, base1[k, n], k1[k, n], r1[k, n])
     return rep
 
 
@@ -207,7 +200,8 @@ def verify_kernel_dual(config: Config,
 def verify_reproduce(config: Config, level_max: int = 3,
                      degree_max: int = 6) -> VerificationReport:
     """<K_{2,k}(p,.), f> recovers f(p) for random members of the
-    degree-bounded Hermite span at each level k."""
+    degree-bounded Hermite span at each level k; f(p) is read as
+    f.eval_many on each (5, 4) batch of points."""
     rep = VerificationReport("reproduce", config.tolerance("reproduce"),
                              {"level_max": level_max, "degree_max": degree_max,
                               "points": 5 * (level_max + 1),
@@ -218,11 +212,10 @@ def verify_reproduce(config: Config, level_max: int = 3,
         for j in range(1, degree_max + 1):
             f = f + hermite_series(j, k).rmul(random_quaternion(rng))
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
-        ps = [_bounded(rng, 1.5) for _ in range(5)]
-        got = project_batch(k, f, _batch(ps), Q, config.series_terms)
-        for p, g in zip(ps, got):
-            got_p, want = qarray.to_quaternion(g), f(p)
-            rep.add({"k": k, "p": p}, want, got_p, _qdiff(got_p, want))
+        ps = _bounded(rng, 1.5, 5)
+        got, want = project_batch(k, f, ps, Q, config.series_terms), f.eval_many(ps)
+        for p, g, w, r in zip(ps, got, want, np.linalg.norm(got - want, axis=-1)):
+            rep.add({"k": k, "p": p}, w, g, r)
     return rep
 
 
@@ -240,12 +233,11 @@ def verify_transform_basis(config: Config, j_max: int = 6,
     rule = gauss_hermite(config.line_nodes)
     for j in range(j_max + 1):
         for k in range(k_max + 1):
-            qs = [_bounded(rng, 1.5) for _ in range(20)]
-            pts = _batch(qs)
+            pts = _bounded(rng, 1.5, 20)
             ref = hermite_series(j, k).eval_many(pts) * basis_image_scale(j, k)
             resid = np.linalg.norm(transform_batch(k, HermiteLine(j), pts, rule) - ref, axis=1)
             worst = int(np.argmax(resid))
-            rep.add({"j": j, "k": k, "worst_q": qs[worst]},
+            rep.add({"j": j, "k": k, "worst_q": qarray.to_quaternion(pts[worst])},
                     "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", float(resid[worst]))
     return rep
 
@@ -265,13 +257,15 @@ def verify_isometry(config: Config, k_max: int = 6,
     rng = _rng(config, 7)
     rule = gauss_hermite(config.line_nodes)
     for k in range(k_max + 1):
-        qs = [_bounded(rng, 2.0) for _ in range(20)]
-        vals = b2_grid(k, rule.nodes, _batch(qs))
+        qs = _bounded(rng, 2.0, 20)
+        vals = b2_grid(k, rule.nodes, qs)
         nums = np.sqrt(np.sum(vals * vals, axis=2) @ rule.line_weights)
-        worst, worst_q = max(((abs(num - b2_norm_closed(q)) / b2_norm_closed(q), q)
-                              for num, q in zip(nums, qs)), key=lambda rq: rq[0])
-        rep.add({"k": k, "worst_q": worst_q, "part": "norm"},
-                "exp(|q|^2/2)/sqrt(pi)", "line norm of B_{2,k}(.; q)", worst)
+        # b2_norm_closed row by row, rounded by math.exp as it is
+        want = np.array([math.exp(n2 / 2.0) for n2 in qarray.norm_sq(qs)]) / math.sqrt(math.pi)
+        resid = np.abs(nums - want) / want
+        worst = int(np.argmax(resid))
+        rep.add({"k": k, "worst_q": qs[worst], "part": "norm"},
+                "exp(|q|^2/2)/sqrt(pi)", "line norm of B_{2,k}(.; q)", resid[worst])
     m = j_max + 1
     for k in range(k_max + 1):
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
@@ -332,7 +326,8 @@ def verify_spectrum(config: Config) -> VerificationReport:
 def verify_decomposition(config: Config, level_max: int = 3,
                          degree: int = 6) -> VerificationReport:
     """Sum of the kernel projections P_k, k <= m, applied through slice
-    quadrature reassembles a random bidegree-(degree, m) polynomial."""
+    quadrature reassembles a random bidegree-(degree, m) polynomial, read
+    as f.eval_many on each (5, 4) batch of points."""
     rep = VerificationReport("decomposition", config.tolerance("decomposition"),
                              {"degree": degree, "level_max": level_max,
                               "points": 5 * (level_max + 1),
@@ -343,12 +338,11 @@ def verify_decomposition(config: Config, level_max: int = 3,
             tuple(random_quaternion(rng) for _ in range(degree + 1))
             for _ in range(m + 1)))
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
-        ps = [_bounded(rng, 1.5) for _ in range(5)]
-        total = sum(project_batch(k, f, _batch(ps), Q, config.series_terms)
-                    for k in range(m + 1))
-        for p, t in zip(ps, total):
-            got, want = qarray.to_quaternion(t), f(p)
-            rep.add({"m": m, "p": p}, want, got, _qdiff(got, want))
+        ps = _bounded(rng, 1.5, 5)
+        got = sum(project_batch(k, f, ps, Q, config.series_terms) for k in range(m + 1))
+        want = f.eval_many(ps)
+        for p, g, w, r in zip(ps, got, want, np.linalg.norm(got - want, axis=-1)):
+            rep.add({"m": m, "p": p}, w, g, r)
     return rep
 
 
@@ -426,7 +420,7 @@ def verify_star_identities(config: Config) -> VerificationReport:
     ff, gg = rnd_poly(3, 3), rnd_poly(2, 4)
     a = ff.star(gg).conj()
     b = gg.conj().star(ff.conj())
-    dev = max(_qdiff(a.coeff(k, j), b.coeff(k, j))
+    dev = max(abs(a.coeff(k, j) - b.coeff(k, j))
               for k in range(a.level + 1) for j in range(a.degree + 1))
     rep.add({"check": "conj-swap-float"}, 0.0, dev, dev)
 
@@ -437,10 +431,10 @@ def verify_star_identities(config: Config) -> VerificationReport:
         got = laguerre_star(n, gamma, q).eval_left(p)
         want = quat(laguerre(n, gamma, float((p - q).norm_sq())))
         rep.add({"check": "laguerre-slice-float", "n": n, "gamma": gamma},
-                want, got, _qdiff(got, want))
+                want, got, abs(got - want))
         eg = exp_star(q, config.star_terms).eval_left(p)
         ew = qexp(p.conj() * q)
-        rep.add({"check": "exp-slice-float"}, ew, eg, _qdiff(eg, ew))
+        rep.add({"check": "exp-slice-float"}, ew, eg, abs(eg - ew))
     return rep
 
 

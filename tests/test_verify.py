@@ -1,13 +1,16 @@
-"""Identity suites: every case of the acceptance grids is still made, and
-the orthogonality and transform-basis suites agree with their references."""
+"""Identity suites: every case of the acceptance grids is still made, the
+suites agree with their references, and points and values stay (N, 4)
+arrays from the draw to the residual."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spolyreg import (Config, SliceQuadrature, basis_image_scale, gram_slice, hermite_quat,
+from spolyreg import (Config, SliceQuadrature, basis_image_scale, cli, gram_slice, hermite_quat,
                       hermite_series, poly, qarray, quad, quat, run_all, series, verify)
 from spolyreg.quat import random_quaternion, random_unit
+from spolyreg.report import Case, VerificationReport
 from spolyreg.series import coeff_stack
 
 CASES_AT_SEED_3 = {
@@ -122,3 +125,112 @@ def test_transform_basis_residual_is_the_scalar_hermite_residual(monkeypatch):
         terms = scale * sum(math.comb(j, s) * math.comb(k, s) * math.factorial(s)
                             * abs(q) ** (j + k - 2 * s) for s in range(min(j, k) + 1))
         assert abs(case.residual - want) <= 16 * np.finfo(float).eps * terms
+
+
+# -- points and values as (N, 4) arrays, draw to residual ------------------
+
+def test_bounded_reads_the_scalar_draws_bit_for_bit():
+    # n inline scalar draws of scale r/2, each longer than r rescaled onto |q| = r
+    rescaled = 0
+    for seed, r, n in ((1, 1.5, 50), (3, 2.0, 20), (20241, 1.5, 5)):
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(n):
+            q = random_quaternion(rng, r / 2.0)
+            if abs(q) > r:
+                q, rescaled = q * (r / abs(q)), rescaled + 1
+            want.append(qarray.from_quaternion(q))
+        rng_batch = np.random.default_rng(seed)
+        got = verify._bounded(rng_batch, r, n)
+        assert got.shape == (n, 4) and np.array_equal(got, np.array(want))
+        assert rng_batch.normal() == rng.normal()      # the stream is left where the loop left it
+    assert rescaled > 0
+
+
+def test_kernel_identity_suites_make_no_quaternion_round_trip(monkeypatch):
+    def refuse(a):
+        raise AssertionError("to_quaternion called inside the suite")
+
+    monkeypatch.setattr(qarray, "to_quaternion", refuse)
+    for suite in (verify.verify_kernel_dual, verify.verify_reproduce, verify.verify_decomposition):
+        assert suite(Config(seed=3)).passed
+
+
+@pytest.mark.parametrize("name", ["reproduce", "decomposition"])
+def test_projection_residuals_match_the_scalar_evaluation(monkeypatch, name):
+    # the suites read f(p) from f.eval_many; the scalar PolySliceSeries.eval
+    # rounds each term differently, by at most 16 eps times the sum of
+    # |c_kj| |p|^(j+k) (measured worst: 0.06 of it at seeds 1, 3, 7, 11, 20241)
+    eps = np.finfo(float).eps
+    project = verify.project_batch
+    for seed in (1, 3, 20241):
+        calls = []                      # every project_batch call as (f, points, values)
+
+        def record(k, f, ps, Q, terms):
+            calls.append((f, ps, project(k, f, ps, Q, terms)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(verify, "project_batch", record)
+        rep = verify.SUITES[name](Config(seed=seed))
+        monkeypatch.undo()
+        groups = {}                     # decomposition sums P_k f over k <= m for one f
+        for f, ps, vals in calls:
+            groups.setdefault(id(f), (f, ps, []))[2].append(vals)
+        assert len(rep.cases) == 5 * len(groups) == 20
+        cases = iter(rep.cases)
+        for f, ps, vals in groups.values():
+            got = sum(vals)
+            for p, g in zip(ps, got):
+                case = next(cases)
+                assert np.array_equal(case.inputs["p"], p) and np.array_equal(case.actual, g)
+                scalar = f.eval(quat(*p.tolist()))
+                want = abs(qarray.to_quaternion(g) - scalar)
+                r = math.sqrt(qarray.norm_sq(p))
+                terms = sum(abs(c) * r ** (j + k)
+                            for k, row in enumerate(f.coeffs) for j, c in enumerate(row))
+                assert abs(case.residual - want) <= 16 * eps * terms
+
+
+# -- reports: a NaN residual fails, an array row serialises as a Quaternion --
+
+@pytest.mark.parametrize("residuals", [[1e-15, math.nan], [math.nan, 1e-15], [0.0, 1e-15, math.nan]])
+def test_nan_residual_fails_the_report_whatever_the_order(residuals):
+    rep = VerificationReport("reproduce", 1e-9)
+    for r in residuals:
+        rep.add({}, 0.0, 0.0, r)
+    assert math.isnan(rep.max_residual) and not rep.passed
+    assert math.isnan(json.loads(rep.to_json())["max_residual"])
+
+
+def test_nan_projection_row_fails_the_suite(monkeypatch):
+    # the last point of each batch projects to NaN: its array residual is NaN
+    project = verify.project_batch
+
+    def poisoned(*args):
+        out = project(*args)
+        out[-1] = math.nan
+        return out
+
+    monkeypatch.setattr(verify, "project_batch", poisoned)
+    rep = verify.verify_reproduce(Config(seed=3))
+    assert math.isnan(rep.cases[4].residual) and not math.isnan(rep.cases[0].residual)
+    assert math.isnan(rep.max_residual) and not rep.passed
+
+
+def test_verify_all_reports_a_nan_suite_and_exits_1(monkeypatch, capsys):
+    good, bad = VerificationReport("reproduce", 1e-9), VerificationReport("decomposition", 1e-9)
+    good.add({}, 0.0, 0.0, 1e-15)
+    bad.add({}, 0.0, 0.0, math.nan)
+    monkeypatch.setattr(cli, "run_all", lambda config: [good, bad])
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and math.isnan(doc["max_residual"])
+
+
+def test_case_serialises_an_array_row_as_its_quaternion():
+    p = quat(0.25, -1.5, 3.0, 1e-300)
+    row = qarray.from_quaternion(p)
+    as_quat = Case({"p": p, "pair": [p, p]}, p, 1.0, 0.5).to_dict()
+    as_row = Case({"p": row, "pair": [row, row]}, row, np.float64(1.0), np.float64(0.5)).to_dict()
+    assert json.dumps(as_row) == json.dumps(as_quat)
+    assert as_row["inputs"]["p"] == [0.25, -1.5, 3.0, 1e-300]
