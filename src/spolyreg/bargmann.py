@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qarray
 from .poly import hermite_H, hermite_fn
-from .quat import Quaternion, quat
+from .quat import quat
 from .quad import QuadratureDegreeError, Rule1D, gauss_hermite, values_on
 
 __all__ = [
@@ -157,9 +157,12 @@ def basis_image_scale(j: int, k: int) -> float:
     return (1.0 / math.pi) ** 0.25 * math.sqrt(2.0 ** j / math.factorial(k))
 
 
-def b2_norm_closed(q: Quaternion) -> float:
-    """Line norm of the coherent state, ||B_{2,k}(.; q)||_R = e^(|q|^2/2)/sqrt(pi);
-    independent of the level k."""
+def b2_norm_closed(q):
+    """Line norm of the coherent state, ||B_{2,k}(.; q)||_R = e^(|q|^2/2)/sqrt(pi),
+    independent of the level k: a float at one point, an (N,) array on an (N, 4)
+    batch, each row rounded by math.exp as the one-point call is."""
+    if isinstance(q, np.ndarray):
+        return np.array([math.exp(n2 / 2.0) for n2 in qarray.norm_sq(q)]) / math.sqrt(math.pi)
     return math.exp(float(quat(q).norm_sq()) / 2.0) / math.sqrt(math.pi)
 
 

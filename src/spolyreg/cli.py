@@ -254,7 +254,7 @@ def cmd_table(args, config: Config) -> int:
         funcs = [Eigenfunction(args.n, j) for j in range(args.jmax + 1)]
         # |psi_{n,j}|^2 has degree 2(level + degree): refuse a large --n or --jmax before any work
         check_slice_degree((2 * (f.level + f.degree) for f in funcs), config.slice_nodes)
-        sphere = sphere_rule(config.sphere_order)
+        sphere = sphere_rule()
         print("n,j,closed,quadrature,residual")
         for f in funcs:
             closed = psi_norm_sq(args.n, f.j)

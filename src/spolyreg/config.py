@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 from .bargmann import DEFAULT_LINE_NODES, LINE_NODES_MIN
 from .kernels import SERIES_TERMS
-from .quad import DEFAULT_SLICE_NODES, DEFAULT_SPHERE_ORDER, NODE_CAP
+from .quad import DEFAULT_SLICE_NODES, NODE_CAP
 from .series import EXP_STAR_CAP, STAR_TERMS
-from .spectral import FD_ORDER, FD_STEP
 
 __all__ = ["Config", "DEFAULT_TOLERANCES", "load_config"]
 
@@ -42,30 +41,24 @@ DEFAULT_TOLERANCES = {
 _INT_RANGES = {
     "line_nodes": (LINE_NODES_MIN, NODE_CAP),
     "slice_nodes": (1, NODE_CAP),
-    "sphere_order": (0, None),
     "series_terms": (0, None),
     "star_terms": (0, EXP_STAR_CAP),
     "seed": (0, None),
 }
 
 
-def _check_real(name: str, v, positive: bool) -> None:
-    """A finite real number, > 0 if positive else >= 0; bool is refused."""
-    if (isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-            or v < 0 or (positive and v == 0)):
-        bound = "positive" if positive else "nonnegative"
-        raise ValueError(f"config field {name!r} must be a finite {bound} number, got {v!r}")
+def _check_real(name: str, v) -> None:
+    """A finite real number >= 0; bool is refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
+        raise ValueError(f"config field {name!r} must be a finite nonnegative number, got {v!r}")
 
 
 @dataclass(frozen=True)
 class Config:
     line_nodes: int = DEFAULT_LINE_NODES       # Gauss-Hermite points for the real-line pairing
     slice_nodes: int = DEFAULT_SLICE_NODES     # per-axis Gauss-Hermite points on a slice
-    sphere_order: int = DEFAULT_SPHERE_ORDER   # exactness order of the unit-sphere rule
     series_terms: int = SERIES_TERMS   # truncation of the kernel ladder series
     star_terms: int = STAR_TERMS       # truncation of the star-product kernel path
-    fd_step: float = FD_STEP    # finite-difference step for the slice operator
-    fd_order: int = FD_ORDER    # central-stencil order (2 or 4)
     seed: int = 20240 + 1       # base seed for randomised verification suites
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -76,15 +69,12 @@ class Config:
                 raise ValueError(f"config field {name!r} must be an integer, got {v!r}")
             if v < lo or (hi is not None and v > hi):
                 raise ValueError(f"config field {name!r} = {v} outside {lo}..{hi or ''}")
-        if type(self.fd_order) is not int or self.fd_order not in (2, 4):
-            raise ValueError(f"config field 'fd_order' must be one of (2, 4), got {self.fd_order!r}")
-        _check_real("fd_step", self.fd_step, positive=True)
         if not isinstance(self.tolerances, dict):
             raise ValueError("config field 'tolerances' must be an object")
         for suite, tol in self.tolerances.items():
             if suite not in DEFAULT_TOLERANCES:
                 raise ValueError(f"config field 'tolerances' names unknown suite {suite!r}")
-            _check_real(f"tolerances.{suite}", tol, positive=False)
+            _check_real(f"tolerances.{suite}", tol)
         # suites the overrides leave out keep their default tolerance
         object.__setattr__(self, "tolerances", {**DEFAULT_TOLERANCES, **self.tolerances})
 

@@ -78,5 +78,5 @@ class VerificationReport:
             "cases": [c.to_dict() for c in self.cases],
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)

@@ -153,14 +153,15 @@ def psi(mu, j: int, q):
 
 class Eigenfunction:
     """psi_{n,j} as a quadrature integrand, read through psi or its slice
-    form.  For integer n >= 0 and j >= -n it has level n and degree n + j,
-    which the slice rules' degree guard reads; else both are None."""
+    form.  For integers n >= 0 and j >= -n it is a polynomial of level n and
+    degree n + j, which the slice rules' degree guard reads; else both are None."""
 
     def __init__(self, n: int, j: int):
         self.n, self.j = n, j
         r = n.w if isinstance(n, Quaternion) and n.imag_norm() == 0 else n  # psi reads it as real
-        polynomial = isinstance(r, numbers.Real) and float(r).is_integer() and 0 <= r and j >= -r
-        self.level, self.degree = (int(r), int(r) + j) if polynomial else (None, None)
+        polynomial = (all(isinstance(v, numbers.Real) and float(v).is_integer() for v in (r, j))
+                      and 0 <= r and j >= -r)
+        self.level, self.degree = (int(r), int(r + j)) if polynomial else (None, None)
 
     def eval_many(self, pts):
         return psi(self.n, self.j, pts)
@@ -170,14 +171,16 @@ class Eigenfunction:
 
 
 def psi_norm_sq(n: int, j: int) -> float:
-    """Squared full-space norm of psi_{n,j} for integer n >= 0, j >= -n.
+    """Squared full-space norm of the polynomial psi_{n,j}, the n and j that
+    Eigenfunction gives a level: integers n >= 0 and j >= -n.
 
     4 pi^2 n! (j!)^2 / (n+j)!  for j >= 0, and the conjugate-symmetric
     value 4 pi^2 (n+j)! (|j|!)^2 / n!  for j < 0."""
-    if n < 0 or n != int(n):
-        raise ValueError("closed-form norms need an integer eigenvalue n >= 0")
-    if j < -n:
-        raise ValueError(f"psi_{{{n},{j}}} vanishes identically (j < -n); no norm")
+    f = Eigenfunction(n, j)
+    if f.level is None:
+        raise ValueError(f"psi_{{{n},{j}}} is not a polynomial eigenfunction (integers n >= 0 "
+                         "and j >= -n); no closed-form norm")
+    n, j = f.level, f.degree - f.level
     if j >= 0:
         r = Fraction(math.factorial(n) * math.factorial(j) ** 2,
                      math.factorial(n + j))
@@ -196,7 +199,7 @@ class EigenExpansion:
     growth: float
 
 
-def expand_eigen(f: PolySliceSeries, tol: float = 0.0) -> EigenExpansion:
+def expand_eigen(f: PolySliceSeries) -> EigenExpansion:
     """Expand a pure level-n series over the psi family.
 
     Raises if f has Hermite components away from level n.  The growth
@@ -204,16 +207,13 @@ def expand_eigen(f: PolySliceSeries, tol: float = 0.0) -> EigenExpansion:
     full-space norm of f."""
     n = max(f.level, 0)
     alpha = to_hermite_basis(f)
-    bad = {key: v for key, v in alpha.items()
-           if key[1] != n and abs(v) > tol}
+    bad = [key for key in alpha if key[1] != n]  # to_hermite_basis keeps no zero entry
     if bad:
         raise ValueError(
             f"series has Hermite components off level {n}: {sorted(bad)}")
     coeffs = {}
     growth = 0.0
-    for (m, k), v in alpha.items():
-        if k != n:
-            continue
+    for (m, _), v in alpha.items():
         j = m - n
         if j >= 0:
             scl = Fraction(math.factorial(n + j), math.factorial(j)) * (-1) ** n

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qarray
-from .bargmann import (HermiteLine, b2_grid, basis_image_scale, isometry_grams,
+from .bargmann import (HermiteLine, b2_grid, b2_norm_closed, basis_image_scale, isometry_grams,
                        transform_batch)
 from .config import Config
 from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
@@ -30,7 +30,8 @@ from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, coeff_stack, exp_star, hermite_series,
                      laguerre_star, s_k_series, slice_values)
-from .spectral import Eigenfunction, box_fd, box_symbolic, psi_norm_sq, spectrum_probe
+from .spectral import (FD_ORDER, FD_STEP, Eigenfunction, box_fd, box_symbolic, psi_norm_sq,
+                       spectrum_probe)
 
 __all__ = ["SUITES", "SUITE_ORDER", "run_suite", "run_all"]
 
@@ -103,14 +104,15 @@ def verify_orthogonality(config: Config,
 
 
 def verify_eigen(config: Config, j_max: int = 10,
-                 k_max: int = 5, fd_degree: int = 6) -> VerificationReport:
+                 k_max: int = 5) -> VerificationReport:
     """box H_{j,k} = k H_{j,k}: exact coefficients on the full grid, then
-    finite differences at 50 random non-real points on polynomials of
-    total degree <= fd_degree (what the stencil resolves below 1e-4)."""
+    box_fd at 50 random non-real points on polynomials of total degree
+    <= fd_degree = 6 (what FD_STEP and FD_ORDER resolve below 1e-4)."""
+    fd_degree = 6
     rep = VerificationReport("eigen", config.tolerance("eigen"),
                              {"j_max": j_max, "k_max": k_max, "fd_points": 50,
-                              "fd_degree": fd_degree, "fd_step": config.fd_step,
-                              "fd_order": config.fd_order, "seed": config.seed})
+                              "fd_degree": fd_degree, "fd_step": FD_STEP,
+                              "fd_order": FD_ORDER, "seed": config.seed})
     for j in range(j_max + 1):
         for k in range(k_max + 1):
             H = hermite_series(j, k)
@@ -130,7 +132,7 @@ def verify_eigen(config: Config, j_max: int = 10,
         j, k = pairs[rng.integers(len(pairs))]
         H = hermite_series(j, k)
         q = _nonreal(rng, 1.5, 0.05)
-        got = box_fd(H, q, config.fd_step, config.fd_order)
+        got = box_fd(H, q)
         want = H(q) * k
         rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, abs(got - want))
     return rep
@@ -260,8 +262,7 @@ def verify_isometry(config: Config, k_max: int = 6,
         qs = _bounded(rng, 2.0, 20)
         vals = b2_grid(k, rule.nodes, qs)
         nums = np.sqrt(np.sum(vals * vals, axis=2) @ rule.line_weights)
-        # b2_norm_closed row by row, rounded by math.exp as it is
-        want = np.array([math.exp(n2 / 2.0) for n2 in qarray.norm_sq(qs)]) / math.sqrt(math.pi)
+        want = b2_norm_closed(qs)
         resid = np.abs(nums - want) / want
         worst = int(np.argmax(resid))
         rep.add({"k": k, "worst_q": qs[worst], "part": "norm"},
@@ -287,11 +288,11 @@ def verify_norms(config: Config, n_max: int = 3,
                  j_max: int = 4) -> VerificationReport:
     """Full-space quadrature norms of psi_{n,j} against
     4 pi^2 n!(j!)^2/(n+j)!  (relative residual)."""
+    sphere = sphere_rule()
     rep = VerificationReport("norms", config.tolerance("norms"),
                              {"n_max": n_max, "j_max": j_max,
                               "nodes": config.slice_nodes,
-                              "sphere_order": config.sphere_order})
-    sphere = sphere_rule(config.sphere_order)
+                              "sphere_order": sphere.order})
     for n in range(n_max + 1):
         for j in range(j_max + 1):
             want = psi_norm_sq(n, j)

@@ -67,6 +67,15 @@ def test_coherent_state_norm():
             assert math.sqrt(v.w) == pytest.approx(ref, rel=1e-8)
 
 
+def test_coherent_state_norm_batch_rows_are_one_point_calls():
+    # every row rounded by math.exp, as the one-point call is, to the bit
+    pts = np.random.default_rng(7).normal(size=(400, 4)) * 1.5
+    got = b2_norm_closed(pts)
+    assert got.shape == (400,)
+    assert got.tolist() == [b2_norm_closed(qarray.to_quaternion(p)) for p in pts]
+    assert b2_norm_closed(np.empty((0, 4))).shape == (0,)
+
+
 def test_sampled_line_alignment_guard():
     nodes = RULE.nodes
     good = SampledLine(nodes, np.ones_like(nodes))

@@ -523,12 +523,32 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
                                   "--q", "0.5+1i")),
             # too few line nodes for the transform's accepted domain
             ("line_nodes", 8, ("transform", "--level", "0", "--phi", "h:0",
-                               "--q", "0.5+5i"))):
+                               "--q", "0.5+5i")),
+            # former keys with one value in use are constants now, refused even at that value
+            ("sphere_order", 6, ("table", "norms", "--n", "1")),
+            ("fd_step", 1e-3, ("verify", "--suite", "eigen")),
+            ("fd_order", 4, ("verify", "--suite", "eigen"))):
         cfg.write_text(json.dumps({field: value}))
         r = run_main(capsys, *argv, "--config", str(cfg))
         assert r.returncode == 2, field
         assert repr(field) in r.stderr and "Traceback" not in r.stderr
         assert r.stdout == ""
+
+
+def test_readme_config_block_lists_the_config_fields():
+    # README's "Keys and defaults" block against Config: a key cannot be added,
+    # or stay documented after its removal, unnoticed
+    import dataclasses
+    from pathlib import Path
+    from spolyreg.config import Config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Keys and defaults:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    fields = dataclasses.fields(Config)
+    assert list(documented) == [f.name for f in fields]
+    for f in fields:
+        if f.default is not dataclasses.MISSING:  # tolerances has a factory, documented per suite
+            assert documented[f.name] == f.default, f.name
 
 
 def test_config_is_read_at_the_leaf_command_only(tmp_path, capsys):

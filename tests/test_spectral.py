@@ -159,6 +159,19 @@ def test_psi_norm_sq_rejects_bad_orders():
         psi_norm_sq(-1, 0)
 
 
+def test_psi_norm_sq_has_a_norm_where_eigenfunction_has_a_level():
+    # psi_{n,j} is polynomial, with a closed-form norm, in any numeric type of n
+    for n in (2, 2.0, np.int64(2), quat(2)):
+        assert Eigenfunction(n, 1).level == 2
+        assert psi_norm_sq(n, 1) == psi_norm_sq(2, 1)
+    # elsewhere it has no norm, and the refusal says so without claiming psi vanishes
+    assert psi(2, -3, quat(0.5, 0.7)).norm() > 0.5
+    for n, j in ((2, -3), (-1, 0), (2.5, 0), (quat(2, 0.5), 1), (2, 1.5)):
+        assert Eigenfunction(n, j).level is None
+        with pytest.raises(ValueError, match="is not a polynomial eigenfunction"):
+            psi_norm_sq(n, j)
+
+
 @pytest.mark.parametrize("n,j", [(1, 0), (2, 2), (2, -1)])
 def test_psi_norm_matches_quadrature(n, j):
     num = norm_sq_full(Eigenfunction(n, j), n_slice=40)
