@@ -64,7 +64,9 @@ def _grid(rows) -> tuple:
     rows = [[_lift(c) for c in row] for row in rows]
     while rows and all(c == _Z for c in rows[-1]):
         rows.pop()
-    width = max((j + 1 for row in rows for j, c in enumerate(row) if c != _Z), default=0)
+    cols = max(map(len, rows), default=0)   # the last nonzero column, read from the right
+    width = next((j + 1 for j in reversed(range(cols))
+                  if any(j < len(row) and row[j] != _Z for row in rows)), 0)
     return tuple(tuple(row[:width]) + (_Z,) * (width - len(row)) for row in rows)
 
 
@@ -166,17 +168,21 @@ class _Grid:
     def __sub__(self, other):
         return self._from_rows(_zip(self._rows, other._rows, operator.sub))
 
+    def _map(self, fn):
+        """fn of each nonzero coefficient, zero entries kept (_convolve's zero test)."""
+        return self._from_rows([[c if c == _Z else fn(c) for c in row] for row in self._rows])
+
     def __neg__(self):
-        return self._from_rows([[-c for c in row] for row in self._rows])
+        return self._map(operator.neg)
 
     def scale(self, s):
         """Multiply by a real scalar (Fraction-safe)."""
-        return self._from_rows([[c * s for c in row] for row in self._rows])
+        return self._map(lambda c: c * s)
 
     def rmul(self, c):
         """Right module action f * c (coefficients c_kj * c)."""
         c = _lift(c)
-        return self._from_rows([[a * c for a in row] for row in self._rows])
+        return self._map(lambda a: a * c)
 
     # -- comparison ------------------------------------------------------
 
@@ -398,7 +404,7 @@ def hermite_series(m: int, n: int) -> PolySliceSeries:
     (-1)^s C(m,s) C(n,s) s! at qbar^(n-s) q^(m-s)."""
     if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
         raise ValueError(f"hermite indices ({m},{n}) outside 0..{DEGREE_CAP}")
-    rows = [[0] * (m + 1) for _ in range(n + 1)]
+    rows = [[_Z] * (m + 1) for _ in range(n + 1)]
     for s in range(min(m, n) + 1):
         rows[n - s][m - s] = ((-1) ** s * math.comb(m, s) * math.comb(n, s)
                               * math.factorial(s))

@@ -40,7 +40,7 @@ import numpy as np
 from . import qarray
 from .poly import kummer_M
 from .quat import Quaternion, quat
-from .quad import gauss_legendre
+from .quad import gauss_legendre, values_on
 from .series import PolySliceSeries, to_hermite_basis
 
 __all__ = [
@@ -62,9 +62,20 @@ PROBE_WINDOWS = 16   # spectrum_probe's number of annuli
 
 
 def box_symbolic(f: PolySliceSeries) -> PolySliceSeries:
-    """Exact action of the slice operator on a polyanalytic series."""
-    df = f.dbar()
-    return -(df.d()) + df.mul_qbar()
+    """Exact slice operator on a left-form series, one pass over its nonzero
+    coefficients: qbar^k q^j c adds k c at (k, j) and subtracts (c k) j at (k-1, j-1),
+    the products and sums, in that order, of -(dbar f).d() + (dbar f).mul_qbar()."""
+    if not isinstance(f, PolySliceSeries):
+        raise TypeError(f"box_symbolic acts on a PolySliceSeries, not {type(f).__name__}")
+    zero = quat(0)
+    out = [[zero] * len(row) for row in f.coeffs]
+    for k, row in enumerate(f.coeffs[1:], 1):
+        for j, c in enumerate(row):
+            if c != zero:
+                out[k][j] = out[k][j] + c * k
+                if j:
+                    out[k - 1][j - 1] = out[k - 1][j - 1] - c * k * j
+    return PolySliceSeries(out)
 
 
 def _stencil_1d(vals, h: float, order: int):
@@ -83,44 +94,37 @@ def _stencil_1d(vals, h: float, order: int):
     return d1, d2
 
 
-def box_fd(f, q: Quaternion, h: float = FD_STEP, order: int = FD_ORDER) -> Quaternion:
-    """Finite-difference slice operator at q, central stencil of step h > 0
-    and order 2 or 4.
+def box_fd(f, q, h: float = FD_STEP, order: int = FD_ORDER):
+    """Finite-difference slice operator at one Quaternion q (a Quaternion)
+    or at each row of an (N, 4) batch (an (N, 4) array), central stencil of
+    step h > 0 and order 2 or 4; the stencil points of every row are read
+    in one values_on call.
 
     Needs |Im q| > order * h to keep the stencil clear of the branch
-    switch at the real axis; exactly real q uses the degenerate real
+    switch at the real axis; exactly real rows use the degenerate real
     form -f'' + x f'.
     """
     if order not in (2, 4):
         raise ValueError("central stencil order must be 2 or 4")
-    if h <= 0:
-        raise ValueError("step must be positive")
-    q = quat(q)
-    s = q.to_slice()
-    offsets = (-1, 0, 1) if order == 2 else (-2, -1, 0, 1, 2)
-
-    if s.y == 0.0:
-        vals = tuple(f(quat(s.x + o * h)) for o in offsets)
-        d1, d2 = _stencil_1d(vals, h, order)
-        return -d2 + d1 * s.x
-
-    if s.y <= order * h:
-        raise ValueError(
-            f"point too close to the real axis for the stencil: |Im q| = {s.y:.3e} "
-            f"needs > {order * h:.3e}")
-
-    unit = s.unit
-
-    def ev(xx, yy):
-        return f(xx + unit * yy)
-
-    xv = tuple(ev(s.x + o * h, s.y) for o in offsets)
-    yv = tuple(ev(s.x, s.y + o * h) for o in offsets)
-    fx, fxx = _stencil_1d(xv, h, order)
-    fy, fyy = _stencil_1d(yv, h, order)
-    out = (fxx + fyy) * (-0.25) + (fx * s.x + fy * s.y) * 0.5 \
-        + unit * (fy * s.x - fx * s.y) * 0.5
-    return out
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step must be positive and finite, got {h!r}")
+    if not isinstance(q, np.ndarray):
+        return qarray.to_quaternion(box_fd(f, qarray.from_quaternion(quat(q))[None, :], h, order)[0])
+    z, unit = qarray.to_slice(q)
+    x, y = z.real, z.imag
+    near = np.flatnonzero((y > 0) & (y <= order * h))
+    if near.size:
+        raise ValueError(f"point too close to the real axis for the stencil: row {near[0]} has "
+                         f"|Im q| = {y[near[0]]:.3e}, needs > {order * h:.3e}")
+    offsets = np.arange(-(order // 2), order // 2 + 1)[:, None] * h
+    pts = np.stack([qarray.from_slice(x + offsets + 1j * y, unit),
+                    qarray.from_slice(x + 1j * (y + offsets), unit)])
+    vals = values_on(f, pts.reshape(-1, 4)).reshape(pts.shape)
+    (fx, fxx), (fy, fyy) = (_stencil_1d(tuple(v), h, order) for v in vals)
+    x, y = x[:, None], y[:, None]
+    out = (fxx + fyy) * (-0.25) + (fx * x + fy * y) * 0.5 \
+        + qarray.qmul(qarray.from_slice(1j, unit), fy * x - fx * y) * 0.5
+    return np.where(y == 0.0, -fxx + fx * x, out)
 
 
 # -- hypergeometric eigenfunctions ---------------------------------------

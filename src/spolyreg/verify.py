@@ -50,10 +50,11 @@ def _bounded(rng, radius: float, n: int) -> np.ndarray:
     return q
 
 
-def _nonreal(rng, radius: float, min_imag: float) -> Quaternion:
+def _nonreal(rng, radius: float, min_imag: float) -> np.ndarray:
+    """A (4,) row of _bounded with |Im q| > min_imag, summed as in Quaternion.imag_norm."""
     while True:
-        q = qarray.to_quaternion(_bounded(rng, radius, 1)[0])
-        if q.imag_norm() > min_imag:
+        q = _bounded(rng, radius, 1)[0]
+        if math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3]) > min_imag:
             return q
 
 
@@ -107,34 +108,36 @@ def verify_eigen(config: Config, j_max: int = 10,
                  k_max: int = 5) -> VerificationReport:
     """box H_{j,k} = k H_{j,k}: exact coefficients on the full grid, then
     box_fd at 50 random non-real points on polynomials of total degree
-    <= fd_degree = 6 (what FD_STEP and FD_ORDER resolve below 1e-4)."""
+    <= fd_degree = 6 (what FD_STEP and FD_ORDER resolve below 1e-4), batched per (j, k)."""
     fd_degree = 6
     rep = VerificationReport("eigen", config.tolerance("eigen"),
                              {"j_max": j_max, "k_max": k_max, "fd_points": 50,
                               "fd_degree": fd_degree, "fd_step": FD_STEP,
                               "fd_order": FD_ORDER, "seed": config.seed})
-    for j in range(j_max + 1):
-        for k in range(k_max + 1):
-            H = hermite_series(j, k)
-            lhs = box_symbolic(H)
-            rhs = H.scale(k)
-            resid = 0.0 if lhs == rhs else max(
-                abs(lhs.coeff(a, b) - rhs.coeff(a, b))
-                for a in range(max(lhs.level, rhs.level) + 1)
-                for b in range(max(lhs.degree, rhs.degree) + 1))
-            rep.add({"j": j, "k": k, "mode": "exact"}, "k*H", "box(H)", resid)
+    herm = {(j, k): hermite_series(j, k) for j in range(j_max + 1) for k in range(k_max + 1)}
+    for (j, k), H in herm.items():
+        lhs, rhs = box_symbolic(H), H.scale(k)
+        resid = 0.0 if lhs == rhs else max(
+            abs(lhs.coeff(a, b) - rhs.coeff(a, b))
+            for a in range(max(lhs.level, rhs.level) + 1)
+            for b in range(max(lhs.degree, rhs.degree) + 1))
+        rep.add({"j": j, "k": k, "mode": "exact"}, "k*H", "box(H)", resid)
 
     rng = _rng(config, 2)
     cap = min(fd_degree, j_max)
     pairs = [(j, k) for j in range(cap + 1)
              for k in range(min(cap - j, k_max) + 1)]
-    for _ in range(50):
-        j, k = pairs[rng.integers(len(pairs))]
-        H = hermite_series(j, k)
-        q = _nonreal(rng, 1.5, 0.05)
-        got = box_fd(H, q)
-        want = H(q) * k
-        rep.add({"j": j, "k": k, "q": q, "mode": "fd"}, want, got, abs(got - want))
+    drawn, qs = zip(*[(pairs[rng.integers(len(pairs))], _nonreal(rng, 1.5, 0.05))
+                      for _ in range(50)])      # a pair, then its point
+    qs = np.array(qs)
+    got, want = np.empty_like(qs), np.empty_like(qs)
+    for j, k in sorted(set(drawn)):
+        rows = [n for n, pair in enumerate(drawn) if pair == (j, k)]
+        got[rows] = box_fd(herm[j, k], qs[rows])
+        want[rows] = herm[j, k].eval_many(qs[rows]) * k
+    resid = np.linalg.norm(got - want, axis=-1)
+    for n, (j, k) in enumerate(drawn):
+        rep.add({"j": j, "k": k, "q": qs[n], "mode": "fd"}, want[n], got[n], resid[n])
     return rep
 
 

@@ -118,6 +118,26 @@ def _frac_grid(seed, rows, cols):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def test_linear_maps_skip_zero_entries_and_stay_exact():
+    # neg, scale and rmul map the nonzero entries only; on exact grids they equal the dense maps
+    c = quat(Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7), Fraction(1, 2))
+    s = Fraction(-5, 3)
+    for seed, (rows, cols) in enumerate(((1, 4), (3, 3), (5, 2))):
+        grid = _frac_grid(seed, rows, cols)
+        grid[0][0], grid[-1][0] = quat(0), quat(0)
+        for f in (PolySliceSeries(grid), RightPolySeries(grid), SliceSeries(grid[0])):
+            def dense(fn, f=f):
+                return f._from_rows([[fn(v) for v in row] for row in f._rows])
+            maps = ((-f, dense(lambda v: -v)), (f.scale(s), dense(lambda v: v * s)),
+                    (f.rmul(c), dense(lambda v: v * c)))
+            for got, want in maps:
+                assert got == want
+                assert all(isinstance(x, (int, Fraction))
+                           for row in got._rows for v in row for x in v.as_tuple())
+    H = hermite_series(10, 5)
+    assert sum(v != quat(0) for row in H.coeffs for v in row) == 6
+
+
 def test_right_form_value_is_left_coefficient_value():
     # c q^j qbar^k = c qbar^k q^j: one grid, the coefficient on the left
     q = quat(Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4), Fraction(1, 2))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spolyreg import (
+    PolySliceSeries,
+    RightPolySeries,
     box_fd,
     box_symbolic,
     expand_eigen,
@@ -85,6 +87,99 @@ def test_spectral_config_validation():
         box_fd(f, quat(0.5, 1, 0, 0), h=0.0)
     with pytest.raises(ValueError, match="central stencil order must be 2 or 4"):
         box_fd(f, quat(0.5, 1, 0, 0), order=3)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), -float("inf")])
+def test_box_fd_refuses_a_step_that_is_not_finite(h):
+    # a NaN step read as a NaN value; an infinite one claimed the point was near the axis
+    f = hermite_series(2, 1)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        box_fd(f, quat(0.4, 0.3, -0.6, 0.2), h=h)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        box_fd(f, np.array([[0.4, 0.3, -0.6, 0.2]]), h=h)
+
+
+def _nonreal_rows(rng, n):
+    """n points with components in [-0.85, 0.85] and |Im q| > 0.05 as an (n, 4) batch."""
+    pts = rng.uniform(-0.85, 0.85, size=(4 * n, 4))
+    return pts[np.linalg.norm(pts[:, 1:], axis=1) > 0.05][:n]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_box_fd_batch_rows_are_one_point_calls(order):
+    rng = np.random.default_rng(11)
+    pts = np.vstack([_nonreal_rows(rng, 12), [[0.7, 0.0, 0.0, 0.0]]])
+    for j, k in ((1, 1), (3, 2), (2, 4), (6, 0)):
+        f = hermite_series(j, k)
+        got = box_fd(f, pts, h=1e-3, order=order)
+        assert got.shape == pts.shape
+        one = np.array([qarray.from_quaternion(box_fd(f, qarray.to_quaternion(p), h=1e-3,
+                                                      order=order)) for p in pts])
+        assert np.array_equal(got, one)
+
+
+def test_box_fd_batch_matches_the_scalar_eigenvalue_reference():
+    # order-4 bound of test_box_fd_matches_eigenvalue, against the scalar eval_left
+    rng = np.random.default_rng(5)
+    pts = _nonreal_rows(rng, 48)
+    assert len(pts) == 48
+    for j, k in ((0, 0), (1, 1), (3, 2), (2, 4), (0, 5), (4, 2)):
+        f = hermite_series(j, k)
+        got = box_fd(f, pts)
+        for g, p in zip(got, pts):
+            want = f.eval_left(qarray.to_quaternion(p)) * k
+            assert np.linalg.norm(g - qarray.from_quaternion(want)) < 1e-7 * max(1.0, want.norm())
+    # a real row in the batch reads the real form -g'' + x g' of g(x) = x^3 - 2x
+    x = 0.7
+    got = box_fd(hermite_series(2, 1), np.vstack([pts[:3], [[x, 0.0, 0.0, 0.0]]]))
+    assert np.linalg.norm(got[3] - [3 * x ** 3 - 8 * x, 0.0, 0.0, 0.0]) < 1e-7
+
+
+def test_box_fd_batch_refuses_a_near_axis_row_by_its_imaginary_part():
+    pts = np.array([[0.4, 0.3, -0.6, 0.2], [0.5, 0.0, 2.5e-3, 0.0], [0.1, 0.9, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"real axis.*row 1 has \|Im q\| = 2\.500e-03"):
+        box_fd(hermite_series(1, 1), pts, h=1e-3, order=4)
+
+
+def _box_composed(f):
+    """The slice operator as the composition -(dbar f).d() + (dbar f).mul_qbar()."""
+    df = f.dbar()
+    return -(df.d()) + df.mul_qbar()
+
+
+def _random_grid(rng, rows, cols, exact):
+    """A rows x cols grid with about a third of its cells zero."""
+    def entry():
+        if rng.random() < 0.35:
+            return quat(0)
+        if exact:
+            return quat(*(Fraction(int(v), int(d)) for v, d in
+                          zip(rng.integers(-9, 10, 4), rng.integers(1, 8, 4))))
+        return quat(*rng.standard_normal(4))
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _bits(f):
+    return [[tuple(float(v).hex() for v in c.as_tuple()) for c in row] for row in f.coeffs]
+
+
+def test_box_symbolic_is_the_composition_on_random_grids():
+    rng = np.random.default_rng(17)
+    for rows, cols in ((1, 4), (2, 1), (3, 3), (5, 4), (6, 8), (8, 3)):
+        exact = PolySliceSeries(_random_grid(rng, rows, cols, exact=True))
+        assert box_symbolic(exact) == _box_composed(exact)
+        floats = PolySliceSeries(_random_grid(rng, rows, cols, exact=False))
+        got, want = box_symbolic(floats), _box_composed(floats)
+        assert got == want and _bits(got) == _bits(want)
+    for j, k in ((0, 0), (4, 2), (10, 5), (12, 6)):
+        f = hermite_series(j, k).rmul(quat(0.3, -1.1, 0.7, 2.0))
+        assert _bits(box_symbolic(f)) == _bits(_box_composed(f))
+
+
+def test_box_symbolic_refuses_the_right_form():
+    # reading the grid as left form would give a plausible wrong series
+    with pytest.raises(TypeError, match="PolySliceSeries"):
+        box_symbolic(RightPolySeries([[quat(1), quat(0, 1, 0, 0)], [quat(2)]]))
 
 
 def test_psi_closed_values():

@@ -127,6 +127,25 @@ def test_transform_basis_residual_is_the_scalar_hermite_residual(monkeypatch):
         assert abs(case.residual - want) <= 16 * np.finfo(float).eps * terms
 
 
+# -- eigen: batched finite differences, one Hermite build per (j, k) ---------
+
+def test_eigen_makes_no_scalar_evaluation_and_builds_each_hermite_once(monkeypatch):
+    evals, built = [], []
+
+    def count_eval(*args, **kwargs):
+        evals.append(1)
+        return scalar_eval(*args, **kwargs)
+
+    scalar_eval = series._eval
+    monkeypatch.setattr(series, "_eval", count_eval)
+    monkeypatch.setattr(verify, "hermite_series", lambda j, k: built.append((j, k))
+                        or hermite_series(j, k))
+    rep = verify.verify_eigen(Config(seed=3))
+    assert rep.passed and len(rep.cases) == CASES_AT_SEED_3["eigen"]
+    assert evals == []
+    assert sorted(built) == [(j, k) for j in range(11) for k in range(6)]
+
+
 # -- points and values as (N, 4) arrays, draw to residual ------------------
 
 def test_bounded_reads_the_scalar_draws_bit_for_bit():
