@@ -123,10 +123,11 @@ REAL_LIMIT = 8.0      # |Re q| the CLI transform accepts; see transform_batch
 LINE_NODES_MIN = 75   # fewest line nodes accurate to 1e-7 on that domain
 
 
-def _line_rule(rule, k: int, phi) -> Rule1D:
+def _line_rule(rule, k: int, lines) -> Rule1D:
     if rule is None:
         rule = gauss_hermite(DEFAULT_LINE_NODES)
-    deg = getattr(phi, "degree", None)
+    deg = max((phi.degree for phi in lines if getattr(phi, "degree", None) is not None),
+              default=None)
     if deg is not None and rule.n < deg + k + 1:
         raise QuadratureDegreeError(
             f"line rule with n={rule.n} too small for Hermite degree {deg} "
@@ -136,7 +137,9 @@ def _line_rule(rule, k: int, phi) -> Rule1D:
 
 def transform_batch(k: int, phi, qpts: np.ndarray,
                     rule: Rule1D | None = None) -> np.ndarray:
-    """Transform values on an (N, 4) batch of evaluation points.
+    """Transform values on an (N, 4) batch of evaluation points: (N, 4) for
+    one line function phi, (M, N, 4) for a list or tuple of M of them, all
+    paired against one coherent-state table in one complex product.
 
     Any q is accepted.  The integrand grows like e^(|Im q|^2/2) and
     oscillates, so the rounding error is about eps e^(|Im q|^2/2) relative
@@ -148,8 +151,13 @@ def transform_batch(k: int, phi, qpts: np.ndarray,
     LINE_NODES_MIN = 75 nodes (1.1e-7 with 74); the CLI refuses |Re q| > REAL_LIMIT.
     Slice pairings of the values, as in isometry_grams, stay accurate at
     larger |Im q| because the e^(-|q|^2) weights damp the error."""
-    rule = _line_rule(rule, k, phi)
-    return qarray.lift(*_paired(k, rule, qpts, values_on(phi, rule.nodes)))
+    many = isinstance(phi, (list, tuple))
+    lines = phi if many else [phi]
+    rule = _line_rule(rule, k, lines)
+    vals = np.stack([values_on(f, rule.nodes) for f in lines], axis=1)   # (T, M, 4)
+    s, unit = _paired(k, rule, qpts, vals.reshape(len(rule.nodes), -1))
+    out = np.moveaxis(qarray.lift(s.reshape(len(s), len(lines), 4), unit[:, None]), 1, 0)
+    return out if many else out[0]
 
 
 def basis_image_scale(j: int, k: int) -> float:
@@ -162,7 +170,8 @@ def b2_norm_closed(q):
     independent of the level k: a float at one point, an (N,) array on an (N, 4)
     batch, each row rounded by math.exp as the one-point call is."""
     if isinstance(q, np.ndarray):
-        return np.array([math.exp(n2 / 2.0) for n2 in qarray.norm_sq(q)]) / math.sqrt(math.pi)
+        n2 = qarray.norm_sq(qarray.check_batch(q))
+        return np.array([math.exp(v / 2.0) for v in n2]) / math.sqrt(math.pi)
     return math.exp(float(quat(q).norm_sq()) / 2.0) / math.sqrt(math.pi)
 
 
@@ -171,11 +180,18 @@ def isometry_grams(k: int, j_max: int, qquad, rule: Rule1D | None = None):
     pairing next to the Gram matrix of the basis itself on the line.
 
     Returns (gram_images, gram_line) as (J+1, J+1, 4) arrays; the scaled
-    isometry makes them equal.  The Hermite lines are real, so all their
-    images are one complex product; their Gram is one qarray.gram."""
-    rule = _line_rule(rule, k, HermiteLine(j_max))
-    lines = np.stack([HermiteLine(j).eval_many(rule.nodes) for j in range(j_max + 1)])
-    s, unit = _paired(k, rule, qquad.points, lines[..., 0].T)
-    images = qarray.from_slice(s.T, unit)
-    return (qarray.gram(images, images, qquad.weights),
-            qarray.gram(lines, lines, rule.line_weights))
+    isometry makes them equal.  The Hermite lines are real, so their images
+    are x + U y at each point, with complex slice coordinates s = x + i y
+    from one complex product, and conj(x_a + U y_a)(x_b + U y_b) =
+    Re(conj(s_a) s_b) + U Im(conj(s_a) s_b): the image Gram is one complex
+    contraction of conj(s) against s weighted by w_n and by w_n U_n, for
+    any points, not only one slice's."""
+    lines = [HermiteLine(j) for j in range(j_max + 1)]
+    rule = _line_rule(rule, k, lines)
+    vals = np.stack([phi.eval_many(rule.nodes) for phi in lines])
+    s, unit = _paired(k, rule, qquad.points, vals[..., 0].T)
+    w = qquad.weights[:, None] * np.hstack([np.ones((len(s), 1)), unit])    # (N, 4)
+    g = (np.conj(s).T @ (w[:, :, None] * s[:, None, :]).reshape(len(s), -1)).reshape(
+        len(lines), 4, len(lines))
+    images = np.concatenate([g[:, :1].real, g[:, 1:].imag], axis=1).transpose(0, 2, 1)
+    return images, qarray.gram(vals, vals, rule.line_weights)

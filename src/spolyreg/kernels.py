@@ -326,11 +326,14 @@ def kernel_value_tail(spec: KernelSpec, p, q):
 # -- projection ----------------------------------------------------------
 
 
-def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> np.ndarray:
+def project_batch(k: int | range, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> np.ndarray:
     """Orthogonal projection onto the level-k space on a (P, 4) batch:
     P_k f(p) = <K_{2,k}(p, .), f>_{C_I} = (1/(pi k!)) sum_j A_{j,k}(p) c_j
     with c_j = sum_n w_n conj(A_{j,k}(q_n)) f(q_n) over the slice rule, the
-    f(q_n) read by values_on(f, Q) as in the slice pairings.
+    f(q_n) read by values_on(f, Q) as in the slice pairings.  For a range of
+    levels, the projection onto their orthogonal sum, sum_k P_k f, from the
+    same values and ladders: each ladder row already holds every level up
+    to the top one.
 
     The rule's points q_n = Re z_n + I Im z_n share the unit I, so
     conj(A(q_n)) f = Re A f - Im A (I f) and c_j = Re(A_{j,k}(z) @ (wf + i wIf)),
@@ -342,15 +345,20 @@ def project_batch(k: int, f, ppts: np.ndarray, Q, terms: int = SERIES_TERMS) -> 
     and both ladders stop at min(terms, D); the stop depends on f alone, so
     a batch row equals its one-row call.  Such an f is refused before any
     work unless the rule integrates conj(A_{j,k}) f, of degree
-    2 D + level + k, exactly.  Any other f runs to the cap."""
+    2 D + level + k, exactly, at the top level k.  Any other f runs to the cap."""
+    levels = k if isinstance(k, range) else range(k, k + 1)
+    if not levels or levels[0] < 0 or levels.step < 0:
+        raise ValueError(f"levels must be a nonempty increasing range of levels >= 0, got {k!r}")
+    top = levels[-1]
     if isinstance(f, PolySliceSeries):
-        check_slice_degree((2 * f.degree + f.level + k,), Q.n)
+        check_slice_degree((2 * f.degree + f.level + top,), Q.n)
         terms = min(terms, max(f.degree, 0))
     ppts = np.asarray(ppts, dtype=float).reshape(-1, 4)
     fv = values_on(f, Q) * Q.weights[:, None]
     unit = qarray.from_quaternion(Q.unit)
     wf = fv + 1j * qarray.qmul(unit, fv)
-    c = np.array([(row[k] @ wf).real for row in _ladder(Q.z, k, terms)])
+    c = np.array([[(row[kappa] @ wf).real for kappa in levels] for row in _ladder(Q.z, top, terms)])
     zp, up = qarray.to_slice(ppts)
-    a = np.array([row[k] for row in _ladder(zp, k, terms)]).T
-    return qarray.lift(a @ c, up) / (math.pi * math.factorial(k))
+    a = np.array([row[levels.start::levels.step] for row in _ladder(zp, top, terms)])
+    return np.sum([qarray.lift(a[:, n].T @ c[:, n], up) / (math.pi * math.factorial(kappa))
+                   for n, kappa in enumerate(levels)], axis=0)

@@ -146,21 +146,24 @@ def kummer_M(a, c, x):
     n_term = None if isinstance(a, complex) else _as_nonpositive_int(a)
     stop = KUMMER_TERMS if n_term is None else n_term
     total = term = x * 0 + 1
-    live = True  # entries whose last term is >= KUMMER_TOL; the others add zeros
+    live = True  # entries whose last term is >= KUMMER_TOL, True while all are; the others add zeros
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(stop):
             # term_{j+1} = term_j * (a+j) * x / ((c+j)(j+1))
-            term = term * (a + j) * (x / ((c + j) * (j + 1))) * live
+            term = term * (a + j) * (x / ((c + j) * (j + 1)))
+            if live is not True:
+                term = term * live
             total = total + term
             mag = abs(term)
-            if not np.all(mag < math.inf):
-                raise KummerConvergenceError(j + 1, float(np.max(mag)))
+            top = np.maximum.reduce(mag, axis=None, initial=0.0)   # not finite iff a term is not
+            if not top < math.inf:
+                raise KummerConvergenceError(j + 1, float(top))
             if n_term is None:
-                live = mag >= KUMMER_TOL
-                if not np.any(live):
+                if not top >= KUMMER_TOL:
                     return total
+                live = True if np.minimum.reduce(mag, axis=None) >= KUMMER_TOL else mag >= KUMMER_TOL
     if n_term is None:
-        raise KummerConvergenceError(stop, float(np.max(mag)))
+        raise KummerConvergenceError(stop, float(top))
     return total
 
 

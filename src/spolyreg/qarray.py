@@ -14,6 +14,7 @@ from .quat import Quaternion
 __all__ = [
     "from_quaternion",
     "to_quaternion",
+    "check_batch",
     "qmul",
     "qconj",
     "norm_sq",
@@ -34,6 +35,14 @@ def to_quaternion(a) -> Quaternion:
     if a.shape != (4,):
         raise ValueError(f"expected shape (4,), got {a.shape}")
     return Quaternion(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
+
+
+def check_batch(a) -> np.ndarray:
+    """a as a float (N, 4) batch; any other shape is refused with a ValueError."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) batch of quaternions, got shape {a.shape}")
+    return a
 
 
 def qmul(a, b) -> np.ndarray:

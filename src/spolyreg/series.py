@@ -340,7 +340,9 @@ def coeff_stack(funcs) -> np.ndarray:
     c = np.zeros((level + 1, degree + 1, len(funcs), 4))
     for a, f in enumerate(funcs):
         for k, row in enumerate(f._rows):
-            c[k, :len(row), a] = [v.as_tuple() for v in row]
+            for j, v in enumerate(row):
+                if v is not _Z:     # the shared zero; any other entry is written, signed zeros too
+                    c[k, j, a] = v.as_tuple()
     return c
 
 

@@ -110,7 +110,7 @@ def box_fd(f, q, h: float = FD_STEP, order: int = FD_ORDER):
         raise ValueError(f"step must be positive and finite, got {h!r}")
     if not isinstance(q, np.ndarray):
         return qarray.to_quaternion(box_fd(f, qarray.from_quaternion(quat(q))[None, :], h, order)[0])
-    z, unit = qarray.to_slice(q)
+    z, unit = qarray.to_slice(qarray.check_batch(q))
     x, y = z.real, z.imag
     near = np.flatnonzero((y > 0) & (y <= order * h))
     if near.size:

@@ -229,21 +229,32 @@ def verify_reproduce(config: Config, level_max: int = 3,
 
 def verify_transform_basis(config: Config, j_max: int = 6,
                            k_max: int = 6) -> VerificationReport:
-    """B_{2,k} sends the Hermite function h_j to (1/pi)^(1/4) sqrt(2^j/k!) H_{j,k},
-    read as hermite_series(j, k).eval_many; worst of 20 random q per (j,k)."""
+    """B_{2,k} sends the Hermite function h_j to (1/pi)^(1/4) sqrt(2^j/k!) H_{j,k};
+    worst of 20 random q per (j,k).  Per level k, one transform_batch of all
+    the h_j on all their points and one slice_values table of the stacked
+    H_{j,k}; each (j, k) reads its own 20 rows of both."""
     rep = VerificationReport("transform-basis", config.tolerance("transform-basis"),
                              {"j_max": j_max, "k_max": k_max, "points": 20,
                               "line_nodes": config.line_nodes, "seed": config.seed})
     rng = _rng(config, 6)
     rule = gauss_hermite(config.line_nodes)
-    for j in range(j_max + 1):
+    js = range(j_max + 1)
+    pts = _bounded(rng, 1.5, len(js) * (k_max + 1) * 20).reshape(len(js), k_max + 1, 20, 4)
+    line, row = np.repeat(js, 20), np.arange(len(js) * 20)     # row n belongs to h_{n // 20}
+    resid = np.empty((len(js), k_max + 1, 20))
+    for k in range(k_max + 1):
+        qs = pts[:, k].reshape(-1, 4)
+        got = transform_batch(k, [HermiteLine(j) for j in js], qs, rule)[line, row]
+        z, unit = qarray.to_slice(qs)
+        stack = coeff_stack([hermite_series(j, k) for j in js])
+        scale = np.array([basis_image_scale(j, k) for j in js])[line, None]
+        ref = qarray.lift(slice_values(stack, z)[row, line], unit) * scale
+        resid[:, k] = np.linalg.norm(got - ref, axis=1).reshape(len(js), 20)
+    for j in js:
         for k in range(k_max + 1):
-            pts = _bounded(rng, 1.5, 20)
-            ref = hermite_series(j, k).eval_many(pts) * basis_image_scale(j, k)
-            resid = np.linalg.norm(transform_batch(k, HermiteLine(j), pts, rule) - ref, axis=1)
-            worst = int(np.argmax(resid))
-            rep.add({"j": j, "k": k, "worst_q": qarray.to_quaternion(pts[worst])},
-                    "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", float(resid[worst]))
+            worst = int(np.argmax(resid[j, k]))
+            rep.add({"j": j, "k": k, "worst_q": pts[j, k, worst]},
+                    "scale * H_{j,k}(q)", "B_{2,k} h_j (q)", float(resid[j, k, worst]))
     return rep
 
 
@@ -330,8 +341,9 @@ def verify_spectrum(config: Config) -> VerificationReport:
 def verify_decomposition(config: Config, level_max: int = 3,
                          degree: int = 6) -> VerificationReport:
     """Sum of the kernel projections P_k, k <= m, applied through slice
-    quadrature reassembles a random bidegree-(degree, m) polynomial, read
-    as f.eval_many on each (5, 4) batch of points."""
+    quadrature (one project_batch over range(m + 1)) reassembles a random
+    bidegree-(degree, m) polynomial, read as f.eval_many on each (5, 4)
+    batch of points."""
     rep = VerificationReport("decomposition", config.tolerance("decomposition"),
                              {"degree": degree, "level_max": level_max,
                               "points": 5 * (level_max + 1),
@@ -343,7 +355,7 @@ def verify_decomposition(config: Config, level_max: int = 3,
             for _ in range(m + 1)))
         Q = SliceQuadrature(config.slice_nodes, random_unit(rng))
         ps = _bounded(rng, 1.5, 5)
-        got = sum(project_batch(k, f, ps, Q, config.series_terms) for k in range(m + 1))
+        got = project_batch(range(m + 1), f, ps, Q, config.series_terms)
         want = f.eval_many(ps)
         for p, g, w, r in zip(ps, got, want, np.linalg.norm(got - want, axis=-1)):
             rep.add({"m": m, "p": p}, w, g, r)

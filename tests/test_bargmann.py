@@ -6,6 +6,7 @@ import pytest
 
 from spolyreg import (
     HermiteLine,
+    QuadratureDegreeError,
     SampledLine,
     SliceQuadrature,
     b2_grid,
@@ -74,6 +75,13 @@ def test_coherent_state_norm_batch_rows_are_one_point_calls():
     assert got.shape == (400,)
     assert got.tolist() == [b2_norm_closed(qarray.to_quaternion(p)) for p in pts]
     assert b2_norm_closed(np.empty((0, 4))).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [np.array([0.4, 0.3, -0.6, 0.2]), np.ones((5, 3))])
+def test_coherent_state_norm_refuses_a_batch_that_is_not_n_by_4(q):
+    # a (4,) row and an (N, 3) array are refused by shape, not read as points
+    with pytest.raises(ValueError, match=r"expected an \(N, 4\) batch of quaternions, got shape"):
+        b2_norm_closed(q)
 
 
 def test_sampled_line_alignment_guard():
@@ -173,6 +181,25 @@ def test_transform_batch_matches_quaternion_grid_pairing():
                 assert np.all(got[-3:, 1:] == 0.0)
         empty = transform_batch(k, quaternion_line, np.zeros((0, 4)), RULE)
         assert empty.shape == (0, 4)
+
+
+def test_transform_batch_lines_are_one_line_calls():
+    # M lines on one table: (M, N, 4), each row within 1e-13 max(1, |v|) of its one-line call
+    rng = np.random.default_rng(31)
+    pts = np.vstack([rng.uniform(-2.0, 2.0, size=(40, 4)), [[0.0, 0, 0, 0], [1.3, 0, 0, 0]]])
+    quaternion_line = SampledLine(RULE.nodes, HermiteLine(1)(RULE.nodes)[:, None]
+                                  * rng.normal(size=(1, 4)))
+    for k in (0, 3, 6):
+        for lines in ([HermiteLine(j) for j in range(7)], (quaternion_line, HermiteLine(4)),
+                      [HermiteLine(2)]):
+            got = transform_batch(k, lines, pts, RULE)
+            assert got.shape == (len(lines), len(pts), 4)
+            for phi, rows in zip(lines, got):
+                one = transform_batch(k, phi, pts, RULE)
+                err = np.linalg.norm(rows - one, axis=1)
+                assert np.all(err <= 1e-13 * np.maximum(np.linalg.norm(one, axis=1), 1.0)), (k, phi)
+    with pytest.raises(QuadratureDegreeError):   # the rule is checked against every line's degree
+        transform_batch(1, [HermiteLine(0), HermiteLine(79)], pts, RULE)
 
 
 def test_transform_and_isometry_grams_build_no_quaternion_grid(monkeypatch):

@@ -713,3 +713,26 @@ def test_project_batch_refuses_an_inexact_rule_before_any_work(monkeypatch):
     monkeypatch.setattr(kernels, "values_on", None)      # any evaluation would raise TypeError
     with pytest.raises(QuadratureDegreeError, match="exact only through degree 7, integrand has degree 8"):
         project_batch(1, f, np.zeros((1, 4)), SliceQuadrature(4))
+
+
+def test_project_batch_over_levels_is_the_sum_of_the_level_calls(monkeypatch):
+    # one value read and one ladder a side give sum_k P_k f, within rounding
+    # of the one-level calls, and a one-level range is the int call to the bit
+    rng = np.random.default_rng(23)
+    Q = SliceQuadrature(24, quat(0.0, 0.48, 0.6, -0.64))
+    f = PolySliceSeries([[quat(*rng.standard_normal(4)) for _ in range(7)] for _ in range(4)])
+    ps = rng.uniform(-1.5, 1.5, size=(7, 4))
+    ps[0, 1:] = 0.0
+    for levels in (range(4), range(1, 3), range(0, 4, 2), range(3, 4)):
+        per = [project_batch(k, f, ps, Q) for k in levels]
+        bound = 8 * np.finfo(float).eps * np.sum(np.abs(per), axis=0)
+        assert np.all(np.abs(project_batch(levels, f, ps, Q) - sum(per)) <= bound), levels
+    assert np.array_equal(project_batch(range(2, 3), f, ps, Q), project_batch(2, f, ps, Q))
+    # f has level 3: the levels 0..3 hold all of it
+    assert np.max(np.abs(project_batch(range(4), f, ps, Q) - f.eval_many(ps))) < 1e-9
+    seen = _recording_ladder(monkeypatch)
+    project_batch(range(4), f, ps, Q)
+    assert seen == [f.degree] * 2
+    for bad in (range(0), range(-1, 2), range(3, 0, -1)):
+        with pytest.raises(ValueError, match="levels"):
+            project_batch(bad, f, ps, Q)

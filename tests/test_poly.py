@@ -183,3 +183,80 @@ def test_degree_cap_enforced():
         hermite_H(40, 0.5)
     with pytest.raises(ValueError):
         laguerre(35, 0, 1.0)
+
+
+def _kummer_loop(a, c, x):
+    """The reference summation loop: each term multiplied by the live mask at
+    every step, finiteness read from np.all and the stop from np.any."""
+    n_term = None if isinstance(a, complex) else poly._as_nonpositive_int(a)
+    stop = poly.KUMMER_TERMS if n_term is None else n_term
+    total = term = x * 0 + 1
+    live = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(stop):
+            term = term * (a + j) * (x / ((c + j) * (j + 1))) * live
+            total = total + term
+            mag = abs(term)
+            if not np.all(mag < math.inf):
+                raise KummerConvergenceError(j + 1, float(np.max(mag)))
+            if n_term is None:
+                live = mag >= poly.KUMMER_TOL
+                if not np.any(live):
+                    return total
+    if n_term is None:
+        raise KummerConvergenceError(stop, float(np.max(mag)))
+    return total
+
+
+def _kummer_reference(a, c, x):
+    """The loop above behind kummer_M's Quaternion lift, which is unchanged."""
+    if not isinstance(a, Quaternion):
+        return _kummer_loop(a, c, x)
+    s = a.to_slice()
+    if s.y == 0 and not isinstance(x, np.ndarray):
+        return quat(_kummer_loop(a.w, c, x))
+    xs = np.asarray(x, dtype=float)
+    m = _kummer_loop(complex(s.x, s.y) if s.y else s.x, c, xs.reshape(-1))
+    out = qarray.from_slice(m.reshape(xs.shape), qarray.from_quaternion(s.unit)[1:])
+    return out if isinstance(x, np.ndarray) else qarray.to_quaternion(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except KummerConvergenceError as exc:
+        return None, (exc.terms_used, repr(exc.last_term), str(exc))    # repr: a NaN equals itself
+
+
+def test_kummer_loop_matches_the_reference_loop_to_the_bit():
+    # values and refusals (terms_used, last_term, message) of the reference loop,
+    # which multiplies by the live mask at every step, for every argument kind
+    rng = np.random.default_rng(9)
+    grid = rng.uniform(0.0, 40.0, size=(16, 24))
+    grid[0, :3] = (0.0, 1e-3, 60.0)        # entries that stop at once, early and late
+    xs = [grid, grid[3], np.array([0.5, 900.0]), np.array([]), 2.5, 0.0, np.float64(7.25),
+          Fraction(3, 4), 600.0, 900.0, 1e6]
+    params = [(-2.5, 1), (complex(-2.5, 0.7), 1.5), (0.5, 1.5), (-3, 2), (-300, 1), (-0.5, 1),
+              (quat(0.5, 0.25, -0.5, 0.1), 1.5), (quat(-2.5), 2), (quat(-2), 3), (Fraction(-3), 1)]
+    refused = complex_inf = 0
+    for a, c in params:
+        for x in xs:
+            if isinstance(x, Fraction) and isinstance(a, (complex, Quaternion)) and a != quat(-2):
+                continue                        # a Fraction x takes only the real and exact paths
+            (got, err), (want, want_err) = _outcome(kummer_M, a, c, x), _outcome(_kummer_reference, a, c, x)
+            if err and want_err and want_err[1] == "nan" and err[1] == "inf":
+                # a complex term past double range: the reference loop's multiply by an
+                # all-True mask read inf * 0 = nan into its modulus
+                assert isinstance(a, complex) or a.imag_norm() > 0
+                assert err[0] == want_err[0] and err[2] == want_err[2].replace("nan", "inf")
+                complex_inf += 1
+            else:
+                assert err == want_err, (a, c, x)
+            refused += err is not None
+            if err is None:
+                assert type(got) is type(want), (a, c, x)
+                if isinstance(got, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (a, c, x)
+                else:
+                    assert got == want or (got != got and want != want), (a, c, x)
+    assert refused > complex_inf > 0

@@ -303,3 +303,34 @@ def test_stacked_values_match_hermite_references():
         ref = _scalar_values(f.rmul(coeff), pts)
         assert np.max(np.abs(vals - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(f.rmul(coeff).eval_many(pts) - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _dense_stack(funcs):
+    """coeff_stack as every entry written, zeros included."""
+    level = max((f.level for f in funcs), default=-1)
+    degree = max((f.degree for f in funcs), default=-1)
+    c = np.zeros((level + 1, degree + 1, len(funcs), 4))
+    for a, f in enumerate(funcs):
+        for k, row in enumerate(f.coeffs):
+            c[k, :len(row), a] = [v.as_tuple() for v in row]
+    return c
+
+
+def test_coeff_stack_is_the_dense_stack_to_the_bit():
+    # the shared zero is skipped; int zeros that rmul keeps (from f + g), signed
+    # float zeros and exact entries are written as the dense loop writes them
+    from spolyreg import series
+    rng = np.random.default_rng(4)
+    exact = PolySliceSeries([[quat(Fraction(1, 3), 0, Fraction(-2, 7), 1), quat(0)],
+                             [quat(0), quat(Fraction(5, 2))]])
+    kept = (hermite_series(3, 2) + hermite_series(1, 2)).rmul(quat(0.5, -1.0, 0.25, 2.0))
+    assert any(c == series._Z and c is not series._Z for row in kept.coeffs for c in row)
+    signed = PolySliceSeries([[quat(-0.0, 0.0, -0.0, 0.0), quat(1.5, -2.0, 0.0, -0.0)],
+                              [quat(0.0, -0.0, 0.0, 0.0), quat(-0.5)]])
+    floats = PolySliceSeries([[quat(*rng.standard_normal(4)) for _ in range(4)] for _ in range(3)])
+    funcs = [exact, hermite_series(3, 2) + hermite_series(1, 2), kept, signed, floats,
+             hermite_series(4, 3), exact.rmul(quat(Fraction(1, 2), 0, 3, 0)), PolySliceSeries()]
+    for stack in (funcs, funcs[::-1], funcs[1:2], []):
+        got, want = series.coeff_stack(stack), _dense_stack(stack)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

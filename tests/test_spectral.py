@@ -99,6 +99,13 @@ def test_box_fd_refuses_a_step_that_is_not_finite(h):
         box_fd(f, np.array([[0.4, 0.3, -0.6, 0.2]]), h=h)
 
 
+@pytest.mark.parametrize("q", [np.array([0.4, 0.3, -0.6, 0.2]), np.ones((3, 3))])
+def test_box_fd_refuses_a_batch_that_is_not_n_by_4(q):
+    # a (4,) row and an (N, 3) array are refused by shape, not read as points
+    with pytest.raises(ValueError, match=r"expected an \(N, 4\) batch of quaternions, got shape"):
+        box_fd(hermite_series(2, 1), q)
+
+
 def _nonreal_rows(rng, n):
     """n points with components in [-0.85, 0.85] and |Im q| > 0.05 as an (n, 4) batch."""
     pts = rng.uniform(-0.85, 0.85, size=(4 * n, 4))

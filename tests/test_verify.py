@@ -11,7 +11,7 @@ from spolyreg import (Config, SliceQuadrature, basis_image_scale, cli, gram_slic
                       hermite_series, poly, qarray, quad, quat, run_all, series, verify)
 from spolyreg.quat import random_quaternion, random_unit
 from spolyreg.report import Case, VerificationReport
-from spolyreg.series import coeff_stack
+from spolyreg.series import coeff_stack, slice_values
 
 CASES_AT_SEED_3 = {
     "orthogonality": 10,
@@ -95,12 +95,12 @@ def test_orthogonality_reads_values_once_and_pairs_no_quaternion_gram(monkeypatc
 # -- transform-basis: the stacked Hermite values as reference --------------
 
 def test_transform_basis_residual_is_the_scalar_hermite_residual(monkeypatch):
-    batches = []
+    calls = []                          # one transform_batch per level: (k, js, points, values)
     transform = verify.transform_batch
 
     def record(k, phi, pts, rule):
-        batches.append((k, phi.j, pts, transform(k, phi, pts, rule)))
-        return batches[-1][3]
+        calls.append((k, [line.j for line in phi], pts, transform(k, phi, pts, rule)))
+        return calls[-1][3]
 
     def refuse(*args):
         raise AssertionError("hermite_quat called inside the suite")
@@ -109,22 +109,43 @@ def test_transform_basis_residual_is_the_scalar_hermite_residual(monkeypatch):
     monkeypatch.setattr(poly, "hermite_quat", refuse)
     rep = verify.verify_transform_basis(Config(seed=4))
     monkeypatch.undo()
-    assert rep.passed and len(rep.cases) == len(batches) == 49
-    for case, (k, j, pts, got) in zip(rep.cases, batches):
-        assert (case.inputs["j"], case.inputs["k"]) == (j, k)
-        q = case.inputs["worst_q"]
-        n = [i for i, p in enumerate(pts) if np.array_equal(p, qarray.from_quaternion(q))]
-        assert len(n) == 1
-        scale = basis_image_scale(j, k)
-        # the residual is the worst row against the stacked values, to the bit
-        resid = np.linalg.norm(got - hermite_series(j, k).eval_many(pts) * scale, axis=1)
-        assert case.residual == resid[n[0]] == resid.max()
-        want = np.linalg.norm(got[n[0]] - qarray.from_quaternion(hermite_quat(j, k, q) * scale))
-        # the two references round H_{j,k} differently: 16 eps times the sum
-        # of its absolute terms (measured worst: 2 eps of it)
-        terms = scale * sum(math.comb(j, s) * math.comb(k, s) * math.factorial(s)
-                            * abs(q) ** (j + k - 2 * s) for s in range(min(j, k) + 1))
-        assert abs(case.residual - want) <= 16 * np.finfo(float).eps * terms
+    assert rep.passed and len(rep.cases) == 49
+    assert [(k, js, len(pts)) for k, js, pts, _ in calls] == [(k, list(range(7)), 140) for k in range(7)]
+    cases = {(case.inputs["j"], case.inputs["k"]): case for case in rep.cases}
+    assert list(cases) == [(j, k) for j in range(7) for k in range(7)]
+    for k, js, pts, got in calls:
+        z, unit = qarray.to_slice(pts)
+        stacked = slice_values(coeff_stack([hermite_series(j, k) for j in js]), z)
+        for j in js:
+            case, rows, scale = cases[j, k], slice(20 * j, 20 * j + 20), basis_image_scale(j, k)
+            q = case.inputs["worst_q"]
+            n = [i for i, p in enumerate(pts[rows]) if np.array_equal(p, q)]
+            assert q.shape == (4,) and len(n) == 1
+            # the residual is the worst of h_j's own rows against the stacked values, to the bit
+            ref = qarray.lift(stacked[rows, j], unit[rows]) * scale
+            resid = np.linalg.norm(got[j, rows] - ref, axis=1)
+            assert case.residual == resid[n[0]] == resid.max()
+            want = np.linalg.norm(got[j, rows][n[0]] - qarray.from_quaternion(
+                hermite_quat(j, k, qarray.to_quaternion(q)) * scale))
+            # the two references round H_{j,k} differently: 16 eps times the sum
+            # of its absolute terms (measured worst: 2 eps of it)
+            terms = scale * sum(math.comb(j, s) * math.comb(k, s) * math.factorial(s)
+                                * np.linalg.norm(q) ** (j + k - 2 * s) for s in range(min(j, k) + 1))
+            assert abs(case.residual - want) <= 16 * np.finfo(float).eps * terms
+
+
+def test_transform_basis_builds_one_coherent_table_per_level(monkeypatch):
+    from spolyreg import bargmann
+    sizes = []
+    b2_slice = bargmann._b2_slice
+
+    def counted(k, ts, qpts):
+        sizes.append((k, len(qpts)))
+        return b2_slice(k, ts, qpts)
+
+    monkeypatch.setattr(bargmann, "_b2_slice", counted)
+    assert verify.verify_transform_basis(Config(seed=2)).passed
+    assert sizes == [(k, 140) for k in range(7)]
 
 
 # -- eigen: batched finite differences, one Hermite build per (j, k) ---------
@@ -171,7 +192,8 @@ def test_kernel_identity_suites_make_no_quaternion_round_trip(monkeypatch):
         raise AssertionError("to_quaternion called inside the suite")
 
     monkeypatch.setattr(qarray, "to_quaternion", refuse)
-    for suite in (verify.verify_kernel_dual, verify.verify_reproduce, verify.verify_decomposition):
+    for suite in (verify.verify_kernel_dual, verify.verify_reproduce, verify.verify_decomposition,
+                  verify.verify_transform_basis):
         assert suite(Config(seed=3)).passed
 
 
@@ -183,22 +205,21 @@ def test_projection_residuals_match_the_scalar_evaluation(monkeypatch, name):
     eps = np.finfo(float).eps
     project = verify.project_batch
     for seed in (1, 3, 20241):
-        calls = []                      # every project_batch call as (f, points, values)
+        calls = []                      # every project_batch call as (levels, f, points, values)
 
         def record(k, f, ps, Q, terms):
-            calls.append((f, ps, project(k, f, ps, Q, terms)))
-            return calls[-1][2]
+            calls.append((k, f, ps, project(k, f, ps, Q, terms)))
+            return calls[-1][3]
 
         monkeypatch.setattr(verify, "project_batch", record)
         rep = verify.SUITES[name](Config(seed=seed))
         monkeypatch.undo()
-        groups = {}                     # decomposition sums P_k f over k <= m for one f
-        for f, ps, vals in calls:
-            groups.setdefault(id(f), (f, ps, []))[2].append(vals)
-        assert len(rep.cases) == 5 * len(groups) == 20
+        # reproduce projects onto level k, decomposition onto the levels k <= m, one call each
+        assert [k for k, *_ in calls] == (list(range(4)) if name == "reproduce"
+                                          else [range(m + 1) for m in range(4)])
+        assert len(rep.cases) == 5 * len(calls) == 20
         cases = iter(rep.cases)
-        for f, ps, vals in groups.values():
-            got = sum(vals)
+        for _, f, ps, got in calls:
             for p, g in zip(ps, got):
                 case = next(cases)
                 assert np.array_equal(case.inputs["p"], p) and np.array_equal(case.actual, g)
