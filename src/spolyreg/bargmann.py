@@ -24,7 +24,7 @@ import numpy as np
 from . import qarray
 from .poly import hermite_H, hermite_fn
 from .quat import quat
-from .quad import QuadratureDegreeError, Rule1D, gauss_hermite, values_on
+from .quad import QuadratureDegreeError, Rule1D, SliceQuadrature, gauss_hermite, values_on
 
 __all__ = [
     "PREFACTOR",
@@ -84,6 +84,15 @@ def _scale(k: int) -> float:
     return PREFACTOR / math.sqrt(2.0 ** k * math.factorial(k))
 
 
+def _b2_tables(k: int, ts, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The per-coordinate factors of B_{2,k}(t; x + iy) / (_scale(k) e^(y^2/2 + ixy)):
+    the real (X, T) table H_k(u) e^((x^2 - u^2)/2), u = sqrt(2) x - t, one row per
+    x of xs, and the (Y, T) phases e^(-i sqrt(2) y t), one row per y of ys."""
+    u = math.sqrt(2.0) * xs[:, None] - ts
+    real = hermite_H(k, u) * np.exp((xs[:, None] ** 2 - u * u) / 2.0)
+    return real, np.exp(-1j * math.sqrt(2.0) * ys[:, None] * ts)
+
+
 def _b2_slice(k: int, ts, qpts) -> tuple[np.ndarray, np.ndarray]:
     """B_{2,k}(t; q) as complex (N, T) values in the slice of q, and the (N, 3)
     units of q.  With z = x + iy, y = |Im q|, u = sqrt(2) x - t, the exponent is
@@ -96,9 +105,8 @@ def _b2_slice(k: int, ts, qpts) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=float)
     xs, xi = np.unique(z.real, return_inverse=True)
     ys, yi = np.unique(z.imag, return_inverse=True)
-    u = math.sqrt(2.0) * xs[:, None] - ts
-    real = hermite_H(k, u) * np.exp((xs[:, None] ** 2 - u * u) / 2.0)
-    w = real[xi] * np.exp(-1j * math.sqrt(2.0) * ys[:, None] * ts)[yi]
+    real, phase = _b2_tables(k, ts, xs, ys)
+    w = real[xi] * phase[yi]
     w *= (np.exp(z.imag ** 2 / 2.0 + 1j * z.real * z.imag) * _scale(k))[:, None]
     return w, unit
 
@@ -181,17 +189,33 @@ def isometry_grams(k: int, j_max: int, qquad, rule: Rule1D | None = None):
 
     Returns (gram_images, gram_line) as (J+1, J+1, 4) arrays; the scaled
     isometry makes them equal.  The Hermite lines are real, so their images
-    are x + U y at each point, with complex slice coordinates s = x + i y
-    from one complex product, and conj(x_a + U y_a)(x_b + U y_b) =
-    Re(conj(s_a) s_b) + U Im(conj(s_a) s_b): the image Gram is one complex
-    contraction of conj(s) against s weighted by w_n and by w_n U_n, for
-    any points, not only one slice's."""
+    are x + U y at each point, with complex slice coordinates s = x + i y,
+    and conj(x_a + U y_a)(x_b + U y_b) = Re(conj(s_a) s_b) + U Im(conj(s_a) s_b).
+
+    On a SliceQuadrature every point shares the rule's unit, and B_{2,k} has
+    real coefficients in (t, zbar), so s is read at the rule's own signed
+    z = x_a + i y_b: a real table per x node, a cos/sin table per y node and a
+    factor per cell, in two real matrix products.  The image Gram is one
+    complex (M, M) contraction lifted onto the unit; only |factor|^2 =
+    scale^2 e^(y^2) enters it.  Any other point set goes through _paired and
+    contracts conj(s) against s weighted by w_n and by w_n U_n."""
     lines = [HermiteLine(j) for j in range(j_max + 1)]
     rule = _line_rule(rule, k, lines)
     vals = np.stack([phi.eval_many(rule.nodes) for phi in lines])
+    line_gram = qarray.gram(vals, vals, rule.line_weights)
+    if isinstance(qquad, SliceQuadrature):
+        v = vals[..., 0].T * rule.line_weights[:, None]                   # (T, M)
+        nodes = qquad.z.imag[:qquad.n]                                    # y_b, and x_a
+        real, phase = _b2_tables(k, rule.nodes, nodes, nodes)
+        rv = (real[:, :, None] * v[None]).transpose(1, 0, 2).reshape(len(v), -1)  # (T, X*M)
+        # conj of sum_t real e^(-i sqrt(2) y t) v = sum_t real (cos + i sin) v, row b * X + a
+        s = ((phase.real @ rv) - 1j * (phase.imag @ rv)).reshape(-1, len(lines))
+        w = qquad.weights.reshape(qquad.n, qquad.n).T * (_scale(k) ** 2 * np.exp(nodes ** 2))[:, None]
+        g = np.conj(s).T @ (w.reshape(-1, 1) * s)
+        return qarray.from_slice(g, qarray.from_quaternion(qquad.unit)[1:]), line_gram
     s, unit = _paired(k, rule, qquad.points, vals[..., 0].T)
     w = qquad.weights[:, None] * np.hstack([np.ones((len(s), 1)), unit])    # (N, 4)
     g = (np.conj(s).T @ (w[:, :, None] * s[:, None, :]).reshape(len(s), -1)).reshape(
         len(lines), 4, len(lines))
     images = np.concatenate([g[:, :1].real, g[:, 1:].imag], axis=1).transpose(0, 2, 1)
-    return images, qarray.gram(vals, vals, rule.line_weights)
+    return images, line_gram

@@ -9,8 +9,10 @@ Three pairings, matching the three function spaces in play:
 
 All pairings are built on qarray.gram, conjugate the first argument and
 are right-linear in the second (the right vector space structure).  The
-full pairing is the sphere integral of slice pairings; constants get
-<1,1> = pi on a slice and 4*pi^2 over the sphere of slices.  The other
+full pairing is the sphere integral of slice pairings; for functions with
+a slice form every slice pairing is the same, so it is M0 = sum of the
+sphere weights times one of them; constants get <1,1> = pi on a slice and
+4*pi^2 over the sphere of slices.  The other
 pairings, kernels.project_batch and a function without a slice_form on the
 sphere read values through values_on, which reads a PolySliceSeries on a
 slice rule from its coefficient stack.
@@ -18,7 +20,7 @@ slice rule from its coefficient stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -106,19 +108,30 @@ def _slice_nodes(n: int):
     return z.ravel(), np.outer(rule.weights, rule.weights).ravel()
 
 
+_UNIT_TOL = 1e-12   # largest | |unit|^2 - 1 | of a slice rule's unit
+
+
 class SliceQuadrature:
     """Tensor Gauss-Hermite rule on the slice plane C_unit: points
     Re z + unit Im z for the complex nodes z.
 
     Integrates e^(-|q|^2) times any polynomial of total degree <= 2n-1
-    in the slice coordinates exactly.
+    in the slice coordinates exactly.  unit must be a unit imaginary
+    quaternion: slice forms read at z are lifted onto it.  The (n*n, 4)
+    points are built when first read; the slice-form routes read z alone.
     """
 
     def __init__(self, n: int = DEFAULT_SLICE_NODES, unit: Quaternion = UNIT_I):
+        u = qarray.from_quaternion(quat(unit))
+        if u[0] != 0.0 or not abs(qarray.norm_sq(u) - 1.0) <= _UNIT_TOL:
+            raise ValueError(f"slice rule unit must be a unit imaginary quaternion, got {unit!r}")
         self.z, self.weights = _slice_nodes(n)
         self.n = n
         self.unit = unit
-        self.points = qarray.from_slice(self.z, qarray.from_quaternion(unit)[1:])
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return qarray.from_slice(self.z, qarray.from_quaternion(self.unit)[1:])
 
 
 @dataclass(frozen=True)
@@ -243,33 +256,37 @@ def inner_real(f, g, rule: Rule1D) -> Quaternion:
 
 
 class _SphereOfSlices:
-    """The slice rule on every unit of a sphere rule: nodes z, (S, 3) units and
-    both weights; the (S*N, 4) points, for values_on, are built only when read."""
+    """The slice rule on every unit of a sphere rule: nodes z and both weights;
+    the (S*N, 4) points and weights, for values_on, are built only when read."""
 
     def __init__(self, n: int, sphere: SphereRule | None):
-        sphere = sphere_rule() if sphere is None else sphere
-        self.n, self.sphere_weights = n, sphere.weights
+        self.sphere = sphere_rule() if sphere is None else sphere
+        self.n = n
         self.z, self.slice_weights = _slice_nodes(n)
-        self.units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units])
 
     @property
     def points(self) -> np.ndarray:
-        return qarray.from_slice(self.z, self.units[:, None]).reshape(-1, 4)
+        units = np.array([qarray.from_quaternion(u)[1:] for u in self.sphere.units])
+        return qarray.from_slice(self.z, units[:, None]).reshape(-1, 4)
 
     @property
     def weights(self) -> np.ndarray:
-        return np.outer(self.sphere_weights, self.slice_weights).ravel()
+        return np.outer(self.sphere.weights, self.slice_weights).ravel()
 
     def pair(self, fw, gw):
         """Stacks x, y and weights [w_z; w_z] whose slice sum of w conj(x) y is the
         sphere sum of conj(f) g, for slice forms fw = a + i a', gw = b + i b' (N, ..., 4).
         conj(f) g = conj(a) b + conj(a') b' + sum_i U_i (conj(a) e_i b' - conj(a') e_i b)
-        is affine in U, so with the moments M0 = sum w_s, m = sum w_s U_s (not 0 on
-        every rule) x = [a; a'] and y = M0 [b; b'] + m [b'; -b]."""
-        moments = self.sphere_weights @ np.hstack([np.ones((len(self.units), 1)), self.units])
-        y = (moments[0] * np.concatenate([gw.real, gw.imag])
-             + qarray.qmul(moments * [0.0, 1.0, 1.0, 1.0], np.concatenate([gw.imag, -gw.real])))
-        return np.concatenate([fw.real, fw.imag]), y, np.tile(self.slice_weights, 2)
+        is affine in U.  conj z on the slice of -U is the point z on the slice of U,
+        so a slice form has W(conj z) = conj W(z): a is even and a' odd under
+        z -> conj z, the U part is odd, and it sums to 0 on the rule, whose nodes
+        are symmetric under y -> -y.  (For a left-form series this is the slice
+        Gram of the zbar^k z^j being real.)  The sphere sum is then M0 = sum w_s
+        times one slice pairing, whatever the rule's moment sum w_s U_s:
+        x = M0 [a; a'] and y = [b; b']."""
+        m0 = float(np.sum(self.sphere.weights))
+        return (m0 * np.concatenate([fw.real, fw.imag]), np.concatenate([gw.real, gw.imag]),
+                np.tile(self.slice_weights, 2))
 
     def norm_sq(self, w) -> np.ndarray:
         x, y, weights = self.pair(w, w)
@@ -279,7 +296,8 @@ class _SphereOfSlices:
 def inner_full(f, g, n_slice: int = DEFAULT_SLICE_NODES, sphere: SphereRule | None = None) -> Quaternion:
     """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I},
     on sphere_rule() if sphere is None.  Two functions with a slice_form are
-    read once, on the slice; else both are read at every point of every slice."""
+    read once, and paired on one slice times the total sphere weight
+    (_SphereOfSlices.pair); else both are read at every point of every slice."""
     S = _SphereOfSlices(n_slice, sphere)
     if not (hasattr(f, "slice_form") and hasattr(g, "slice_form")):
         return inner_slice(f, g, S)

@@ -97,8 +97,13 @@ def _stencil_1d(vals, h: float, order: int):
 def box_fd(f, q, h: float = FD_STEP, order: int = FD_ORDER):
     """Finite-difference slice operator at one Quaternion q (a Quaternion)
     or at each row of an (N, 4) batch (an (N, 4) array), central stencil of
-    step h > 0 and order 2 or 4; the stencil points of every row are read
-    in one values_on call.
+    step h > 0 and order 2 or 4.
+
+    A function with a slice_form is read at the complex stencil points
+    z + h and z + ih of each row's slice coordinate z = x + i|Im q|, and the
+    operator acts there with i in place of the unit U (U lift(W, U) =
+    lift(i W, U)), lifted once at the end.  Any other function reads the
+    stencil points of every row in one values_on call.
 
     Needs |Im q| > order * h to keep the stencil clear of the branch
     switch at the real axis; exactly real rows use the degenerate real
@@ -117,13 +122,23 @@ def box_fd(f, q, h: float = FD_STEP, order: int = FD_ORDER):
         raise ValueError(f"point too close to the real axis for the stencil: row {near[0]} has "
                          f"|Im q| = {y[near[0]]:.3e}, needs > {order * h:.3e}")
     offsets = np.arange(-(order // 2), order // 2 + 1)[:, None] * h
-    pts = np.stack([qarray.from_slice(x + offsets + 1j * y, unit),
-                    qarray.from_slice(x + 1j * (y + offsets), unit)])
+    stencil = np.stack([z + offsets, z + 1j * offsets])          # (2, order + 1, N)
+    if hasattr(f, "slice_form"):
+        vals = f.slice_form(stencil.ravel()).reshape(stencil.shape + (4,))
+        return qarray.lift(_box_stencil(vals, x, y, h, order, lambda v: v * 1j), unit)
+    pts = qarray.from_slice(stencil, unit)
     vals = values_on(f, pts.reshape(-1, 4)).reshape(pts.shape)
+    u = qarray.from_slice(1j, unit)
+    return _box_stencil(vals, x, y, h, order, lambda v: qarray.qmul(u, v))
+
+
+def _box_stencil(vals, x, y, h: float, order: int, times_unit):
+    """The slice operator at slice coordinates x + iy (N,) from stencil values
+    (2, order + 1, N, 4) along x and y; times_unit(v) multiplies v by the unit
+    from the left.  Rows with y == 0 take the real form -f'' + x f'."""
     (fx, fxx), (fy, fyy) = (_stencil_1d(tuple(v), h, order) for v in vals)
     x, y = x[:, None], y[:, None]
-    out = (fxx + fyy) * (-0.25) + (fx * x + fy * y) * 0.5 \
-        + qarray.qmul(qarray.from_slice(1j, unit), fy * x - fx * y) * 0.5
+    out = (fxx + fyy) * (-0.25) + (fx * x + fy * y) * 0.5 + times_unit(fy * x - fx * y) * 0.5
     return np.where(y == 0.0, -fxx + fx * x, out)
 
 

@@ -61,6 +61,30 @@ def _nonreal(rng, radius: float, min_imag: float) -> np.ndarray:
 # -- 1. orthogonality ----------------------------------------------------
 
 
+def _slice_frame(unit: Quaternion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, J, K) as (3,) vectors for a unit imaginary U: J a unit orthogonal
+    to U and K = U J, so 1, U, J, K is an orthonormal basis of H."""
+    u = qarray.from_quaternion(unit)[1:]
+    e = np.eye(3)[np.argmin(np.abs(u))]           # the axis most nearly orthogonal to U
+    j = e - (e @ u) * u
+    j /= math.sqrt(j @ j)
+    return u, j, qarray.qmul(np.r_[0.0, u], np.r_[0.0, j])[1:]
+
+
+def _right_paired(C: np.ndarray, frame, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conj(r_a) lift(C_ab, U) r_b = A_ab + B_ab J for a complex (M, M) C and
+    (M, 4) quaternions r, with A and B complex, read in C_U.  Each r is
+    alpha + beta J with alpha, beta in C_U, and J z = conj(z) J for z in C_U, so
+    A = conj(alpha_a) C alpha_b + beta_a conj(C) conj(beta_b) and
+    B = conj(alpha_a) C beta_b - beta_a conj(C) conj(alpha_b)."""
+    u, j, k = frame
+    alpha = right[:, 0] + 1j * (right[:, 1:] @ u)
+    beta = right[:, 1:] @ j + 1j * (right[:, 1:] @ k)
+    ca, cb = np.conj(alpha)[:, None], beta[:, None]
+    return (ca * C * alpha + cb * np.conj(C) * np.conj(beta),
+            ca * C * beta - cb * np.conj(C) * np.conj(alpha))
+
+
 def verify_orthogonality(config: Config,
                          index_max: int = 8) -> VerificationReport:
     """Normalised slice Gram matrix of {H_{j,k} a_{j,k} : j,k <= index_max}
@@ -68,7 +92,10 @@ def verify_orthogonality(config: Config,
     a_{j,k} on the right for every slice: <H a, H' a'> = conj(a) <H, H'> a'.
     H_{j,k} has real coefficients, so on the slice of U, <H, H'> is the complex
     slice Gram C = sum_n w_n conj(H(z_n)) H'(z_n) lifted onto U; C does not
-    depend on U and is computed once.  Residual is the worst entry."""
+    depend on U and is computed once.  Each slice's Gram is A + B J in the frame
+    1, U, J, K of _slice_frame, two complex arrays from C (_right_paired), and
+    its distance from the identity is sqrt(|A - I|^2 + |B|^2) per entry.
+    Residual is the worst entry."""
     n_slices = 10
     rep = VerificationReport("orthogonality", config.tolerance("orthogonality"),
                              {"index_max": index_max, "slices": n_slices,
@@ -90,14 +117,15 @@ def verify_orthogonality(config: Config,
     for unit in units:
         right = rng.normal(size=(len(idx), 4))
         right *= (1.0 / np.sqrt(qarray.norm_sq(right)))[:, None]
-        lifted = qarray.from_slice(C, qarray.from_quaternion(unit)[1:])
-        G = qarray.qmul(qarray.qconj(right)[:, None], qarray.qmul(lifted, right))
-        dev = np.sqrt(np.maximum(
-            np.sum(G * G, axis=2) - 2.0 * eye * G[:, :, 0] + eye, 0.0))
+        frame = _slice_frame(unit)
+        A, B = _right_paired(C, frame, right)
+        dev = np.sqrt(np.abs(A - eye) ** 2 + np.abs(B) ** 2)
         worst = int(np.argmax(dev))
         a, b = divmod(worst, len(idx))
+        g = (A[a, b].real, *(A[a, b].imag * frame[0] + B[a, b].real * frame[1]
+                             + B[a, b].imag * frame[2]))
         rep.add({"slice": unit, "pair": [idx[a], idx[b]]},
-                "identity matrix", [float(c) for c in G[a, b]], float(dev[a, b]))
+                "identity matrix", [float(c) for c in g], float(dev[a, b]))
     return rep
 
 

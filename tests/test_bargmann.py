@@ -20,6 +20,7 @@ from spolyreg import (
     quat,
     transform_batch,
 )
+from spolyreg.quat import random_unit
 
 RULE = gauss_hermite(80)
 
@@ -136,11 +137,13 @@ def test_isometry_grams_match_per_line_transforms():
 
     from spolyreg.bargmann import isometry_grams
     rng = np.random.default_rng(14)
-    # a slice rule, and a pairing on scattered points whose Gram is not real
+    # slice rules, read on their own grid, and a pairing on scattered points
+    # whose Gram is not real, read through _paired
     scattered = SimpleNamespace(points=rng.uniform(-1.5, 1.5, size=(30, 4)),
                                 weights=rng.uniform(0.1, 1.0, size=30))
-    for Q in (SliceQuadrature(16, quat(0.0, 0.6, 0.0, -0.8)), scattered):
-        for k in (0, 3):
+    for Q in (SliceQuadrature(16, quat(0.0, 0.6, 0.0, -0.8)),
+              SliceQuadrature(40, random_unit(rng)), scattered):
+        for k in (0, 3, 6):
             gi, gl = isometry_grams(k, 3, Q, RULE)
             images = np.stack([transform_batch(k, HermiteLine(j), Q.points, RULE)
                                for j in range(4)])

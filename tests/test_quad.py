@@ -144,6 +144,26 @@ def test_sphere_rule_quadratic_moments():
     assert np.allclose(M, (4 * math.pi / 3) * np.eye(3), atol=1e-12)
 
 
+def test_slice_rule_refuses_a_unit_that_is_not_a_unit_imaginary():
+    # a rule's points and a slice form lifted onto its unit would read a
+    # different function: nodes at twice the offset, or on the real axis
+    from spolyreg.quat import random_unit
+    for unit in (quat(0, 2, 0, 0), quat(1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"unit imaginary quaternion, got Quaternion\("):
+            SliceQuadrature(8, unit)
+    unit = random_unit(np.random.default_rng(4))
+    Q = SliceQuadrature(8, unit)
+    assert Q.unit is unit and Q.points.shape == (64, 4)
+
+
+def test_slice_rule_builds_its_points_when_first_read():
+    Q = SliceQuadrature(12, quat(0.0, 0.6, 0.0, -0.8))
+    norm_sq_slice(hermite_series(2, 1), Q)       # the stack route reads z alone
+    assert "points" not in vars(Q)
+    assert Q.points is Q.points
+    assert np.array_equal(Q.points, qarray.from_slice(Q.z, [0.6, 0.0, -0.8]))
+
+
 def test_inner_full_unit_mass():
     one = hermite_series(0, 0)
     v = inner_full(one, one, n_slice=10)

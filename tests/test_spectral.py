@@ -142,6 +142,26 @@ def test_box_fd_batch_matches_the_scalar_eigenvalue_reference():
     assert np.linalg.norm(got[3] - [3 * x ** 3 - 8 * x, 0.0, 0.0, 0.0]) < 1e-7
 
 
+@pytest.mark.parametrize("h,order", [(1e-3, 4), (1e-3, 2), (2e-2, 4)])
+def test_box_fd_slice_form_route_matches_the_values_on_route(h, order):
+    # the same series read at complex stencil points with i for U, and read
+    # as quaternion values at the lifted points; they differ by rounding of the
+    # stencil values divided by h^2 (worst seen 3.8 eps max|f| / h^2), real rows included
+    from types import SimpleNamespace
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(23)
+    pts = np.vstack([_nonreal_rows(rng, 20), [[0.7, 0.0, 0.0, 0.0], [-0.3, 0.0, 0.0, 0.0]]])
+    imag = np.linalg.norm(pts[:, 1:], axis=1)
+    pts = pts[(imag == 0) | (imag > order * h)]
+    assert np.sum(imag == 0) == 2
+    for j, k in ((1, 1), (3, 2), (2, 4), (6, 0)):
+        f = hermite_series(j, k).rmul(quat(*rng.standard_normal(4)))
+        got = box_fd(f, pts, h=h, order=order)
+        ref = box_fd(SimpleNamespace(eval_many=f.eval_many), pts, h=h, order=order)
+        scale = np.max(np.abs(f.eval_many(pts)))
+        assert np.max(np.abs(got - ref)) <= 16 * eps * scale / h ** 2
+
+
 def test_box_fd_batch_refuses_a_near_axis_row_by_its_imaginary_part():
     pts = np.array([[0.4, 0.3, -0.6, 0.2], [0.5, 0.0, 2.5e-3, 0.0], [0.1, 0.9, 0.0, 0.0]])
     with pytest.raises(ValueError, match=r"real axis.*row 1 has \|Im q\| = 2\.500e-03"):

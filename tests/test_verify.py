@@ -40,20 +40,24 @@ IDX = [(j, k) for j in range(9) for k in range(9)]
 
 
 def test_orthogonality_gram_matches_quaternion_gram_slice(monkeypatch):
-    # the suite's G on its first three slices against the full quaternion
-    # route: gram_slice of H a on the slice's own rule, normalised
+    # the suite's G = A + B J on its first three slices, read in the frame
+    # 1, U, J, K of each slice, against the full quaternion route: gram_slice
+    # of H a on the slice's own rule, normalised
     config = Config(seed=5)
-    products = []
-    qmul = qarray.qmul
+    grams = []
+    paired = verify._right_paired
 
-    def record(a, b):
-        products.append(qmul(a, b))
-        return products[-1]
+    def record(C, frame, right):
+        A, B = paired(C, frame, right)
+        u, j, k = frame
+        grams.append(np.concatenate([A.real[..., None], A.imag[..., None] * u
+                                     + B.real[..., None] * j + B.imag[..., None] * k], axis=-1))
+        return A, B
 
-    monkeypatch.setattr(qarray, "qmul", record)
+    monkeypatch.setattr(verify, "_right_paired", record)
     verify.verify_orthogonality(config)
     monkeypatch.undo()
-    assert len(products) == 20       # two products per slice, the outer one last
+    assert len(grams) == 10          # one per slice
     basis = coeff_stack([hermite_series(j, k) for j, k in IDX])
     scale = np.sqrt([math.pi * math.factorial(j) * math.factorial(k) for j, k in IDX])
     # the suite's draw order: the ten units, then each slice's right factors
@@ -64,7 +68,16 @@ def test_orthogonality_gram_matches_quaternion_gram_slice(monkeypatch):
         right = np.array([qarray.from_quaternion(a * (1.0 / abs(a))) for a in right])
         want = gram_slice(qarray.qmul(basis, right), SliceQuadrature(config.slice_nodes, unit))
         want /= (scale[:, None] * scale[None, :])[..., None]
-        assert np.max(np.abs(products[2 * s + 1] - want)) < 1e-13
+        assert np.max(np.abs(grams[s] - want)) < 1e-13
+
+
+def test_slice_frame_is_orthonormal_with_k_the_product():
+    rng = np.random.default_rng(8)
+    for unit in [random_unit(rng) for _ in range(20)] + [quat(0, 1, 0, 0), quat(0, 0, 0, -1)]:
+        u, j, k = verify._slice_frame(unit)
+        frame = np.array([u, j, k])
+        assert np.allclose(frame @ frame.T, np.eye(3), rtol=0, atol=1e-15)
+        assert np.allclose(qarray.qmul(np.r_[0.0, u], np.r_[0.0, j]), np.r_[0.0, k], rtol=0, atol=1e-15)
 
 
 def test_hermite_coefficients_are_real_and_orthogonality_refuses_others(monkeypatch):
