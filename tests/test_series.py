@@ -72,6 +72,12 @@ def test_hermite_series_matches_direct_eval():
             assert (f.eval_left(q) - direct).norm() < 1e-11
 
 
+def test_hermite_series_is_built_once_per_index_pair():
+    # a series is immutable, so the cached grid is shared by every caller
+    assert hermite_series(5, 3) is hermite_series(5, 3)
+    assert hermite_series(5, 3).rmul(quat(0, 1, 0, 0)) is not hermite_series(5, 3)
+
+
 def test_hermite_op_sign_on_monomials():
     # n-fold (d/ds - conj) applied to s^m lands on (-1)^n H_{m,n}
     for m, n in ((2, 1), (4, 2), (1, 3)):
