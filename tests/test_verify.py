@@ -55,9 +55,14 @@ def test_orthogonality_gram_matches_quaternion_gram_slice(monkeypatch):
         return A, B
 
     monkeypatch.setattr(verify, "_right_paired", record)
-    verify.verify_orthogonality(config)
+    rep = verify.verify_orthogonality(config)
     monkeypatch.undo()
     assert len(grams) == 10          # one per slice
+    eye = np.eye(len(IDX))[..., None] * [1.0, 0.0, 0.0, 0.0]
+    for case, G in zip(rep.cases, grams):    # sqrt(|A - I|^2 + |B|^2) is |G - I|
+        assert abs(case.residual - np.max(np.linalg.norm(G - eye, axis=-1))) < 1e-16
+        a, b = (IDX.index(tuple(pair)) for pair in case.inputs["pair"])
+        assert np.max(np.abs(np.array(case.actual) - G[a, b])) < 1e-16
     basis = coeff_stack([hermite_series(j, k) for j, k in IDX])
     scale = np.sqrt([math.pi * math.factorial(j) * math.factorial(k) for j, k in IDX])
     # the suite's draw order: the ten units, then each slice's right factors
