@@ -9,8 +9,9 @@ nonnegative integers.
 
 Layout: `quat` quaternion arithmetic and text format; `poly` classical
 and quaternionic special functions; `series` slice and polyanalytic
-series with star products; `quad` Gauss rules on the line, a slice, and
-the sphere of imaginary units; `kernels` the two kernel construction
+series with star products; `quad` Gauss rules on the line and a slice,
+and the pairings there and over the sphere of slices, which is 4 pi
+times one slice pairing; `kernels` the two kernel construction
 paths behind `kernel_value(KernelSpec, p, q)`; `bargmann` the
 transforms; `spectral` the slice operator and its eigenfunctions;
 `verify` the identity suites; `cli` the command line.
@@ -22,10 +23,9 @@ from .config import Config, load_config
 from .kernels import KernelSpec, kernel_tail, kernel_value, project_batch
 from .poly import (KummerConvergenceError, hermite_H, hermite_fn, hermite_quat,
                    kummer_M, laguerre, pochhammer)
-from .quad import (QuadratureDegreeError, Rule1D, SliceQuadrature, SphereRule,
-                   gauss_hermite, gauss_legendre, gram_slice, inner_full,
-                   inner_real, inner_slice, norm_sq_full, norm_sq_slice,
-                   sphere_rule)
+from .quad import (QuadratureDegreeError, Rule1D, SliceQuadrature, gauss_hermite,
+                   gauss_legendre, gram_slice, inner_full, inner_real,
+                   inner_slice, norm_sq_full, norm_sq_slice)
 from .quat import (Quaternion, format_quaternion, imaginary_unit,
                    parse_quaternion, qexp, quat, split)
 from .report import Case, VerificationReport
@@ -48,9 +48,9 @@ __all__ = [
     "poly_monomial", "hermite_series", "hermite_op", "extract_components",
     "to_hermite_basis", "from_hermite_basis", "s_k_series", "laguerre_star",
     "exp_star",
-    "Rule1D", "SliceQuadrature", "SphereRule", "QuadratureDegreeError",
-    "gauss_hermite", "gauss_legendre", "sphere_rule", "inner_slice",
-    "inner_real", "inner_full", "norm_sq_slice", "norm_sq_full", "gram_slice",
+    "Rule1D", "SliceQuadrature", "QuadratureDegreeError", "gauss_hermite",
+    "gauss_legendre", "inner_slice", "inner_real", "inner_full",
+    "norm_sq_slice", "norm_sq_full", "gram_slice",
     "KernelSpec", "kernel_value", "kernel_tail", "project_batch",
     "HermiteLine", "SampledLine", "b2_grid", "transform_batch",
     "basis_image_scale", "b2_norm_closed",

@@ -42,9 +42,8 @@ from .bargmann import (IMAG_LIMIT, REAL_LIMIT, HermiteLine, SampledLine, b2_grid
 from .config import Config, load_config
 from .kernels import KernelSpec, kernel_value, kernel_value_tail
 from .poly import DEGREE_CAP, KummerConvergenceError, laguerre
-from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_slice,
-                   sphere_rule)
-from .quad import norm_sq_full
+from .quad import (SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_full,
+                   norm_sq_slice)
 from .quat import format_quaternion, parse_quaternion
 from .series import coeff_stack, hermite_series
 from .spectral import (PROBE_R_MAX, PROBE_WINDOWS, Eigenfunction, psi, psi_norm_sq,
@@ -254,11 +253,10 @@ def cmd_table(args, config: Config) -> int:
         funcs = [Eigenfunction(args.n, j) for j in range(args.jmax + 1)]
         # |psi_{n,j}|^2 has degree 2(level + degree): refuse a large --n or --jmax before any work
         check_slice_degree((2 * (f.level + f.degree) for f in funcs), config.slice_nodes)
-        sphere = sphere_rule()
         print("n,j,closed,quadrature,residual")
         for f in funcs:
             closed = psi_norm_sq(args.n, f.j)
-            num = norm_sq_full(f, config.slice_nodes, sphere)
+            num = norm_sq_full(f, config.slice_nodes)
             print(f"{args.n},{f.j},{_fmt(closed)},{_fmt(num)},"
                   f"{_fmt(abs(num - closed) / closed)}")
     elif args.table == "hermite-gram":

@@ -4,18 +4,17 @@ Three pairings, matching the three function spaces in play:
 
 * ``inner_real``  on the line, plain dt on Gauss-Hermite nodes (Hermite functions)
 * ``inner_slice`` on a slice plane C_I, weight e^(-|q|^2) (tensor Gauss-Hermite)
-* ``inner_full``  sphere average of slice pairings (total sphere weight 4*pi),
-                  from slice forms read once on one slice
+* ``inner_full``  over the sphere of slices, measure dsigma(I) dlambda_I(z) e^(-|q|^2):
+                  FULL_MASS = 4*pi times one slice pairing of slice forms
 
 All pairings are built on qarray.gram, conjugate the first argument and
-are right-linear in the second (the right vector space structure).  The
-full pairing is the sphere integral of slice pairings; for functions with
-a slice form every slice pairing is the same, so it is M0 = sum of the
-sphere weights times one of them; constants get <1,1> = pi on a slice and
-4*pi^2 over the sphere of slices.  The other
-pairings, kernels.project_batch and a function without a slice_form on the
-sphere read values through values_on, which reads a PolySliceSeries on a
-slice rule from its coefficient stack.
+are right-linear in the second (the right vector space structure).  For
+functions with a slice form every slice pairing is the same, so the full
+pairing is 4*pi times one of them; constants get <1,1> = pi on a slice and
+4*pi^2 over the sphere of slices.  The full pairings refuse a function
+without a slice_form.  The other pairings and kernels.project_batch read
+values through values_on, which reads a PolySliceSeries on a slice rule
+from its coefficient stack.
 """
 from __future__ import annotations
 
@@ -35,8 +34,6 @@ __all__ = [
     "gauss_hermite",
     "gauss_legendre",
     "SliceQuadrature",
-    "SphereRule",
-    "sphere_rule",
     "values_on",
     "inner_real",
     "inner_slice",
@@ -49,7 +46,6 @@ __all__ = [
 
 NODE_CAP = 200
 DEFAULT_SLICE_NODES = 40   # per-axis Gauss-Hermite points of a slice rule
-DEFAULT_SPHERE_ORDER = 6   # exactness order of the unit-sphere rule
 _NORM_BLOCK = 64         # functions per block of norm_sq_slice on a coefficient stack
 
 
@@ -132,37 +128,6 @@ class SliceQuadrature:
     @cached_property
     def points(self) -> np.ndarray:
         return qarray.from_slice(self.z, qarray.from_quaternion(self.unit)[1:])
-
-
-@dataclass(frozen=True)
-class SphereRule:
-    """Product rule on the unit sphere of imaginary directions.
-
-    Gauss-Legendre in the cosine of the polar angle crossed with a
-    uniform azimuth grid; exact for spherical polynomials of degree
-    <= order, total weight 4*pi.
-    """
-
-    units: tuple
-    weights: np.ndarray
-    order: int
-
-
-def sphere_rule(order: int = DEFAULT_SPHERE_ORDER) -> SphereRule:
-    if order < 0:
-        raise ValueError("sphere rule order must be nonnegative")
-    n_u = order // 2 + 1
-    n_phi = order + 1
-    leg = gauss_legendre(n_u)
-    units = []
-    weights = []
-    for u, wu in zip(leg.nodes, leg.weights):
-        s = np.sqrt(max(1.0 - u * u, 0.0))
-        for m in range(n_phi):
-            phi = 2.0 * np.pi * m / n_phi
-            units.append(Quaternion(0.0, s * np.cos(phi), s * np.sin(phi), u))
-            weights.append(wu * 2.0 * np.pi / n_phi)
-    return SphereRule(tuple(units), np.array(weights), order)
 
 
 def values_on(f, pts) -> np.ndarray:
@@ -255,67 +220,58 @@ def inner_real(f, g, rule: Rule1D) -> Quaternion:
     return qarray.to_quaternion(qarray.gram(fv[None], gv[None], rule.line_weights)[0, 0])
 
 
-class _SphereOfSlices:
-    """The slice rule on every unit of a sphere rule: nodes z and both weights;
-    the (S*N, 4) points and weights, for values_on, are built only when read."""
-
-    def __init__(self, n: int, sphere: SphereRule | None):
-        self.sphere = sphere_rule() if sphere is None else sphere
-        self.n = n
-        self.z, self.slice_weights = _slice_nodes(n)
-
-    @property
-    def points(self) -> np.ndarray:
-        units = np.array([qarray.from_quaternion(u)[1:] for u in self.sphere.units])
-        return qarray.from_slice(self.z, units[:, None]).reshape(-1, 4)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.outer(self.sphere.weights, self.slice_weights).ravel()
-
-    def pair(self, fw, gw):
-        """Stacks x, y and weights [w_z; w_z] whose slice sum of w conj(x) y is the
-        sphere sum of conj(f) g, for slice forms fw = a + i a', gw = b + i b' (N, ..., 4).
-        conj(f) g = conj(a) b + conj(a') b' + sum_i U_i (conj(a) e_i b' - conj(a') e_i b)
-        is affine in U.  conj z on the slice of -U is the point z on the slice of U,
-        so a slice form has W(conj z) = conj W(z): a is even and a' odd under
-        z -> conj z, the U part is odd, and it sums to 0 on the rule, whose nodes
-        are symmetric under y -> -y.  (For a left-form series this is the slice
-        Gram of the zbar^k z^j being real.)  The sphere sum is then M0 = sum w_s
-        times one slice pairing, whatever the rule's moment sum w_s U_s:
-        x = M0 [a; a'] and y = [b; b']."""
-        m0 = float(np.sum(self.sphere.weights))
-        return (m0 * np.concatenate([fw.real, fw.imag]), np.concatenate([gw.real, gw.imag]),
-                np.tile(self.slice_weights, 2))
-
-    def norm_sq(self, w) -> np.ndarray:
-        x, y, weights = self.pair(w, w)
-        return weights @ np.sum(x * y, axis=-1)
+FULL_MASS = 4.0 * np.pi   # total weight dsigma(I) of the sphere of imaginary units
 
 
-def inner_full(f, g, n_slice: int = DEFAULT_SLICE_NODES, sphere: SphereRule | None = None) -> Quaternion:
-    """Sphere average of slice pairings: integral over I in S of <f,g>_{C_I},
-    on sphere_rule() if sphere is None.  Two functions with a slice_form are
-    read once, and paired on one slice times the total sphere weight
-    (_SphereOfSlices.pair); else both are read at every point of every slice."""
-    S = _SphereOfSlices(n_slice, sphere)
-    if not (hasattr(f, "slice_form") and hasattr(g, "slice_form")):
-        return inner_slice(f, g, S)
-    _check_degrees((f, g), n_slice, pair=True)
-    x, y, w = S.pair(f.slice_form(S.z), g.slice_form(S.z))
+def _pair_forms(fw, gw, weights):
+    """Stacks x, y and weights [w; w] whose sum of w conj(x) y is FULL_MASS times
+    the slice pairing of the slice forms fw = a + i a', gw = b + i b' (N, ..., 4),
+    read at the nodes z of a slice rule with weights w.
+    conj(f) g = conj(a) b + conj(a') b' + sum_i U_i (conj(a) e_i b' - conj(a') e_i b)
+    is affine in U.  conj z on the slice of -U is the point z on the slice of U,
+    so a slice form has W(conj z) = conj W(z): a is even and a' odd under
+    z -> conj z, the U part is odd, and it sums to 0 on the rule, whose nodes
+    are symmetric under y -> -y.  (For a left-form series this is the slice
+    Gram of the zbar^k z^j being real.)  Every slice pairing is then the same,
+    and the sphere integral is FULL_MASS times one of them:
+    x = FULL_MASS [a; a'] and y = [b; b']."""
+    return (FULL_MASS * np.concatenate([fw.real, fw.imag]), np.concatenate([gw.real, gw.imag]),
+            np.tile(weights, 2))
+
+
+def _slice_forms(funcs, n: int, pair: bool = False):
+    """The slice forms of funcs at the nodes of the n-node slice rule, each read
+    once, and the rule's weights; a function without a slice_form is refused."""
+    for f in funcs:
+        if not hasattr(f, "slice_form"):
+            raise TypeError(f"the full-space pairing needs a slice_form; {type(f).__name__} has none")
+    _check_degrees(funcs, n, pair)
+    z, w = _slice_nodes(n)
+    return [f.slice_form(z) for f in funcs], w
+
+
+def inner_full(f, g, n_slice: int = DEFAULT_SLICE_NODES) -> Quaternion:
+    """<f, g> over the sphere of slices: the integral over I in S of <f, g>_{C_I},
+    FULL_MASS times the pairing on one n_slice rule (_pair_forms).  f and g
+    need a slice_form; a function without one is refused with TypeError."""
+    (fw, gw), w = _slice_forms((f, g), n_slice, pair=True)
+    x, y, w = _pair_forms(fw, gw, w)
     return qarray.to_quaternion(qarray.gram(x[None], y[None], w)[0, 0])
 
 
-def norm_sq_full(f, n_slice: int = DEFAULT_SLICE_NODES, sphere: SphereRule | None = None):
+def _norm_sq_forms(fw, weights):
+    """|f|^2 of each of the slice forms fw (N, ..., 4): _pair_forms(fw, fw) summed."""
+    x, y, w = _pair_forms(fw, fw, weights)
+    return w @ np.sum(x * y, axis=-1)
+
+
+def norm_sq_full(f, n_slice: int = DEFAULT_SLICE_NODES):
     """|f|^2 over the sphere of slices as a float, read as inner_full reads it;
     for a coeff_stack tensor the (m,) norms, from slice_values a block at a time."""
-    S = _SphereOfSlices(n_slice, sphere)
     if isinstance(f, np.ndarray):
         _check_degrees(f, n_slice)
-        blocks = (slice_values(f[:, :, a:a + _NORM_BLOCK], S.z)
-                  for a in range(0, max(f.shape[2], 1), _NORM_BLOCK))
-        return np.concatenate([S.norm_sq(w) for w in blocks])
-    if not hasattr(f, "slice_form"):
-        return norm_sq_slice(f, S)
-    _check_degrees((f,), n_slice)
-    return float(S.norm_sq(f.slice_form(S.z)))
+        z, w = _slice_nodes(n_slice)
+        return np.concatenate([_norm_sq_forms(slice_values(f[:, :, a:a + _NORM_BLOCK], z), w)
+                               for a in range(0, max(f.shape[2], 1), _NORM_BLOCK)])
+    (fw,), w = _slice_forms((f,), n_slice)
+    return float(_norm_sq_forms(fw, w))

@@ -25,7 +25,7 @@ from .bargmann import (HermiteLine, b2_grid, b2_norm_closed, basis_image_scale, 
 from .config import Config
 from .kernels import KernelSpec, k2_series_levels, kernel_value, project_batch
 from .poly import laguerre
-from .quad import SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_full, sphere_rule
+from .quad import SliceQuadrature, check_slice_degree, gauss_hermite, norm_sq_full
 from .quat import Quaternion, qexp, quat, random_quaternion, random_unit
 from .report import VerificationReport
 from .series import (PolySliceSeries, SliceSeries, coeff_stack, exp_star, hermite_series,
@@ -330,15 +330,13 @@ def verify_norms(config: Config, n_max: int = 3,
                  j_max: int = 4) -> VerificationReport:
     """Full-space quadrature norms of psi_{n,j} against
     4 pi^2 n!(j!)^2/(n+j)!  (relative residual)."""
-    sphere = sphere_rule()
     rep = VerificationReport("norms", config.tolerance("norms"),
                              {"n_max": n_max, "j_max": j_max,
-                              "nodes": config.slice_nodes,
-                              "sphere_order": sphere.order})
+                              "nodes": config.slice_nodes})
     for n in range(n_max + 1):
         for j in range(j_max + 1):
             want = psi_norm_sq(n, j)
-            got = norm_sq_full(Eigenfunction(n, j), config.slice_nodes, sphere)
+            got = norm_sq_full(Eigenfunction(n, j), config.slice_nodes)
             rep.add({"n": n, "j": j}, want, got, abs(got - want) / want)
     return rep
 

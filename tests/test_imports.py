@@ -35,21 +35,34 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _private_definitions(node):
+    """The private names a module-level statement defines: a function, a
+    class, or a constant assigned by name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
 def test_no_dead_private_helpers():
-    # every module-level _name function is referenced somewhere in the package
+    # every module-level _name function, class and constant is read somewhere
+    # in the package; assigning a name does not count as reading it
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-            and not node.name.startswith("__") and node.name not in used]
+    dead = [f"{name}:{node.lineno} {private}" for name, tree in trees.items()
+            for node in tree.body for private in _private_definitions(node)
+            if private not in used]
     assert dead == []
 
 

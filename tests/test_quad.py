@@ -17,8 +17,8 @@ from spolyreg import (
     inner_real,
     inner_slice,
     norm_sq_slice,
+    norm_sq_full,
     quat,
-    sphere_rule,
 )
 from spolyreg import qarray, quad
 from spolyreg.series import coeff_stack, slice_values
@@ -129,17 +129,29 @@ def test_inner_real_gaussian_weight_compensation():
     assert v01.norm() < 1e-12
 
 
+def _sphere_rule(order):
+    """Product rule on the unit sphere of imaginary units, the oracle's sphere
+    of slices: Gauss-Legendre in the cosine of the polar angle crossed with a
+    uniform azimuth grid, exact for spherical polynomials of degree <= order.
+    Returns the (S, 3) unit vectors and the (S,) weights, of total 4*pi."""
+    leg = gauss_legendre(order // 2 + 1)
+    phi = 2.0 * np.pi * np.arange(order + 1) / (order + 1)
+    s = np.sqrt(np.maximum(1.0 - leg.nodes ** 2, 0.0))[:, None]
+    units = np.stack([s * np.cos(phi), s * np.sin(phi), np.repeat(leg.nodes[:, None], order + 1, axis=1)],
+                     axis=-1)
+    weights = np.repeat(leg.weights * 2.0 * np.pi / (order + 1), order + 1)
+    return units.reshape(-1, 3), weights
+
+
 def test_sphere_rule_total_solid_angle():
-    S = sphere_rule(6)
-    total = float(np.sum(S.weights))
+    _, w = _sphere_rule(6)
+    total = float(np.sum(w))
     assert total == pytest.approx(4 * math.pi, rel=1e-13)
 
 
 def test_sphere_rule_quadratic_moments():
     # int_{S^2} u_a u_b dS = (4 pi / 3) delta_ab
-    S = sphere_rule(6)
-    pts = np.array([[u.x, u.y, u.z] for u in S.units])
-    w = np.asarray(S.weights)
+    pts, w = _sphere_rule(6)
     M = np.einsum("s,sa,sb->ab", w, pts, pts)
     assert np.allclose(M, (4 * math.pi / 3) * np.eye(3), atol=1e-12)
 
@@ -307,22 +319,22 @@ def test_slice_forms_lift_to_eval_many():
 @pytest.mark.parametrize("n_slice", [10, 40])
 @pytest.mark.parametrize("order", [0, 1, 6])
 def test_sphere_pairings_match_pointwise_reference(n_slice, order):
-    # the slice-form pairing against qarray.gram of eval_many at every point
-    # of every slice; order 0 and 1 rules have sum_s w_s U_s != 0.  Worst seen
-    # 14 eps of sqrt(|f|^2 |g|^2), from a psi pair at n_slice = 40, order 6
+    # 4 pi times one slice pairing against qarray.gram of eval_many at every
+    # point of every slice of a sphere rule; order 0 and 1 rules have
+    # sum_s w_s U_s != 0.  Worst seen 6.5 eps of sqrt(|f|^2 |g|^2), at
+    # n_slice = 40, order 6
     eps = np.finfo(float).eps
-    sphere = sphere_rule(order)
+    units, sphere_weights = _sphere_rule(order)
     funcs = _sphere_functions(np.random.default_rng(order))
     z, w = quad._slice_nodes(n_slice)
-    units = np.array([qarray.from_quaternion(u)[1:] for u in sphere.units])
     pts = qarray.from_slice(z, units[:, None]).reshape(-1, 4)
     vals = np.stack([f.eval_many(pts) for f in funcs])
-    ref = qarray.gram(vals, vals, np.outer(sphere.weights, w).ravel())
+    ref = qarray.gram(vals, vals, np.outer(sphere_weights, w).ravel())
     norms = ref[np.arange(len(funcs)), np.arange(len(funcs)), 0]
     for a, f in enumerate(funcs):
-        assert abs(quad.norm_sq_full(f, n_slice, sphere) - norms[a]) <= 64 * eps * norms[a]
+        assert abs(quad.norm_sq_full(f, n_slice) - norms[a]) <= 64 * eps * norms[a]
         for b, g in enumerate(funcs):
-            got = qarray.from_quaternion(inner_full(f, g, n_slice, sphere))
+            got = qarray.from_quaternion(inner_full(f, g, n_slice))
             assert np.max(np.abs(got - ref[a, b])) <= 64 * eps * math.sqrt(norms[a] * norms[b])
 
 
@@ -364,9 +376,10 @@ def test_norm_sq_full_of_a_coefficient_stack(monkeypatch):
         quad.norm_sq_full(coeff_stack(funcs), 5)
 
 
-def test_functions_without_a_slice_form_pair_on_every_slice():
-    # a plain callable, or an object with eval_many alone, is read at the
-    # points of every slice; it pairs as its series does
+def test_functions_without_a_slice_form_are_refused():
+    # a plain callable, a right-form series or an object with eval_many alone
+    # has no slice form, so no full-space pairing; the message names its type
+    from spolyreg import RightPolySeries
     c = quat(0.2, -0.5, 1.0, 0.3)
     series = PolySliceSeries([[quat(0), c]])
 
@@ -374,10 +387,37 @@ def test_functions_without_a_slice_form_pair_on_every_slice():
         def eval_many(self, pts):
             return series.eval_many(pts)
 
-    sphere = sphere_rule(1)
-    want = inner_full(series, series, 4, sphere).as_tuple()
-    for f in (lambda q: q * c, ValuesOnly()):
-        for g in (f, series):
-            assert np.allclose(inner_full(f, g, 4, sphere).as_tuple(), want, rtol=0, atol=1e-13)
-        assert quad.norm_sq_full(f, 4, sphere) == pytest.approx(want[0], rel=1e-14)
-    assert want[0] == pytest.approx(4 * math.pi ** 2 * c.norm_sq(), rel=1e-14)
+    for f, name in ((lambda q: q * c, "function"), (RightPolySeries([[quat(0), c]]), "RightPolySeries"),
+                    (ValuesOnly(), "ValuesOnly")):
+        for call in (lambda: inner_full(f, series, 4), lambda: inner_full(series, f, 4),
+                     lambda: inner_full(f, f, 4), lambda: quad.norm_sq_full(f, 4)):
+            with pytest.raises(TypeError, match=rf"needs a slice_form; {name} has none"):
+                call()
+    assert quad.norm_sq_full(series, 4) == pytest.approx(4 * math.pi ** 2 * c.norm_sq(), rel=1e-14)
+
+
+def test_full_pairing_is_4pi_times_each_slice_pairing():
+    # for a left-form function every slice pairing is the same (ROADMAP item 11):
+    # random quaternion-coefficient series and psi with j < 0, j = 0 and j > 0
+    # on C_i and two random slices, against the values_on route of inner_slice.
+    # Worst seen 3.0 eps of sqrt(|f|^2 |g|^2)
+    from spolyreg import RightPolySeries
+    from spolyreg.quat import random_unit
+    from spolyreg.spectral import Eigenfunction
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    funcs = ([_random_series(rng, level, degree) for level in range(3) for degree in (0, 2, 4)]
+             + [Eigenfunction(n, j) for n, j in ((2, -1), (1, 0), (1, 2))])
+    n = 20
+    rules = [SliceQuadrature(n, u) for u in (quat(0, 1, 0, 0), random_unit(rng), random_unit(rng))]
+    norms = [norm_sq_full(f, n) for f in funcs]
+    for a, f in enumerate(funcs):
+        for b, g in enumerate(funcs):
+            got = qarray.from_quaternion(inner_full(f, g, n))
+            for Q in rules:
+                want = 4 * math.pi * qarray.from_quaternion(inner_slice(f, g, Q))
+                assert np.max(np.abs(got - want)) <= 64 * eps * math.sqrt(norms[a] * norms[b])
+    for h in (RightPolySeries([[quat(0), quat(0.2, -0.5, 1.0, 0.3)]]), lambda q: q):
+        for call in (lambda: inner_full(h, funcs[0], n), lambda: norm_sq_full(h, n)):
+            with pytest.raises(TypeError, match="slice_form"):
+                call()
