@@ -16,8 +16,8 @@ from spolyreg import (
     inner_full,
     inner_real,
     inner_slice,
-    norm_sq_slice,
     norm_sq_full,
+    norm_sq_slice,
     quat,
 )
 from spolyreg import qarray, quad
@@ -397,8 +397,9 @@ def test_functions_without_a_slice_form_are_refused():
 
 
 def test_full_pairing_is_4pi_times_each_slice_pairing():
-    # for a left-form function every slice pairing is the same (ROADMAP item 11):
-    # random quaternion-coefficient series and psi with j < 0, j = 0 and j > 0
+    # for a left-form function every slice pairing is the same, so the full
+    # pairing is 4 pi times any of them: random quaternion-coefficient series
+    # and psi with j < 0, j = 0 and j > 0
     # on C_i and two random slices, against the values_on route of inner_slice.
     # Worst seen 3.0 eps of sqrt(|f|^2 |g|^2)
     from spolyreg import RightPolySeries
